@@ -774,12 +774,21 @@ class _PoolExecutor:
         if state.trace_cache and state.detector != "streaming":
             self.cache_path = sharedcache.create_cache_file()
             cache_lock = ctx.Lock()
+        before = set(multiprocessing.active_children())
         self.pool = ctx.Pool(
             processes=workers,
             initializer=_init_worker,
             initargs=(state, self.stop_at, self.cancel_flag,
                       self.best_racy, self.cache_path, cache_lock),
         )
+        # The pool's workers, found through the public child-process
+        # list so close() need not read Pool's private worker list.
+        # The pool replaces none of them while jobs run: a failing or
+        # timed-out job is caught inside its worker.
+        self.procs = [
+            proc for proc in multiprocessing.active_children()
+            if proc not in before
+        ]
 
     def run(self, jobs: Sequence[HuntJob]) -> Iterator[JobOutcome]:
         jobs = list(jobs)
@@ -818,36 +827,29 @@ class _PoolExecutor:
 
     def close(self) -> None:
         # Cooperative shutdown.  Workers ignore SIGINT/SIGTERM (the
-        # parent orchestrates draining), so pool.terminate()'s SIGTERM
-        # would be ignored and its join would hang; close() hands the
-        # workers exit sentinels instead, which they always honor once
-        # the (already drained) task queue is empty.  A worker wedged
-        # inside a job — an injected hang with no job_timeout — gets
-        # SIGKILL after a grace period rather than hanging the hunt.
-        #
-        # The grace-period walk reads Pool's private worker list; that
-        # is deliberate (there is no public "join with timeout"), but
-        # it must degrade, not raise, if a future stdlib reshapes the
-        # attribute — terminate() is then safe because the task queue
-        # is already drained.
+        # parent orchestrates draining), so pool.terminate() must never
+        # run: its SIGTERM would be ignored, it drains exit sentinels
+        # the workers have not read yet and holds the task queue's read
+        # lock, and its join then hangs.  close() hands the workers exit
+        # sentinels instead, which they always honor once the (already
+        # drained) task queue is empty.  A worker wedged inside a job —
+        # an injected hang with no job_timeout — gets SIGKILL after a
+        # grace period rather than hanging the hunt.
         try:
-            try:
-                self.pool.close()
-                procs = getattr(self.pool, "_pool", None)
-                if not isinstance(procs, (list, tuple)):
-                    raise AttributeError("Pool._pool is not a process list")
-                deadline = time.monotonic() + 5.0
-                for proc in procs:
-                    proc.join(max(0.0, deadline - time.monotonic()))
-                for proc in procs:
-                    if proc.is_alive():
-                        proc.kill()
-            except Exception:
-                self.pool.terminate()
+            self.pool.close()
+            deadline = time.monotonic() + 5.0
+            for proc in self.procs:
+                proc.join(max(0.0, deadline - time.monotonic()))
+            for proc in self.procs:
+                if proc.is_alive():
+                    proc.kill()
             try:
                 self.pool.join()
             except Exception:
-                pass  # Pool.join walks the same private list; degrade
+                # Pool.join ends by walking Pool's private worker list;
+                # the workers are already joined above, so a reshaped
+                # stdlib must not make close() raise
+                pass
         finally:
             if self.cache_path is not None:
                 sharedcache.remove_cache_file(self.cache_path)

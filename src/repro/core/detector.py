@@ -37,8 +37,8 @@ class PostMortemDetector:
     def analyze(self, trace: Trace) -> RaceReport:
         """Run the full pipeline on a post-mortem trace.
 
-        Ordering queries go through the vector-clock backend (batched
-        clock-matrix race sweep, no transitive closure built at all) and
+        Ordering queries go through the vector-clock backend (frontier
+        race sweep, no transitive closure built at all) and
         fall back to the closure backend only on cyclic hb1 relations —
         possible on arbitrary weak machines (§3.1), never produced by
         our simulator.

@@ -10,11 +10,10 @@ is O(V·P) space instead of O(V²/64) and answers queries in O(P).
 The clocks live in a V×P ``int64`` numpy matrix (one row per event in
 topological order) when numpy is available: each event's row is the
 ``np.maximum`` join of its predecessors' rows — one vectorized call per
-edge instead of a Python component loop — and the matrix doubles as the
-input to the batched race sweep in :mod:`repro.core.races`, which
-tests whole candidate-pair arrays against it at once.  Without numpy
-the original pure-Python sweep is used and queries fall back to the
-per-pair epoch test.
+edge instead of a Python component loop.  Without numpy the clocks are
+plain per-event lists.  Either way :meth:`VectorClockHB1.clocks` hands
+the events and their clocks, in that topological order, to the
+frontier race sweep of :mod:`repro.core.races`.
 
 Vector clocks require an *acyclic* hb1 — true for every execution our
 simulator produces (its sync operations are sequentially consistent)
@@ -27,12 +26,12 @@ equality on every acyclic trace.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import obs
 from ..graph import CycleError, topological_sort
 from ..trace.build import Trace
-from ..trace.events import ComputationEvent, EventId, SyncEvent
+from ..trace.events import EventId
 from .hb1 import HappensBefore1
 
 try:
@@ -78,13 +77,6 @@ class VectorClockHB1:
         self.graph = base.graph
         self.po_edges = base.po_edges
         self.so1_edges = base.so1_edges
-        try:
-            order = topological_sort(self.graph)
-        except CycleError as exc:
-            raise CyclicHB1Error(
-                "hb1 contains a cycle (weak sync ordering, section 3.1); "
-                "use the transitive-closure backend"
-            ) from exc
 
         nproc = trace.processor_count
         self._clocks: Dict[EventId, List[int]] = {}
@@ -94,6 +86,16 @@ class VectorClockHB1:
             Dict[Tuple[EventId, EventId], Tuple[int, ...]]
         ] = None
         with obs.span("hb1.vc_sweep") as sp:
+            try:
+                order = topological_sort(self.graph)
+            except CycleError as exc:
+                raise CyclicHB1Error(
+                    "hb1 contains a cycle (weak sync ordering, section "
+                    "3.1); use the transitive-closure backend"
+                ) from exc
+            #: every event, in the topological order the clocks were
+            #: swept in (a linearization of hb1)
+            self.order: List[EventId] = order
             if _np is not None:
                 joins = self._sweep_matrix(order, nproc)
             else:  # pragma: no cover - exercised via forced fallback tests
@@ -160,8 +162,6 @@ class VectorClockHB1:
         it supersedes, canonical ``a < b``).  Same-processor pairs are
         po-ordered and skipped.
         """
-        trace = self.trace
-        columns = getattr(trace, "columns", None)
         last_write: Dict[int, EventId] = {}
         readers_since: Dict[int, List[EventId]] = {}
         pairs: Dict[Tuple[EventId, EventId], List[int]] = {}
@@ -173,24 +173,7 @@ class VectorClockHB1:
             pairs.setdefault(key, []).append(addr)
 
         for eid in order:
-            if columns is not None:
-                row = columns.row_of(eid.proc, eid.pos)
-                if columns.is_comp(row):
-                    reads = list(columns.event_reads(row))
-                    writes = list(columns.event_writes(row))
-                else:
-                    addr = int(columns.addr[row])
-                    if columns.kind[row]:
-                        reads, writes = [], [addr]
-                    else:
-                        reads, writes = [addr], []
-            elif isinstance(event := trace.event(eid), SyncEvent):
-                reads = [event.addr] if event.reads_addr else []
-                writes = [event.addr] if event.writes_addr else []
-            else:
-                assert isinstance(event, ComputationEvent)
-                reads = list(event.reads)
-                writes = list(event.writes)
+            _, reads, writes = self.trace.accesses(eid)
             for addr in reads:
                 w = last_write.get(addr)
                 if w is not None:
@@ -212,14 +195,9 @@ class VectorClockHB1:
     # ------------------------------------------------------------------
     @property
     def clock_matrix(self):
-        """The V×P int64 clock matrix in topological row order (None
-        when numpy is unavailable; see :attr:`row_index`)."""
+        """The V×P int64 clock matrix, row i the clock of
+        ``order[i]`` (None when numpy is unavailable)."""
         return self._matrix
-
-    @property
-    def row_index(self) -> Dict[EventId, int]:
-        """EventId -> row of :attr:`clock_matrix`."""
-        return self._row_of
 
     @property
     def adjacent_conflicts(
@@ -230,6 +208,13 @@ class VectorClockHB1:
         with ``a < b`` mapped to conflict locations), or ``None`` when
         the sweep ran without ``track_variables``."""
         return self._adjacent
+
+    def clocks(self) -> Iterator[Tuple[EventId, List[int]]]:
+        """Every event with its vector clock, in :attr:`order` (do not
+        mutate the clocks)."""
+        if self._matrix is not None:
+            return zip(self.order, map(_np.ndarray.tolist, self._matrix))
+        return ((eid, self._clocks[eid]) for eid in self.order)
 
     def clock_of(self, eid: EventId) -> List[int]:
         """The event's vector clock (do not mutate)."""

@@ -35,8 +35,8 @@ onto this repo's event/vector-clock machinery:
 
 Both backends run their modified edge sets through the *same*
 :class:`~repro.core.hb1_vc.VectorClockHB1` sweep (the relation object
-is passed as ``base``), so the clock-matrix race sweep, the epoch
-tests, and the cyclic-hb1 closure fallback are shared, not duplicated.
+is passed as ``base``), so the frontier race sweep and the cyclic-hb1
+closure fallback are shared, not duplicated.
 """
 
 from __future__ import annotations

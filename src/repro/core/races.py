@@ -4,17 +4,25 @@ A race is a pair of events that conflict on some location and are not
 ordered by hb1.  It is a *data* race when at least one side is a
 computation (data) event; a race between two synchronization events is
 detected but flagged, since Definition 2.4 excludes it from data races.
+
+On an acyclic hb1 the race set comes from one :class:`FrontierSweep`
+over the vector-clock backend's topological order: each access is
+tested only against the per-location accesses some other processor has
+not yet seen, not against every earlier conflicting access.  The online
+detector drives the same kernel.  A cyclic hb1 (section 3.1) has no such order and falls back to
+closure queries over every conflicting cross-processor pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import obs
 from ..trace.build import Trace
-from ..trace.events import ComputationEvent, EventId, SyncEvent
+from ..trace.events import EventId
 from .hb1 import HappensBefore1
+from .hb1_vc import VectorClockHB1
 
 
 @dataclass(frozen=True)
@@ -61,178 +69,187 @@ def _accesses_by_location(
     trace: Trace,
 ) -> Tuple[Dict[int, List[EventId]], Dict[int, List[EventId]]]:
     """Index events by the locations they read and write."""
-    columns = getattr(trace, "columns", None)
-    if columns is not None:
-        return _accesses_by_location_columnar(columns)
     readers: Dict[int, List[EventId]] = {}
     writers: Dict[int, List[EventId]] = {}
-    for event in trace.all_events():
-        if isinstance(event, SyncEvent):
-            target = writers if event.writes_addr else readers
-            target.setdefault(event.addr, []).append(event.eid)
-        else:
-            assert isinstance(event, ComputationEvent)
-            for addr in event.reads:
-                readers.setdefault(addr, []).append(event.eid)
-            for addr in event.writes:
-                writers.setdefault(addr, []).append(event.eid)
-    return readers, writers
-
-
-def _accesses_by_location_columnar(
-    columns,
-) -> Tuple[Dict[int, List[EventId]], Dict[int, List[EventId]]]:
-    """The same read/write index straight off the columns — EventIds
-    only, no event or bit-vector objects."""
-    readers: Dict[int, List[EventId]] = {}
-    writers: Dict[int, List[EventId]] = {}
-    tag, kind, addr_col = columns.tag, columns.kind, columns.addr
-    for proc, count in enumerate(columns.proc_counts):
-        base = columns.proc_offsets[proc]
-        for pos in range(count):
-            row = base + pos
+    for proc, proc_events in enumerate(trace.events):
+        for pos in range(len(proc_events)):
             eid = EventId(proc, pos)
-            if tag[row]:  # computation event
-                for addr in columns.event_reads(row):
-                    readers.setdefault(addr, []).append(eid)
-                for addr in columns.event_writes(row):
-                    writers.setdefault(addr, []).append(eid)
-            else:
-                target = writers if kind[row] else readers
-                target.setdefault(int(addr_col[row]), []).append(eid)
+            _, reads, writes = trace.accesses(eid)
+            for addr in reads:
+                readers.setdefault(addr, []).append(eid)
+            for addr in writes:
+                writers.setdefault(addr, []).append(eid)
     return readers, writers
+
+
+# (proc, pos, is_computation) of one remembered access
+_Access = Tuple[int, int, bool]
+
+
+class FrontierSweep:
+    """The per-location frontier race sweep, shared by the post-mortem
+    (:func:`find_races`) and online (:mod:`repro.core.streaming`)
+    detectors.
+
+    Events are fed in a linearization of hb1 — every event after all
+    events hb1-before it — each with its vector clock.  In such an
+    order the later event ``b`` of a pair can never be hb1-before the
+    earlier ``a``, so the single epoch test ``clock_b[a.proc] <
+    a.pos+1`` decides unorderedness exactly.  Per location the sweep
+    remembers only the writers and readers some other processor has
+    not yet seen: an access ``(q, pos)`` is dropped once every other
+    processor's latest clock has component ``>= pos+1``, because every
+    later event is then hb1-after it and no new race can involve it.
+
+    ``clock[p]`` is the clock of processor p's latest event.  Callers
+    keep it current and call :meth:`recompute_min` whenever a clock
+    gains a foreign component (a synchronization join).
+    """
+
+    def __init__(self, processor_count: int) -> None:
+        self.nproc = processor_count
+        self.clock = [[0] * processor_count for _ in range(processor_count)]
+        # addr -> accesses not yet seen by every processor
+        self.writers: Dict[int, List[_Access]] = {}
+        self.readers: Dict[int, List[_Access]] = {}
+        # min over r != q of clock[r][q]; entries below it are settled
+        self.global_min: List[float] = [
+            float("inf") if processor_count == 1 else 0
+        ] * processor_count
+        # canonical (a, b) eid tuples -> (locations, is_data_race)
+        self.races: Dict[
+            Tuple[Tuple[int, int], Tuple[int, int]], Tuple[Set[int], bool]
+        ] = {}
+        self.retained = 0
+        self.retained_peak = 0
+        self.pruned = 0
+        self.tested = 0
+
+    def recompute_min(self) -> None:
+        clock = self.clock
+        for q in range(self.nproc):
+            self.global_min[q] = min(
+                (clock[r][q] for r in range(self.nproc) if r != q),
+                default=float("inf"),
+            )
+
+    def _scan_list(self, index: Dict[int, List[_Access]], addr: int,
+                   proc: int, pos: int, is_comp: bool,
+                   clock: List[int]) -> None:
+        entries = index.get(addr)
+        if not entries:
+            return
+        gm = self.global_min
+        keep = []
+        for entry in entries:
+            q, qpos, q_comp = entry
+            if gm[q] >= qpos + 1:
+                # every other processor has seen (q, qpos): hb1-ordered
+                # before all current and future events, drop it
+                self.pruned += 1
+                self.retained -= 1
+                continue
+            keep.append(entry)
+            if q == proc:
+                continue  # same-processor pairs are po-ordered
+            self.tested += 1
+            if clock[q] < qpos + 1:
+                a, b = (q, qpos), (proc, pos)
+                if b < a:
+                    a, b = b, a
+                race = self.races.get((a, b))
+                if race is None:
+                    self.races[(a, b)] = ({addr}, q_comp or is_comp)
+                else:
+                    race[0].add(addr)
+        if len(keep) != len(entries):
+            index[addr] = keep
+
+    def access(self, proc: int, pos: int, is_comp: bool,
+               reads: Iterable[int], writes: Iterable[int],
+               clock: List[int]) -> None:
+        """Race-scan one event against the frontier, then remember it.
+        Writer×writer and writer×reader pairs only."""
+        # both sets are walked twice (scan, then remember) — a one-shot
+        # iterator (e.g. a columnar bitset decoder) must be materialized
+        reads = tuple(reads)
+        writes = tuple(writes)
+        for addr in writes:
+            self._scan_list(self.writers, addr, proc, pos, is_comp, clock)
+            self._scan_list(self.readers, addr, proc, pos, is_comp, clock)
+        for addr in reads:
+            self._scan_list(self.writers, addr, proc, pos, is_comp, clock)
+        entry = (proc, pos, is_comp)
+        for addr in writes:
+            self.writers.setdefault(addr, []).append(entry)
+        for addr in reads:
+            self.readers.setdefault(addr, []).append(entry)
+        self.retained += len(writes) + len(reads)
+        if self.retained > self.retained_peak:
+            self.retained_peak = self.retained
+
+    def finish(self) -> List[EventRace]:
+        """The races found so far, sorted by ``(a, b)``."""
+        races = [
+            EventRace(
+                a=EventId(*a),
+                b=EventId(*b),
+                locations=tuple(sorted(locations)),
+                is_data_race=is_data,
+            )
+            for (a, b), (locations, is_data) in self.races.items()
+        ]
+        races.sort(key=lambda race: (race.a, race.b))
+        return races
 
 
 def find_races(trace: Trace, hb: Optional[HappensBefore1] = None) -> List[EventRace]:
     """All races of *trace*: conflicting, hb1-unordered event pairs.
 
     Returns races sorted by (a, b) for determinism.  Pass a prebuilt
-    :class:`HappensBefore1` to avoid rebuilding the relation; pass a
-    :class:`~repro.core.hb1_vc.VectorClockHB1` to use the batched
-    clock-matrix sweep instead of per-pair closure queries (the two are
-    differentially tested to report identical races).
+    :class:`HappensBefore1` to avoid rebuilding the relation (races are
+    then decided by closure queries, which also works on a cyclic
+    hb1); pass a :class:`~repro.core.hb1_vc.VectorClockHB1` to run the
+    :class:`FrontierSweep` over its topological order and clocks
+    instead.  The two are differentially tested to report identical
+    races.
     """
     hb = hb or HappensBefore1(trace)
     with obs.span("races.find") as _sp:
-        if getattr(hb, "clock_matrix", None) is not None:
-            races = _find_races_batched(trace, hb, _sp)
-        elif hasattr(hb, "closure"):
-            races = _find_races(trace, hb, _sp)
+        if isinstance(hb, VectorClockHB1):
+            races, tested = _find_races_frontier(trace, hb)
         else:
-            races = _find_races_epoch(trace, hb, _sp)
+            races, tested = _find_races(trace, hb)
+        if _sp.enabled:
+            # pairs_tested counts the ordering queries actually made
+            _sp.add("pairs_tested", tested)
+            _sp.add("pairs_reported", len(races))
+            _sp.add("data_races", sum(1 for r in races if r.is_data_race))
     return races
 
 
-def _collect_candidates(
-    trace: Trace,
-) -> Dict[Tuple[EventId, EventId], List[int]]:
-    """Every conflicting cross-processor event pair (canonical a < b),
-    mapped to the locations it conflicts on.  Same-processor pairs are
-    always po-ordered and skipped up front."""
-    readers, writers = _accesses_by_location(trace)
-    pairs: Dict[Tuple[EventId, EventId], List[int]] = {}
-    for addr, writer_list in writers.items():
-        reader_list = readers.get(addr, [])
-        for i, w in enumerate(writer_list):
-            for other in writer_list[i + 1:]:
-                if other.proc != w.proc:
-                    key = (w, other) if w < other else (other, w)
-                    bucket = pairs.get(key)
-                    if bucket is None:
-                        pairs[key] = [addr]
-                    else:
-                        bucket.append(addr)
-            for r in reader_list:
-                if r.proc != w.proc:
-                    key = (w, r) if w < r else (r, w)
-                    bucket = pairs.get(key)
-                    if bucket is None:
-                        pairs[key] = [addr]
-                    else:
-                        bucket.append(addr)
-    return pairs
-
-
-def _make_race(trace: Trace, a: EventId, b: EventId, locations: List[int]) -> EventRace:
-    columns = getattr(trace, "columns", None)
-    if columns is not None:
-        is_data = (
-            columns.is_comp(columns.row_of(a.proc, a.pos))
-            or columns.is_comp(columns.row_of(b.proc, b.pos))
-        )
-    else:
-        event_a, event_b = trace.event(a), trace.event(b)
-        is_data = event_a.is_computation or event_b.is_computation
-    return EventRace(
-        a=a,
-        b=b,
-        locations=tuple(sorted(set(locations))),
-        is_data_race=is_data,
-    )
-
-
-def _find_races_batched(trace: Trace, vc, _sp) -> List[EventRace]:
-    """Race sweep against a clock matrix: all candidate pairs are tested
-    in one pass of array comparisons.  ``(a, b)`` is unordered iff
-    neither side has seen the other's own component — ``M[row(b),
-    a.proc] < a.pos+1 and M[row(a), b.proc] < b.pos+1`` — vectorized
-    over the whole candidate batch instead of one closure query per
-    pair."""
-    import numpy as np
-
-    pairs = _collect_candidates(trace)
-    races: List[EventRace] = []
-    if pairs:
-        keys = list(pairs)
-        n = len(keys)
-        matrix = vc.clock_matrix
-        row_of = vc.row_index
-        ia = np.empty(n, dtype=np.intp)
-        ib = np.empty(n, dtype=np.intp)
-        pa = np.empty(n, dtype=np.intp)
-        pb = np.empty(n, dtype=np.intp)
-        oa = np.empty(n, dtype=np.int64)
-        ob = np.empty(n, dtype=np.int64)
-        for k, (a, b) in enumerate(keys):
-            ia[k] = row_of[a]
-            ib[k] = row_of[b]
-            pa[k] = a.proc
-            pb[k] = b.proc
-            oa[k] = a.pos + 1
-            ob[k] = b.pos + 1
-        unordered = (matrix[ib, pa] < oa) & (matrix[ia, pb] < ob)
-        for k in np.flatnonzero(unordered):
-            a, b = keys[k]
-            races.append(_make_race(trace, a, b, pairs[(a, b)]))
-    races.sort(key=lambda race: (race.a, race.b))
-    if _sp.enabled:
-        _sp.add("pairs_tested", len(pairs))
-        _sp.add("vc_batch_rows", len(pairs))
-        _sp.add("pairs_reported", len(races))
-        _sp.add("data_races", sum(1 for r in races if r.is_data_race))
-    return races
-
-
-def _find_races_epoch(trace: Trace, vc, _sp) -> List[EventRace]:
-    """Per-pair epoch-test sweep for vector-clock backends without a
-    matrix (numpy unavailable)."""
-    pairs = _collect_candidates(trace)
-    races = [
-        _make_race(trace, a, b, locations)
-        for (a, b), locations in pairs.items()
-        if vc.unordered(a, b)
-    ]
-    races.sort(key=lambda race: (race.a, race.b))
-    if _sp.enabled:
-        _sp.add("pairs_tested", len(pairs))
-        _sp.add("pairs_reported", len(races))
-        _sp.add("data_races", sum(1 for r in races if r.is_data_race))
-    return races
+def _find_races_frontier(
+    trace: Trace, vc: VectorClockHB1
+) -> Tuple[List[EventRace], int]:
+    sweep = FrontierSweep(trace.processor_count)
+    latest = sweep.clock
+    for eid, clock in vc.clocks():
+        proc = eid.proc
+        prev = latest[proc]
+        latest[proc] = clock
+        if prev[:proc] != clock[:proc] or prev[proc + 1:] != clock[proc + 1:]:
+            sweep.recompute_min()  # a join brought in foreign components
+        is_comp, reads, writes = trace.accesses(eid)
+        sweep.access(proc, eid.pos, is_comp, reads, writes, clock)
+    return sweep.finish(), sweep.tested
 
 
 def _find_races(
-    trace: Trace, hb: HappensBefore1, _sp
-) -> List[EventRace]:
+    trace: Trace, hb: HappensBefore1
+) -> Tuple[List[EventRace], int]:
+    """Closure-query sweep over every conflicting cross-processor pair:
+    the fallback for a cyclic hb1 (section 3.1), where no topological
+    order, and so no frontier sweep, exists."""
     readers, writers = _accesses_by_location(trace)
 
     # Hot path: for each location, every writer x (writer or reader)
@@ -278,17 +295,18 @@ def _find_races(
                 if r.proc != w.proc:
                     note(w, r, addr)
 
-    races: List[EventRace] = []
-    for (a, b), locations in racing.items():
-        races.append(_make_race(trace, a, b, locations))
+    races = [
+        EventRace(
+            a=a,
+            b=b,
+            locations=tuple(sorted(set(locations))),
+            is_data_race=trace.accesses(a)[0] or trace.accesses(b)[0],
+        )
+        for (a, b), locations in racing.items()
+    ]
     races.sort(key=lambda race: (race.a, race.b))
-    if _sp.enabled:
-        # pairs_tested counts distinct conflicting pairs whose ordering
-        # was actually queried; pairs_reported is the races among them
-        _sp.add("pairs_tested", len(racing) + len(settled_ordered))
-        _sp.add("pairs_reported", len(races))
-        _sp.add("data_races", sum(1 for r in races if r.is_data_race))
-    return races
+    # each distinct conflicting pair is queried once
+    return races, len(racing) + len(settled_ordered)
 
 
 def data_races(races: List[EventRace]) -> List[EventRace]:

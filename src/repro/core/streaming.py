@@ -16,7 +16,9 @@ the detector keeps only
   processor has *not yet seen*, pruned exactly: an access ``(q, pos)``
   is dropped the moment every other processor's clock has component
   ``>= pos+1``, because from then on every future event is hb1-after it
-  and no new race can involve it,
+  and no new race can involve it (the
+  :class:`~repro.core.races.FrontierSweep` kernel, which post-mortem
+  detection drives too),
 
 for O(P·V + races) state independent of trace length.  The reported
 race set is byte-identical to ``find_races`` on the materialized trace
@@ -42,112 +44,29 @@ on every input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..machine.operations import MemoryOperation, OperationKind, SyncRole
 from ..trace.build import Trace
 from ..trace.columnar import _CODE_ROLE
 from ..trace.events import EventId, SyncEvent
-from .races import EventRace
+from .races import EventRace, FrontierSweep
 from .report import REPORT_FORMAT, _race_from_record, _race_record
 
 
-class _StreamEngine:
-    """The O(P·V) online core: clocks, pairing state, remembered
-    accesses, and the accumulated race set."""
+class _StreamEngine(FrontierSweep):
+    """The O(P·V) online front end of the frontier sweep: it adds the
+    per-location sync pairing state and keeps each processor's clock
+    current as operations arrive."""
 
     def __init__(self, processor_count: int) -> None:
-        self.nproc = processor_count
-        # clock[p] = vector clock of p's latest event (updated in place:
-        # the po predecessor's clock is exactly the previous value)
-        self.clock = [[0] * processor_count for _ in range(processor_count)]
+        # self.clock[p] is updated in place: the po predecessor's clock
+        # is exactly the previous value
+        super().__init__(processor_count)
         # addr -> (is_release, value, writer proc, clock snapshot)
         self.last_sync_write: Dict[int, Tuple[bool, int, int, Tuple[int, ...]]] = {}
-        # addr -> [(proc, pos, is_comp)] not yet seen by every processor
-        self.writers: Dict[int, List[Tuple[int, int, bool]]] = {}
-        self.readers: Dict[int, List[Tuple[int, int, bool]]] = {}
-        # min over r != q of clock[r][q]; entries below it are settled
-        self.global_min: List[float] = [
-            float("inf") if processor_count == 1 else 0
-        ] * processor_count
-        # canonical (a, b) eid tuples -> (locations, is_data_race)
-        self.races: Dict[
-            Tuple[Tuple[int, int], Tuple[int, int]], Tuple[Set[int], bool]
-        ] = {}
         self.event_count = 0
-        self.retained = 0
-        self.retained_peak = 0
-        self.pruned = 0
-
-    # ------------------------------------------------------------------
-    def _recompute_global_min(self) -> None:
-        clock = self.clock
-        for q in range(self.nproc):
-            self.global_min[q] = min(
-                (clock[r][q] for r in range(self.nproc) if r != q),
-                default=float("inf"),
-            )
-
-    def _note_race(self, q: int, qpos: int, q_comp: bool,
-                   p: int, pos: int, p_comp: bool, addr: int) -> None:
-        a, b = (q, qpos), (p, pos)
-        if b < a:
-            a, b = b, a
-        entry = self.races.get((a, b))
-        if entry is None:
-            self.races[(a, b)] = ({addr}, q_comp or p_comp)
-        else:
-            entry[0].add(addr)
-
-    def _scan_list(self, index: Dict[int, List[Tuple[int, int, bool]]],
-                   addr: int, proc: int, pos: int, is_comp: bool,
-                   clock: List[int]) -> None:
-        entries = index.get(addr)
-        if not entries:
-            return
-        gm = self.global_min
-        keep = []
-        for entry in entries:
-            q, qpos, q_comp = entry
-            if gm[q] >= qpos + 1:
-                # every other processor has seen (q, qpos): hb1-ordered
-                # before all current and future events, drop it
-                self.pruned += 1
-                self.retained -= 1
-                continue
-            keep.append(entry)
-            if q == proc:
-                continue  # same-processor pairs are po-ordered
-            if clock[q] < qpos + 1:
-                self._note_race(q, qpos, q_comp, proc, pos, is_comp, addr)
-        if len(keep) != len(entries):
-            index[addr] = keep
-
-    def _scan(self, proc: int, pos: int, is_comp: bool,
-              reads: Iterable[int], writes: Iterable[int]) -> None:
-        """Race-scan one event against remembered accesses, then
-        remember it.  Writer×writer and writer×reader pairs only —
-        the same candidate shape as the post-mortem sweep."""
-        # both sets are walked twice (scan, then remember) — a one-shot
-        # iterator (e.g. a columnar bitset decoder) must be materialized
-        reads = tuple(reads)
-        writes = tuple(writes)
-        clock = self.clock[proc]
-        for addr in writes:
-            self._scan_list(self.writers, addr, proc, pos, is_comp, clock)
-            self._scan_list(self.readers, addr, proc, pos, is_comp, clock)
-        for addr in reads:
-            self._scan_list(self.writers, addr, proc, pos, is_comp, clock)
-        entry = (proc, pos, is_comp)
-        for addr in writes:
-            self.writers.setdefault(addr, []).append(entry)
-            self.retained += 1
-        for addr in reads:
-            self.readers.setdefault(addr, []).append(entry)
-            self.retained += 1
-        if self.retained > self.retained_peak:
-            self.retained_peak = self.retained
 
     # ------------------------------------------------------------------
     def process_sync(self, proc: int, pos: int, addr: int, is_write: bool,
@@ -172,14 +91,14 @@ class _StreamEngine:
                         joined = True
         clock[proc] = pos + 1
         if joined and self.nproc > 1:
-            self._recompute_global_min()
+            self.recompute_min()
         if is_write:
-            self._scan(proc, pos, False, (), (addr,))
+            self.access(proc, pos, False, (), (addr,), clock)
             self.last_sync_write[addr] = (
                 role is SyncRole.RELEASE, value, proc, tuple(clock),
             )
         else:
-            self._scan(proc, pos, False, (addr,), ())
+            self.access(proc, pos, False, (addr,), (), clock)
         self.event_count += 1
 
     def open_comp(self, proc: int, pos: int) -> None:
@@ -192,27 +111,13 @@ class _StreamEngine:
         """The computation's READ/WRITE sets are complete: scan it with
         its open-time clock (unchanged in between — only data operations
         intervene) and remember it."""
-        self._scan(proc, pos, True, reads, writes)
+        self.access(proc, pos, True, reads, writes, self.clock[proc])
         self.event_count += 1
 
     def process_comp(self, proc: int, pos: int,
                      reads: Iterable[int], writes: Iterable[int]) -> None:
         self.open_comp(proc, pos)
         self.close_comp(proc, pos, reads, writes)
-
-    # ------------------------------------------------------------------
-    def finish(self) -> List[EventRace]:
-        races = [
-            EventRace(
-                a=EventId(*a),
-                b=EventId(*b),
-                locations=tuple(sorted(locations)),
-                is_data_race=is_data,
-            )
-            for (a, b), (locations, is_data) in self.races.items()
-        ]
-        races.sort(key=lambda race: (race.a, race.b))
-        return races
 
 
 @dataclass
@@ -461,18 +366,8 @@ class StreamingDetector:
                             nxt = order[order_ptr[addr]]
                             fronts[(nxt.proc, nxt.pos)] = addr
                     else:
-                        if columns is not None:
-                            row = columns.row_of(p, pos)
-                            engine.process_comp(
-                                p, pos,
-                                columns.event_reads(row),
-                                columns.event_writes(row),
-                            )
-                        else:
-                            event = trace.events[p][pos]
-                            engine.process_comp(
-                                p, pos, event.reads, event.writes
-                            )
+                        _, reads, writes = trace.accesses(EventId(p, pos))
+                        engine.process_comp(p, pos, reads, writes)
                     next_pos[p] += 1
                     remaining -= 1
                     progressed = True

@@ -21,15 +21,18 @@ def topological_sort(graph: DiGraph) -> List[Hashable]:
     """Kahn's algorithm; raises :class:`CycleError` on a cyclic graph.
 
     Ties are broken by node insertion order so the result is
-    deterministic for a deterministically-built graph.
+    deterministic for a deterministically-built graph.  The tie-break
+    key is built once per call; building it per popped node would make
+    the sort O(V²).
     """
+    key = _stable_key(graph)
     in_deg = {node: graph.in_degree(node) for node in graph.nodes()}
     queue = deque(node for node in graph.nodes() if in_deg[node] == 0)
     order: List[Hashable] = []
     while queue:
         node = queue.popleft()
         order.append(node)
-        for succ in sorted(graph.successors(node), key=_stable_key(graph)):
+        for succ in sorted(graph.successors(node), key=key):
             in_deg[succ] -= 1
             if in_deg[succ] == 0:
                 queue.append(succ)

@@ -17,7 +17,7 @@ only what the paper's detector sees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..machine.operations import MemoryOperation
@@ -40,6 +40,17 @@ class Trace:
     # ------------------------------------------------------------------
     def event(self, eid: EventId) -> Event:
         return self.events[eid.proc][eid.pos]
+
+    def accesses(
+        self, eid: EventId
+    ) -> Tuple[bool, Iterable[int], Iterable[int]]:
+        """``(is_computation, locations read, locations written)`` of
+        one event: what a race sweep needs to know about it."""
+        event = self.events[eid.proc][eid.pos]
+        if isinstance(event, SyncEvent):
+            addr = (event.addr,)
+            return (False, (), addr) if event.writes_addr else (False, addr, ())
+        return True, event.reads, event.writes
 
     def all_events(self) -> List[Event]:
         return [event for proc_events in self.events for event in proc_events]

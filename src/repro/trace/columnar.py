@@ -8,7 +8,7 @@ array per field (tag/proc/pos/kind/role/addr/value/...), plus a
 length-prefixed bit-vector pool for computation READ/WRITE sets — so a
 reader can ``mmap`` the file and expose each column as a numpy view
 without copying or materializing a single event object.  The vectorized
-clock sweep (:mod:`..core.hb1_vc`) and the batched race sweep
+clock sweep (:mod:`..core.hb1_vc`) and the frontier race sweep
 (:mod:`..core.races`) operate on these columns directly; everything else
 sees a lazy :class:`EventView` that materializes (and caches) ordinary
 :class:`SyncEvent`/:class:`ComputationEvent` objects on demand.
@@ -36,7 +36,9 @@ from __future__ import annotations
 import mmap
 import struct
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from .. import obs
 from ..machine.operations import OperationKind, SyncRole
@@ -359,6 +361,16 @@ class ColumnarTrace(Trace):
     @property
     def event_count(self) -> int:
         return self.columns.event_total
+
+    def accesses(
+        self, eid: EventId
+    ) -> Tuple[bool, Iterable[int], Iterable[int]]:
+        columns = self.columns
+        row = columns.row_of(eid.proc, eid.pos)
+        if columns.is_comp(row):
+            return True, columns.event_reads(row), columns.event_writes(row)
+        addr = (int(columns.addr[row]),)
+        return (False, (), addr) if columns.kind[row] else (False, addr, ())
 
     def close(self) -> None:
         """Release the mmap (views created from it become invalid)."""

@@ -1,5 +1,7 @@
 """Tests for topological sorting and cycle detection."""
 
+from unittest import mock
+
 import pytest
 
 from repro.graph import CycleError, DiGraph, find_cycle, is_acyclic, topological_sort
@@ -86,3 +88,99 @@ class TestFindCycle:
         cycle = find_cycle(g)
         assert cycle is not None
         assert set(cycle) <= {"a", "b", "c"}
+
+
+# ----------------------------------------------------------------------
+# the tie-break key is built once per sort, and the order is unchanged
+# ----------------------------------------------------------------------
+
+def _reference_sort(graph):
+    """Kahn's algorithm with the tie-break key rebuilt for every popped
+    node: the quadratic form the hoisted sort must match exactly."""
+    from collections import deque
+
+    in_deg = {node: graph.in_degree(node) for node in graph.nodes()}
+    queue = deque(node for node in graph.nodes() if in_deg[node] == 0)
+    order = []
+    while queue:
+        node = queue.popleft()
+        order.append(node)
+        positions = {n: i for i, n in enumerate(graph.nodes())}
+        for succ in sorted(graph.successors(node), key=positions.__getitem__):
+            in_deg[succ] -= 1
+            if in_deg[succ] == 0:
+                queue.append(succ)
+    return order
+
+
+def _sb_tso_order_graph(seed):
+    from repro.core.robustness import build_order_graph
+    from repro.machine.models import make_model
+    from repro.machine.simulator import run_program
+    from repro.programs.litmus import store_buffering_program
+
+    result = run_program(store_buffering_program(), make_model("TSO"),
+                         seed=seed)
+    graph, _ = build_order_graph(result.operations)
+    return result, graph
+
+
+def test_tie_break_key_built_once_per_call():
+    from repro.graph import topo
+
+    g = DiGraph()
+    g.add_nodes(range(2000))
+    for i in range(1999):
+        g.add_edge(i, i + 1)
+        if i % 3 == 0 and i + 7 < 2000:
+            g.add_edge(i, i + 7)
+    calls = []
+    original = topo._stable_key
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    with mock.patch.object(topo, "_stable_key", counting):
+        order = topological_sort(g)
+        assert len(calls) == 1
+        topological_sort(g)
+        assert len(calls) == 2
+    assert order == list(range(2000))
+
+
+def test_order_matches_reference_on_chain():
+    g = DiGraph()
+    g.add_edges([(3, 1), (1, 2), (2, 0)])
+    assert topological_sort(g) == _reference_sort(g) == [3, 1, 2, 0]
+
+
+def test_order_matches_reference_on_diamond():
+    g = DiGraph()
+    g.add_edges([("a", "c"), ("a", "b"), ("b", "d"), ("c", "d")])
+    assert topological_sort(g) == _reference_sort(g) == ["a", "c", "b", "d"]
+
+
+def test_order_matches_reference_on_multi_root():
+    g = DiGraph()
+    g.add_nodes(["r2", "r0", "r1"])
+    g.add_edges([("r1", "x"), ("r0", "y"), ("r2", "x"), ("x", "z"),
+                 ("y", "z"), ("r0", "x")])
+    assert topological_sort(g) == _reference_sort(g) == [
+        "r2", "r0", "r1", "y", "x", "z"
+    ]
+
+
+def test_order_matches_reference_on_tso_order_graph():
+    # seed 4 is a store-buffering run whose order graph stays acyclic
+    result, graph = _sb_tso_order_graph(seed=4)
+    order = topological_sort(graph)
+    assert order == _reference_sort(graph)
+    assert sorted(order) == sorted(op.seq for op in result.operations)
+
+
+def test_tso_order_graph_cycle_still_raises():
+    # seed 3 gives the weak r0 = r1 = 0 outcome: po ∪ rf ∪ co ∪ fr cycles
+    _, graph = _sb_tso_order_graph(seed=3)
+    with pytest.raises(CycleError):
+        topological_sort(graph)
