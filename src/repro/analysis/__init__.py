@@ -10,6 +10,7 @@ from .exhaustive import (
     is_program_data_race_free,
 )
 from .hunting import (
+    HuntConfig,
     HuntResult,
     JobFailure,
     default_policies,
@@ -47,6 +48,7 @@ __all__ = [
     "OutcomeLimit",
     "OutcomeSet",
     "enumerate_outcomes",
+    "HuntConfig",
     "HuntResult",
     "HuntJob",
     "JobFailure",

@@ -31,6 +31,7 @@ Format (``CHECKPOINT_FORMAT`` = 1) — one JSON document::
                                         # hunt's metrics/events/results
                                         # join with the original's)
       "spec": {                         # identity of the hunt
+                                        # (HuntConfig.spec)
         "program_sha": "...",           # BLAKE2b of the assembly text
         "model": "WO",
         "tries": 50000,                 # the seed range, via seed-major
@@ -58,6 +59,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
@@ -84,41 +86,6 @@ def program_fingerprint(program: Program) -> str:
     return hashlib.blake2b(
         format_program(program).encode("utf-8"), digest_size=16
     ).hexdigest()
-
-
-def hunt_spec(
-    program: Program,
-    model_name: str,
-    tries: int,
-    policy_names: Sequence[str],
-    max_steps: int,
-    stop_at_first: bool,
-    detector: str = "postmortem",
-    verify_robustness: bool = False,
-) -> dict:
-    """The hunt-identity record a checkpoint is validated against.
-
-    The detector is part of the hunt's identity: outcomes analyzed by
-    different detectors disagree on racy/clean (the predictive backends
-    flag traces the baseline calls clean), so resuming across detectors
-    would silently merge incompatible verdicts.  Checkpoints written
-    before the field existed are treated as ``"postmortem"`` on load.
-
-    ``verify_robustness`` is identity for the same reason: a hunt that
-    verified every try cannot honestly merge outcomes from one that
-    did not (the restored tries would have no verdicts).  Legacy
-    checkpoints load as ``False`` — the only mode hunts then had.
-    """
-    return {
-        "program_sha": program_fingerprint(program),
-        "model": model_name,
-        "tries": tries,
-        "policies": list(policy_names),
-        "max_steps": max_steps,
-        "stop_at_first": bool(stop_at_first),
-        "detector": detector,
-        "verify_robustness": bool(verify_robustness),
-    }
 
 
 def make_hunt_id(spec: dict, nonce: Optional[str] = None) -> str:
@@ -161,6 +128,16 @@ def peek_hunt_id(path: Union[str, Path]) -> Optional[str]:
 # the first-racy replay need, in plain JSON
 # ----------------------------------------------------------------------
 
+#: JobOutcome fields a checkpoint stores verbatim; the first three must
+#: be present in every record, the rest fall back to their defaults.
+_OUTCOME_FIELDS = (
+    "status", "completed", "operations", "error", "traceback",
+    "report_digest", "cache_hit", "fingerprint", "race_count",
+    "certified_races", "retries", "failure_kind", "robust", "robustness",
+)
+_REQUIRED_FIELDS = _OUTCOME_FIELDS[:3]
+
+
 def outcome_to_payload(outcome, include_recording: bool = True) -> dict:
     """Serialize one settled :class:`~repro.analysis.parallel.JobOutcome`
     (live executions/reports never ride along — resume reconstructs
@@ -169,34 +146,21 @@ def outcome_to_payload(outcome, include_recording: bool = True) -> dict:
     ever attaches the lowest-index racy outcome's recording, so a
     checkpoint persists exactly that one and stays small."""
     job = outcome.job
-    payload = {
-        "index": job.index,
-        "seed": job.seed,
-        "policy_index": job.policy_index,
-        "policy": job.policy_name,
-        "attempt": job.attempt,
-        "status": outcome.status,
-        "completed": outcome.completed,
-        "operations": outcome.operations,
-        "error": outcome.error,
-        "traceback": outcome.traceback,
-        "report_digest": outcome.report_digest,
-        "cache_hit": outcome.cache_hit,
-        "fingerprint": outcome.fingerprint,
-        "race_count": outcome.race_count,
-        "certified_races": outcome.certified_races,
-        "duration": round(outcome.duration, 6),
-        "retries": outcome.retries,
-        "failure_kind": outcome.failure_kind,
-        "partition_keys": list(outcome.partition_keys),
-        "robust": outcome.robust,
-        "robustness": outcome.robustness,
-        "recording": (
+    payload = {name: getattr(outcome, name) for name in _OUTCOME_FIELDS}
+    payload.update(
+        index=job.index,
+        seed=job.seed,
+        policy_index=job.policy_index,
+        policy=job.policy_name,
+        attempt=job.attempt,
+        duration=round(outcome.duration, 6),
+        partition_keys=list(outcome.partition_keys),
+        recording=(
             outcome.recording.to_payload()
             if include_recording and outcome.recording is not None
             else None
         ),
-    }
+    )
     return payload
 
 
@@ -214,22 +178,12 @@ def outcome_from_payload(payload: dict):
         recording = payload.get("recording")
         return JobOutcome(
             job=job,
-            status=payload["status"],
-            completed=payload["completed"],
-            operations=payload["operations"],
-            error=payload.get("error", ""),
-            traceback=payload.get("traceback", ""),
-            report_digest=payload.get("report_digest", ""),
-            cache_hit=payload.get("cache_hit", False),
-            fingerprint=payload.get("fingerprint", ""),
-            race_count=payload.get("race_count", 0),
-            certified_races=payload.get("certified_races", 0),
+            **{
+                name: payload[name] for name in _OUTCOME_FIELDS
+                if name in payload or name in _REQUIRED_FIELDS
+            },
             duration=payload.get("duration", 0.0),
-            retries=payload.get("retries", 0),
-            failure_kind=payload.get("failure_kind", ""),
             partition_keys=tuple(payload.get("partition_keys", ())),
-            robust=payload.get("robust"),
-            robustness=payload.get("robustness"),
             recording=(
                 ExecutionRecording.from_payload(recording)
                 if recording is not None else None
@@ -279,19 +233,17 @@ def save_checkpoint(
     )
 
 
+@dataclass
 class LoadedCheckpoint:
     """A parsed checkpoint: the spec it was written for, whether the
     sweep had finished, and the settled outcomes."""
 
-    def __init__(self, spec: dict, complete: bool,
-                 outcomes: List[object],
-                 hunt_id: Optional[str] = None) -> None:
-        self.spec = spec
-        self.complete = complete
-        self.outcomes = outcomes
-        #: correlation id the checkpoint was written under (None for
-        #: legacy checkpoints); resume adopts it so telemetry joins
-        self.hunt_id = hunt_id
+    spec: dict
+    complete: bool
+    outcomes: List[object]
+    #: correlation id the checkpoint was written under (None for
+    #: legacy checkpoints); resume adopts it so telemetry joins
+    hunt_id: Optional[str] = None
 
     @property
     def settled_indices(self):
@@ -306,8 +258,8 @@ class LoadedCheckpoint:
         way pool workers skip shipping recordings that cannot beat it
         in the lowest-racy-index merge (the checkpoint already holds
         the winner's recording)."""
-        racy = [o.job.index for o in self.outcomes if o.status == "racy"]
-        return min(racy) if racy else None
+        return min((o.job.index for o in self.outcomes
+                    if o.status == "racy"), default=None)
 
 
 def load_checkpoint(
@@ -342,8 +294,8 @@ def load_checkpoint(
     if not isinstance(spec, dict):
         raise CheckpointError(f"{path}: checkpoint has no spec record")
     # Legacy checkpoints predate the detector field; they were written
-    # by the only detector hunts then had.  Same for verify_robustness:
-    # legacy hunts never verified.
+    # by the only detector hunts then had.  Same for the robustness
+    # flag: legacy hunts never verified.
     spec.setdefault("detector", "postmortem")
     spec.setdefault("verify_robustness", False)
     if expected_spec is not None:

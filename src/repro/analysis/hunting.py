@@ -25,8 +25,11 @@ statistics are identical for any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import os
+from dataclasses import dataclass, field, replace
+from typing import (
+    Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..core.report import RaceReport
 from ..machine.models.base import MemoryModel
@@ -40,6 +43,7 @@ from ..machine.propagation import (
 )
 from ..machine.replay import ExecutionRecording
 from ..machine.simulator import ExecutionResult
+from .checkpoint import program_fingerprint
 
 PolicyFactory = Callable[[], PropagationPolicy]
 
@@ -63,9 +67,6 @@ def policy_registry(processor_count: int) -> Dict[str, PolicyFactory]:
     registry["eager"] = EagerPropagation
     registry["random-0.5"] = lambda: RandomPropagation(0.5)
     return registry
-
-
-POLICY_NAMES = ("stubborn", "random-0.2", "ring", "eager", "random-0.5")
 
 
 def policies_by_name(
@@ -152,9 +153,9 @@ class HuntResult:
     # Jobs restored from a resume checkpoint rather than executed.
     resumed_jobs: int = 0
     # Which detection backend analyzed every execution (see
-    # repro.analysis.parallel.HUNT_DETECTORS).  Part of the checkpoint
-    # hunt identity; surfaced in to_json() only so stats()/summary()
-    # stay byte-identical to hunts recorded before the field existed.
+    # HUNT_DETECTORS).  Part of the checkpoint hunt identity; surfaced
+    # in to_json() only so stats()/summary() stay byte-identical to
+    # hunts recorded before the field existed.
     detector: str = "postmortem"
     # Sum of report.certified_race_count over racy runs — the races-
     # found-per-try numerator benchmarks compare detectors by.  Lives
@@ -168,8 +169,8 @@ class HuntResult:
     # Robustness verification (repro.core.robustness): when enabled,
     # every try carries a verdict — did the execution have an SC
     # justification?  Verdicts are deterministic per job, but the whole
-    # family is gated on verify_robustness so hunts that never asked
-    # keep stats()/summary() byte-identical to the historical output.
+    # family is gated on this flag so hunts that never asked keep
+    # stats()/summary() byte-identical to the historical output.
     verify_robustness: bool = False
     verified_tries: int = 0
     robust_tries: int = 0
@@ -248,7 +249,7 @@ class HuntResult:
         payload["detector"] = self.detector
         payload["certified_races"] = self.certified_races
         payload["hunt_id"] = self.hunt_id
-        if self.verify_robustness:
+        if self.soundness:
             payload["robustness"] = {
                 "verified_tries": self.verified_tries,
                 "robust": self.robust_tries,
@@ -258,12 +259,8 @@ class HuntResult:
             }
         # stats() keeps failures deterministic; the JSON view adds the
         # worker tracebacks so crashes are debuggable from the output.
-        payload["failures"] = [
-            {"seed": f.seed, "policy": f.policy, "error": f.error,
-             "kind": f.kind, "retries": f.retries,
-             "traceback": f.traceback}
-            for f in self.failures
-        ]
+        for entry, failure in zip(payload["failures"], self.failures):
+            entry["traceback"] = failure.traceback
         if self.stage_profile is not None:
             payload["stage_profile"] = self.stage_profile
         return payload
@@ -310,7 +307,7 @@ class HuntResult:
                 "no racy execution found (not a proof of data-race-"
                 "freedom; see analysis.exhaustive for that)"
             )
-        if self.verify_robustness:
+        if self.soundness:
             lines.append(
                 f"  robustness: {self.robust_tries}/{self.verified_tries} "
                 f"verified tries robust"
@@ -330,153 +327,185 @@ class HuntResult:
         return "\n".join(lines)
 
 
+#: Detector backends a hunt can sweep with.  ``onthefly`` is excluded:
+#: it consumes the operation stream, which the trace cache (keyed on
+#: the trace, which deliberately drops operations — §4.1) cannot serve.
+#: ``streaming`` consumes each execution's operation stream online and
+#: never materializes a trace, so it runs with the cache bypassed.
+HUNT_DETECTORS = ("postmortem", "naive", "shb", "wcp", "streaming")
+
+
+@dataclass(frozen=True)
+class HuntConfig:
+    """Every hunt option, declared, defaulted and validated once.
+
+    Fields marked *identity* form the checkpoint spec (:meth:`spec`):
+    resuming a checkpoint whose identity differs is a
+    :class:`~repro.analysis.checkpoint.CheckpointMismatch`.
+
+    * ``tries`` (identity) — total executions.  Enumeration is
+      seed-major: attempt ``i`` runs seed ``i // P`` under policy
+      ``i % P``, so all ``P`` policies sweep the same seed range.
+    * ``policies`` (identity, by name) — ``(name, factory)`` pairs;
+      ``None`` means :func:`default_policies` for the program.  An
+      explicit empty sequence is an error.
+    * ``stop_at_first`` (identity) — stop once a racy execution is
+      found (jobs before it still run, matching the serial prefix).
+    * ``max_steps`` (identity) — per-execution simulator step bound;
+      runs that hit it are still analyzed and counted in
+      ``step_bound_runs``.
+    * ``jobs`` — worker processes: ``1`` runs in-process, ``N > 1``
+      shards across a fork pool with identical merged statistics.
+    * ``job_timeout`` — optional per-execution wall-clock limit in
+      seconds; a timed-out job is a recorded failure (inherently
+      nondeterministic — leave unset when reproducibility matters).
+    * ``trace_cache`` — serve repeated analyses from a cache keyed by
+      the canonical trace fingerprint (the detector is a pure function
+      of the trace, so hits are exact).
+    * ``max_retries`` / ``retry_backoff`` — retry a transiently
+      failing job up to ``max_retries`` times, attempt ``n`` sleeping
+      ``retry_backoff * 2**(n-1)`` scaled by deterministic seeded
+      jitter; a job failing identically twice is not retried further.
+    * ``checkpoint`` / ``resume`` / ``checkpoint_interval`` — persist
+      settled outcomes to this path every ``checkpoint_interval``
+      settles (plus a final write); ``resume`` loads it first, skips
+      settled jobs, and merges to statistics byte-identical to an
+      uninterrupted run.
+    * ``detector`` (identity) — the analysis backend, one of
+      :data:`HUNT_DETECTORS`; ``"streaming"`` never builds a trace, so
+      it bypasses the trace cache.
+    * ``batch_size`` — jobs per pool dispatch batch (``None`` = auto,
+      a couple of batches per worker; the serial path ignores it).
+    * ``hunt_id`` — telemetry correlation id; minted when ``None``,
+      and a resumed checkpoint's stored id always wins.
+    * ``verify_robustness`` (identity) — attach a robustness verdict
+      (:func:`repro.core.robustness.check_robustness`) to every try;
+      any non-robust try downgrades :attr:`HuntResult.soundness`.
+    """
+
+    tries: int = 24
+    policies: Optional[Sequence[Tuple[str, PolicyFactory]]] = None
+    stop_at_first: bool = False
+    max_steps: int = 200_000
+    jobs: int = 1
+    job_timeout: Optional[float] = None
+    trace_cache: bool = True
+    max_retries: int = 2
+    retry_backoff: float = 0.05
+    checkpoint: Optional[Union[str, os.PathLike]] = None
+    resume: bool = False
+    checkpoint_interval: int = 100
+    detector: str = "postmortem"
+    batch_size: Optional[int] = None
+    hunt_id: Optional[str] = None
+    verify_robustness: bool = False
+
+    #: The checkpoint identity, in spec order.  The detector belongs
+    #: here because outcomes analyzed by different detectors disagree
+    #: on racy/clean (the predictive backends flag traces the baseline
+    #: calls clean); the robustness flag because a verifying hunt
+    #: cannot honestly merge restored tries that carry no verdicts.
+    IDENTITY: ClassVar[Tuple[str, ...]] = (
+        "tries", "policies", "max_steps", "stop_at_first", "detector",
+        "verify_robustness",
+    )
+
+    def __post_init__(self) -> None:
+        if self.tries < 1:
+            raise ValueError("tries must be positive")
+        if self.jobs < 1:
+            raise ValueError("jobs must be positive")
+        if self.job_timeout is not None and self.job_timeout <= 0:
+            raise ValueError("job_timeout must be positive (or None)")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be positive")
+        if self.resume and self.checkpoint is None:
+            raise ValueError("resume requires a checkpoint path")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be positive (or None for auto)")
+        if self.detector not in HUNT_DETECTORS:
+            raise ValueError(
+                f"unknown hunt detector {self.detector!r}; "
+                f"known: {', '.join(HUNT_DETECTORS)}"
+            )
+        if self.policies is not None:
+            policies = tuple(self.policies)
+            if not policies:
+                raise ValueError(
+                    "policies must not be empty (pass None for the defaults)"
+                )
+            object.__setattr__(self, "policies", policies)
+
+    @property
+    def uses_trace_cache(self) -> bool:
+        """Streaming detection never builds a trace, so there is
+        nothing to fingerprint and the cache is bypassed."""
+        return self.trace_cache and self.detector != "streaming"
+
+    def resolve(self, program: Program) -> "HuntConfig":
+        """This config with ``policies=None`` replaced by the
+        program's :func:`default_policies`."""
+        if self.policies is not None:
+            return self
+        return replace(
+            self, policies=default_policies(program.processor_count)
+        )
+
+    def spec(self, program: Program, model_name: str) -> dict:
+        """The hunt-identity record a checkpoint is validated against:
+        the program and model plus every :attr:`IDENTITY` field."""
+        values = dict(
+            program_sha=program_fingerprint(program), model=model_name
+        )
+        for name in self.IDENTITY:
+            values[name] = getattr(self, name)
+        values["policies"] = [
+            name for name, _ in self.resolve(program).policies
+        ]
+        return values
+
+
 def hunt_races(
     program: Program,
     model_factory: Callable[[], MemoryModel],
-    tries: int = 24,
-    policies: Optional[Sequence[Tuple[str, PolicyFactory]]] = None,
-    stop_at_first: bool = False,
-    max_steps: int = 200_000,
-    jobs: int = 1,
-    job_timeout: Optional[float] = None,
+    config: Optional[HuntConfig] = None,
+    *,
     progress: Optional[Callable[[int, int, int], None]] = None,
-    trace_cache: bool = True,
     on_outcome: Optional[Callable[[object], None]] = None,
     metrics=None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.05,
-    checkpoint=None,
-    resume: bool = False,
-    checkpoint_interval: int = 100,
     cancel=None,
-    detector: str = "postmortem",
-    batch_size: Optional[int] = None,
-    hunt_id: Optional[str] = None,
-    verify_robustness: bool = False,
+    **options,
 ) -> HuntResult:
     """Sweep seeds x propagation policies looking for racy executions.
 
-    Args:
-        program: the program under test.
-        model_factory: builds a fresh memory model per run (models are
-            stateless today, but a factory keeps that a non-assumption).
-        tries: total executions.  Enumeration is seed-major — attempt
-            ``i`` runs seed ``i // P`` under policy ``i % P`` — so all
-            ``P`` policies sweep the same seed range (when ``tries`` is
-            a multiple of ``P``, identical seed sets; otherwise the
-            final seed covers only a prefix of the policy list).
-        policies: ``(name, factory)`` pairs; defaults to
-            :func:`default_policies`.  An explicit empty sequence is an
-            error — a hunt with no policies can run nothing.
-        stop_at_first: return as soon as one racy execution is found.
-        max_steps: per-execution simulator step bound (runs that hit it
-            are still analyzed, and counted in ``step_bound_runs``).
-        jobs: worker processes.  ``1`` runs in-process; ``N > 1`` shards
-            jobs across a fork-based pool (see
-            :mod:`repro.analysis.parallel`) with statistics identical
-            to the serial run.
-        job_timeout: optional per-execution wall-clock limit in
-            seconds; a timed-out job is recorded as a failure, not
-            fatal.  Wall-clock limits are inherently nondeterministic —
-            leave unset when exact reproducibility matters.
-        progress: optional callback invoked after every completed job
-            as ``progress(done, total, racy_so_far)`` (the CLI uses it
-            for a live status line).
-        trace_cache: serve repeated analyses from a per-worker cache
-            keyed by the canonical trace fingerprint (the detector is a
-            pure function of the trace, so hits are exact).  Hit counts
-            surface in ``HuntResult.trace_cache_hits`` and the
-            ``trace_cache_hits`` obs counter.  Disable to force every
-            execution through the full pipeline (e.g. when profiling
-            detector stages).
-        on_outcome: optional observer invoked with each
-            :class:`repro.analysis.parallel.JobOutcome` as it
-            completes, in completion order (e.g.
-            ``repro.obs.events.HuntEventLog(...).on_outcome``).
-        metrics: optional :class:`repro.obs.metrics.MetricsRegistry` to
-            fold per-job telemetry into; defaults to whatever registry
-            ``repro.obs.metrics.collect`` has made active, if any.
-        max_retries: retry a transiently failing job up to this many
-            times with exponential backoff before recording it as a
-            :class:`JobFailure`; a job that fails identically twice in
-            a row is classified deterministic and not retried further.
-            ``0`` disables retries.
-        retry_backoff: base backoff delay in seconds (attempt ``n``
-            sleeps ``retry_backoff * 2**(n-1)`` scaled by
-            deterministic seeded jitter).
-        checkpoint: optional path; settled outcomes are periodically
-            persisted there (atomic write), making the hunt resumable
-            after a crash.
-        resume: load *checkpoint* first, validate it against this
-            hunt's spec (program/model/tries/policies/max_steps —
-            mismatch is a :class:`repro.analysis.checkpoint.
-            CheckpointMismatch` hard error), skip settled jobs, and
-            merge restored + fresh outcomes; ``stats()``/``summary()``
-            come out byte-identical to an uninterrupted run.
-        checkpoint_interval: settled outcomes between periodic
-            checkpoint writes (a final write always happens at hunt
-            end).
-        cancel: optional :class:`threading.Event`; once set, dispatch
-            stops, in-flight jobs drain, a final checkpoint is written
-            and the partial result has ``interrupted=True``.
-        detector: analysis backend for every execution — one of
-            :data:`repro.analysis.parallel.HUNT_DETECTORS`
-            (``"postmortem"``, ``"naive"``, ``"shb"``, ``"wcp"``,
-            ``"streaming"``; ``"onthefly"`` needs the operation stream
-            and is not huntable).  ``"streaming"`` analyzes each
-            execution online without materializing a trace, so the
-            trace cache is bypassed.  Part of the checkpoint spec:
-            resuming a checkpoint written by a different detector is a
-            :class:`~repro.analysis.checkpoint.CheckpointMismatch`.
-        batch_size: jobs per pool dispatch batch (``jobs > 1`` only;
-            the serial path has no wire to amortize).  Defaults to an
-            auto size targeting a couple of batches per worker —
-            override only to study the batching/latency trade-off
-            (``1`` reproduces the old job-per-pickle protocol).
-        hunt_id: telemetry correlation id; minted automatically when
-            omitted, overridden by the checkpoint's stored id on a
-            resume.  See :func:`repro.analysis.checkpoint.make_hunt_id`.
-        verify_robustness: attach a robustness verdict
-            (:func:`repro.core.robustness.check_robustness`) to every
-            try.  Verdicts survive batching, checkpoints, and resume;
-            aggregate counts land on the result and any non-robust try
-            downgrades :attr:`HuntResult.soundness` to ``"degraded"``.
-            Part of the checkpoint spec, like the detector.
+    The hunt options are a :class:`HuntConfig`, passed whole as
+    *config* or as its keyword fields (``tries=96, jobs=4``), never
+    both.  *model_factory* builds a fresh memory model per run.  The
+    remaining arguments are observers and controls, not options:
+
+    * *progress* — called after every completed job as
+      ``progress(done, total, racy_so_far)`` (the CLI's status line);
+    * *on_outcome* — receives each
+      :class:`repro.analysis.parallel.JobOutcome` in completion order
+      (e.g. ``repro.obs.events.HuntEventLog(...).on_outcome``);
+    * *metrics* — a :class:`repro.obs.metrics.MetricsRegistry` to fold
+      per-job telemetry into; defaults to the registry
+      ``repro.obs.metrics.collect`` made active, if any;
+    * *cancel* — a :class:`threading.Event`; once set, dispatch stops,
+      in-flight jobs drain, a final checkpoint is written and the
+      partial result has ``interrupted=True``.
     """
-    if tries < 1:
-        raise ValueError("tries must be positive")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    if policies is None:
-        policy_list = default_policies(program.processor_count)
-    else:
-        policy_list = list(policies)
-        if not policy_list:
-            raise ValueError(
-                "policies must not be empty (pass None for the defaults)"
-            )
+    if config is None:
+        config = HuntConfig(**options)
+    elif options:
+        raise TypeError(
+            f"hunt_races() takes a config or hunt options, not both "
+            f"(got config and {', '.join(sorted(options))})"
+        )
     from .parallel import run_hunt
     return run_hunt(
-        program,
-        model_factory,
-        tries=tries,
-        policies=policy_list,
-        stop_at_first=stop_at_first,
-        max_steps=max_steps,
-        jobs=jobs,
-        job_timeout=job_timeout,
-        progress=progress,
-        trace_cache=trace_cache,
-        on_outcome=on_outcome,
-        metrics=metrics,
-        max_retries=max_retries,
-        retry_backoff=retry_backoff,
-        checkpoint=checkpoint,
-        resume=resume,
-        checkpoint_interval=checkpoint_interval,
-        cancel=cancel,
-        detector=detector,
-        batch_size=batch_size,
-        hunt_id=hunt_id,
-        verify_robustness=verify_robustness,
+        program, model_factory, config, progress=progress,
+        on_outcome=on_outcome, metrics=metrics, cancel=cancel,
     )

@@ -31,15 +31,15 @@ coordination as the scaling bottleneck):
   (parallel arrays of status/duration/race-count/fingerprint fields
   plus sparse maps for the rare payloads), which the parent unfolds
   back into per-try :class:`JobOutcome` streams so the merge,
-  observers, event logs, retries, and checkpoints are byte-identical
+  subscribers, event logs, retries, and checkpoints are byte-identical
   to the unbatched protocol.
 * **Compact wire outcomes** — a worker consults the shared best-racy
   index before pickling a racy try's
   :class:`~repro.machine.replay.ExecutionRecording`: a try that can no
   longer win the lowest-racy-index merge ships without it (the winner
   always ships its own).  Per-try span lists never cross the pipe —
-  profile spans and the status-independent metric instruments are
-  pre-aggregated in the worker and folded once per batch.
+  profile spans are pre-aggregated in the worker and folded once per
+  batch.
 * **Shared trace cache** — the per-worker analysis cache is backed by
   a fork-safe shared structure (:mod:`repro.analysis.sharedcache`:
   append-only file, lock-guarded writes, lock-free tail reads), so one
@@ -57,7 +57,7 @@ has accumulated, so failures must cost one job, not the run):
   exponential backoff and deterministic seeded jitter; a job that
   fails *identically* twice in a row is classified deterministic and
   surfaced as a failure instead of being retried again.  Retried
-  attempts are visible to the observer hooks
+  attempts are visible to the outcome subscribers
   (``hunt_tries_total{status="retried"}``, event-log ``try`` records)
   but never change the merged statistics.
 * With ``checkpoint=PATH`` the parent periodically persists every
@@ -76,6 +76,12 @@ has accumulated, so failures must cost one job, not the run):
   mid-hunt parent SIGKILL at deterministic points, which is how the
   recovery paths above are actually proven.
 
+Every fresh outcome — settled, skipped, or retried — reaches the
+parent's subscribers through one stream: the metrics fold (coverage
+included), the checkpoint writer, the progress callback, and the
+``on_outcome`` observer.  Telemetry is therefore folded in the parent
+only, from the unfolded per-try outcomes, whatever the executor.
+
 Workers never ship :class:`~repro.machine.simulator.ExecutionResult`
 objects back — they return the racy run's
 :class:`~repro.machine.replay.ExecutionRecording` (plain lists of
@@ -91,6 +97,7 @@ platforms without it the engine silently degrades to the serial path.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import random as _random
 import signal
@@ -98,7 +105,7 @@ import threading
 import time
 import traceback as _tb
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
     Dict,
@@ -125,26 +132,18 @@ from ..obs.profiler import AggregateRecord, merge_aggregate_maps
 from ..trace.build import build_trace
 from ..trace.fingerprint import trace_fingerprint
 from . import sharedcache
-from .checkpoint import (
-    CheckpointWriter,
-    hunt_spec,
-    load_checkpoint,
-    make_hunt_id,
-)
-from .hunting import HuntResult, JobFailure, PolicyFactory
+from .checkpoint import CheckpointWriter, load_checkpoint, make_hunt_id
+from .hunting import HUNT_DETECTORS  # noqa: F401  (re-exported)
+from .hunting import HuntConfig, HuntResult, JobFailure
 
 ProgressCallback = Callable[[int, int, int], None]
-#: Observer hook: called with each JobOutcome as it completes, plus the
-#: running (done, total, racy) tallies the progress callback sees.
-OutcomeObserver = Callable[["JobOutcome", int, int, int], None]
+#: A subscriber to the outcome stream: called with each outcome plus
+#: the running (done, racy) tallies after it.
+OutcomeSubscriber = Callable[["JobOutcome", int, int], None]
 
-
-#: Detector backends a hunt can sweep with.  ``onthefly`` is excluded:
-#: it consumes the operation stream, which the trace cache (keyed on
-#: the trace, which deliberately drops operations — §4.1) cannot serve.
-#: ``streaming`` consumes each execution's operation stream online and
-#: never materializes a trace, so it runs with the cache bypassed.
-HUNT_DETECTORS = ("postmortem", "naive", "shb", "wcp", "streaming")
+#: Statuses that settle a job (merged and checkpointed); ``skipped``
+#: and ``retried`` outcomes are telemetry only.
+_SETTLED = frozenset(("racy", "clean", "error"))
 
 #: Batch sizing: aim for this many batches per worker (enough slack to
 #: balance uneven batch durations) without exceeding the cap (which
@@ -215,7 +214,6 @@ class JobOutcome:
     report_digest: str = ""
     execution: Optional[object] = None
     report: Optional[object] = None
-    profile: Optional[List[dict]] = None  # flat span records, if profiled
     cache_hit: bool = False  # analysis served from the trace cache
     duration: float = 0.0  # wall-clock seconds spent on this job
     fingerprint: str = ""  # canonical trace fingerprint ("" = cache off)
@@ -240,6 +238,24 @@ class JobOutcome:
     partition_keys: Tuple[str, ...] = ()
 
 
+#: The per-try fields every outcome has, shipped as BatchOutcome's
+#: parallel arrays: (array attribute, JobOutcome field).
+_BATCH_ARRAYS = (
+    ("statuses", "status"), ("completed", "completed"),
+    ("operations", "operations"), ("durations", "duration"),
+    ("cache_hits", "cache_hit"), ("fingerprints", "fingerprint"),
+    ("race_counts", "race_count"), ("certified", "certified_races"),
+)
+#: The rare payloads, shipped as position-keyed sparse maps holding only
+#: the tries whose value differs from the default: (map attribute,
+#: JobOutcome field, default).
+_BATCH_SPARSE = (
+    ("digests", "report_digest", ""), ("recordings", "recording", None),
+    ("partitions", "partition_keys", ()), ("robust", "robust", None),
+    ("robustness", "robustness", None),
+)
+
+
 @dataclass
 class BatchOutcome:
     """One batch of job outcomes in compact wire form.
@@ -247,13 +263,13 @@ class BatchOutcome:
     Parallel arrays hold the per-try fields every outcome has; sparse
     position-keyed maps hold the rare payloads (recordings that can
     still win the merge, racy report digests, error texts).  Profile
-    spans and status-independent metrics are pre-aggregated — the
-    parent folds them once per batch instead of once per try.
+    spans are pre-aggregated — the parent folds them once per batch
+    instead of once per try.
 
     :meth:`pack`/:meth:`unfold` are exact inverses over everything a
-    worker can produce (live executions/reports and per-try span lists
-    never cross the pipe), so the parent-side per-try outcome stream is
-    byte-identical to the old one-pickle-per-job protocol.
+    worker can produce (live executions/reports never cross the pipe),
+    so the parent-side per-try outcome stream is byte-identical to the
+    old one-pickle-per-job protocol.
     """
 
     indices: List[int] = field(default_factory=list)
@@ -270,67 +286,44 @@ class BatchOutcome:
     errors: Dict[int, Tuple[str, str]] = field(default_factory=dict)
     #: coverage partition keys, racy cache-misses only (sparse like the
     #: other rare payloads)
-    partitions: Dict[int, List[str]] = field(default_factory=dict)
+    partitions: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
     #: robustness verdicts, verified tries only (sparse: absent when
     #: the hunt did not verify robustness)
     robust: Dict[int, bool] = field(default_factory=dict)
     #: non-robust tries' RobustnessReport payloads (cycle + SC prefix)
     robustness: Dict[int, dict] = field(default_factory=dict)
-    #: span-path -> AggregateRecord.to_dict(), pre-folded over the batch
-    profile_aggs: Optional[Dict[str, dict]] = None
-    #: MetricsRegistry.to_records() of the worker-side instrument fold
-    metric_records: Optional[List[dict]] = None
+    #: span path -> aggregate, pre-folded over the batch (profiling only)
+    profile_aggs: Optional[Dict[str, AggregateRecord]] = None
 
     @classmethod
     def pack(cls, outcomes: Sequence[JobOutcome]) -> "BatchOutcome":
         batch = cls()
         for pos, outcome in enumerate(outcomes):
             batch.indices.append(outcome.job.index)
-            batch.statuses.append(outcome.status)
-            batch.completed.append(outcome.completed)
-            batch.operations.append(outcome.operations)
-            batch.durations.append(outcome.duration)
-            batch.cache_hits.append(outcome.cache_hit)
-            batch.fingerprints.append(outcome.fingerprint)
-            batch.race_counts.append(outcome.race_count)
-            batch.certified.append(outcome.certified_races)
-            if outcome.report_digest:
-                batch.digests[pos] = outcome.report_digest
-            if outcome.recording is not None:
-                batch.recordings[pos] = outcome.recording
+            for array, name in _BATCH_ARRAYS:
+                getattr(batch, array).append(getattr(outcome, name))
+            for sparse, name, default in _BATCH_SPARSE:
+                value = getattr(outcome, name)
+                if value != default:
+                    getattr(batch, sparse)[pos] = value
             if outcome.error or outcome.traceback:
                 batch.errors[pos] = (outcome.error, outcome.traceback)
-            if outcome.partition_keys:
-                batch.partitions[pos] = list(outcome.partition_keys)
-            if outcome.robust is not None:
-                batch.robust[pos] = outcome.robust
-            if outcome.robustness is not None:
-                batch.robustness[pos] = outcome.robustness
         return batch
 
     def unfold(self, jobs_by_index: Dict[int, HuntJob]) -> List[JobOutcome]:
         """Rebuild the per-try outcome stream the rest of the engine
-        (merge, observers, events, retries, checkpoints) consumes."""
+        (merge, subscribers, retries, checkpoints) consumes."""
         outcomes = []
         for pos, index in enumerate(self.indices):
             error, tb = self.errors.get(pos, ("", ""))
             outcomes.append(JobOutcome(
                 job=jobs_by_index[index],
-                status=self.statuses[pos],
-                completed=self.completed[pos],
-                operations=self.operations[pos],
+                **{name: getattr(self, array)[pos]
+                   for array, name in _BATCH_ARRAYS},
+                **{name: getattr(self, sparse).get(pos, default)
+                   for sparse, name, default in _BATCH_SPARSE},
                 error=error,
                 traceback=tb,
-                recording=self.recordings.get(pos),
-                report_digest=self.digests.get(pos, ""),
-                cache_hit=self.cache_hits[pos],
-                duration=self.durations[pos],
-                fingerprint=self.fingerprints[pos],
-                race_count=self.race_counts[pos],
-                certified_races=self.certified[pos],
-                partition_keys=tuple(self.partitions.get(pos, ())),
-                robust=self.robust.get(pos),
-                robustness=self.robustness.get(pos),
             ))
         return outcomes
 
@@ -414,110 +407,95 @@ def _time_limit(seconds: Optional[float]) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
-class _HuntState:
-    """Everything a job needs to run; shared with workers via fork."""
-
-    def __init__(
-        self,
-        program: Program,
-        model_factory: Callable[[], MemoryModel],
-        policies: Sequence[Tuple[str, PolicyFactory]],
-        max_steps: int,
-        job_timeout: Optional[float],
-        profile: bool = False,
-        trace_cache: bool = True,
-        detector: str = "postmortem",
-        collect_metrics: bool = False,
-        verify_robustness: bool = False,
-    ) -> None:
-        self.program = program
-        self.model_factory = model_factory
-        self.policies = list(policies)
-        self.max_steps = max_steps
-        self.job_timeout = job_timeout
-        self.profile = profile
-        self.trace_cache = trace_cache
-        self.detector = detector
-        # True when the parent has a metrics registry collecting: batch
-        # workers then pre-fold the status-independent instruments
-        # (durations, cache hits) and ship them once per batch.
-        self.collect_metrics = collect_metrics
-        # Attach a robustness verdict (repro.core.robustness) to every
-        # try: does the execution have an SC justification?
-        self.verify_robustness = verify_robustness
-
-
 def _execute_job(
-    state: _HuntState, job: HuntJob, keep_execution: bool
+    program: Program,
+    model_factory: Callable[[], MemoryModel],
+    config: HuntConfig,
+    job: HuntJob,
+    *,
+    keep_execution: bool,
+    profile_aggs: Optional[Dict[str, AggregateRecord]] = None,
+    coverage: bool = False,
 ) -> JobOutcome:
-    """Run one job; with profiling on, record it into a job-local
-    profiler whose flat span records ride back on the outcome (cheap
-    to pickle, aggregated by the parent across workers)."""
+    """Run one job.  The engine binds *program*, *model_factory*,
+    *config* and *coverage* once per hunt (:func:`functools.partial`)
+    and hands the result to its executor; fork workers inherit it.
+
+    With *profile_aggs* (a profiler is active), the job records into a
+    job-local profiler whose span records fold into that per-path
+    aggregate map.  *coverage* (a metrics registry collects) computes
+    racy first-analyses' partition keys."""
     if job.delay > 0:
         time.sleep(job.delay)  # retry backoff; not part of the timed body
     begin = time.perf_counter()
-    if not state.profile:
-        outcome = _execute_job_inner(state, job, keep_execution)
+    args = (program, model_factory, config, job, keep_execution, coverage)
+    if profile_aggs is None:
+        outcome = _execute_job_inner(*args)
         outcome.duration = time.perf_counter() - begin
         return outcome
     profiler = obs.Profiler()
-    with profiler.activate():
-        with obs.span("hunt.job") as sp:
-            outcome = _execute_job_inner(state, job, keep_execution)
-            sp.add("executions", 1)
-            if outcome.status == "racy":
-                sp.add("racy", 1)
-            if outcome.cache_hit:
-                sp.add("trace_cache_hits", 1)
-    outcome.profile = profiler.to_records()
+    with profiler.activate(), obs.span("hunt.job") as sp:
+        outcome = _execute_job_inner(*args)
+        sp.add("executions", 1)
+        if outcome.status == "racy":
+            sp.add("racy", 1)
+        if outcome.cache_hit:
+            sp.add("trace_cache_hits", 1)
     outcome.duration = time.perf_counter() - begin
+    obs.aggregate_records([profiler.to_records()], into=profile_aggs)
     return outcome
 
 
+def _analyze_cacheable(source, detector: str):
+    """Analyze *source*: the report plus the cacheable value
+    ``(racy, report digest, race count, certified races)``."""
+    report = _analyze(source, detector)
+    racy = not report.race_free
+    return report, (
+        racy,
+        report.format() if racy else "",
+        len(report.races),
+        getattr(report, "certified_race_count", 0) if racy else 0,
+    )
+
+
 def _execute_job_inner(
-    state: _HuntState, job: HuntJob, keep_execution: bool
+    program: Program,
+    model_factory: Callable[[], MemoryModel],
+    config: HuntConfig,
+    job: HuntJob,
+    keep_execution: bool,
+    coverage: bool,
 ) -> JobOutcome:
     """Run one job with failure/timeout isolation."""
-    _, factory = state.policies[job.policy_index]
+    _, factory = config.policies[job.policy_index]
     try:
-        with _time_limit(state.job_timeout):
+        with _time_limit(config.job_timeout):
             plan = _faults.active_plan()
             if plan is not None:
                 # Inside the time limit on purpose: an injected hang
                 # must drive the real JobTimeout path.
                 plan.on_job_start(job.index, job.attempt)
             execution, recording = record_execution(
-                state.program,
-                state.model_factory(),
+                program,
+                model_factory(),
                 seed=job.seed,
                 propagation=factory(),
-                max_steps=state.max_steps,
+                max_steps=config.max_steps,
             )
             report = None
             cache_hit = False
             fingerprint = ""
-            # streaming detection consumes the operation stream online
-            # and never builds a trace — so there is nothing to
-            # fingerprint and the trace cache is bypassed
-            use_cache = state.trace_cache and state.detector != "streaming"
-            if use_cache:
+            if config.uses_trace_cache:
                 trace = build_trace(execution)
                 fingerprint = trace_fingerprint(trace)
                 shared = _SHARED_CACHE
-                cached = (
+                value = (
                     shared.get(fingerprint) if shared is not None
                     else _TRACE_CACHE.get(fingerprint)
                 )
-                if cached is None:
-                    report = _analyze(trace, state.detector)
-                    racy = not report.race_free
-                    digest = report.format() if racy else ""
-                    race_count = len(report.races)
-                    certified = (
-                        getattr(report, "certified_race_count", 0)
-                        if racy else 0
-                    )
-                    value = (racy, digest, race_count, certified)
+                if value is None:
+                    report, value = _analyze_cacheable(trace, config.detector)
                     if shared is not None:
                         shared.put(fingerprint, value)
                     else:
@@ -526,23 +504,16 @@ def _execute_job_inner(
                         _TRACE_CACHE[fingerprint] = value
                 else:
                     cache_hit = True
-                    racy, digest, race_count, certified = cached
             else:
-                report = _analyze(execution, state.detector)
-                racy = not report.race_free
-                digest = report.format() if racy else ""
-                race_count = len(report.races)
-                certified = (
-                    getattr(report, "certified_race_count", 0)
-                    if racy else 0
-                )
+                report, value = _analyze_cacheable(execution, config.detector)
+            racy, digest, race_count, certified = value
             # The robustness verdict consumes the operation stream
             # (reads-from never reaches the trace — §4.1), so the
             # trace cache cannot serve it; it runs per execution,
             # inside the time limit like the rest of the job body.
             robust: Optional[bool] = None
             robustness_payload: Optional[dict] = None
-            if state.verify_robustness:
+            if config.verify_robustness:
                 from ..core.robustness import (
                     check_robustness as _check_robust,
                 )
@@ -562,7 +533,7 @@ def _execute_job_inner(
     # analyzed — and only while a registry collects (the disabled path
     # stays inside the profiling-overhead budget).
     partition_keys: Tuple[str, ...] = ()
-    if racy and report is not None and state.collect_metrics:
+    if racy and report is not None and coverage:
         partition_keys = partition_coverage_keys(report)
     outcome = JobOutcome(
         job=job,
@@ -590,18 +561,20 @@ def _execute_job_inner(
 # heavyweight state rides the fork, not the task pipe)
 # ----------------------------------------------------------------------
 
-_WORKER_STATE: Optional[_HuntState] = None
+_WORKER_RUN_JOB: Optional[Callable[..., JobOutcome]] = None
+_WORKER_PROFILING = False  # fold job spans into per-batch aggregates
 _WORKER_STOP = None  # multiprocessing.Value: lowest racy index, -1 = none
 _WORKER_CANCEL = None  # multiprocessing.Value: 1 = drain, don't start work
 _WORKER_BEST = None  # multiprocessing.Value: lowest racy index seen anywhere
 _SHARED_CACHE: Optional[sharedcache.SharedTraceCache] = None
 
 
-def _init_worker(state: _HuntState, stop_at, cancel_flag, best_racy,
+def _init_worker(run_job, profiling, stop_at, cancel_flag, best_racy,
                  cache_path, cache_lock) -> None:
-    global _WORKER_STATE, _WORKER_STOP, _WORKER_CANCEL, _WORKER_BEST
-    global _SHARED_CACHE
-    _WORKER_STATE = state
+    global _WORKER_RUN_JOB, _WORKER_PROFILING
+    global _WORKER_STOP, _WORKER_CANCEL, _WORKER_BEST, _SHARED_CACHE
+    _WORKER_RUN_JOB = run_job
+    _WORKER_PROFILING = profiling
     _WORKER_STOP = stop_at
     _WORKER_CANCEL = cancel_flag
     _WORKER_BEST = best_racy
@@ -623,15 +596,13 @@ def _init_worker(state: _HuntState, stop_at, cancel_flag, best_racy,
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
 
 
-def _note_racy_worker(index: int) -> None:
-    """Broadcast a racy index from the worker that found it: lowers the
-    early-stop bound (when ``stop_at_first`` armed it) without waiting
-    for the batch to reach the parent."""
-    stop = _WORKER_STOP
-    if stop is not None:
-        with stop.get_lock():
-            if stop.value < 0 or index < stop.value:
-                stop.value = index
+def _lower_bound(bound, index: int) -> int:
+    """Lower a shared racy-index bound (-1 = unset) to *index*, and
+    return the bound as it stands under the same lock."""
+    with bound.get_lock():
+        if bound.value < 0 or index < bound.value:
+            bound.value = index
+        return bound.value
 
 
 def _keep_recording(index: int) -> bool:
@@ -645,16 +616,10 @@ def _keep_recording(index: int) -> bool:
     the merge (or, after a crash, be reproduced by the deterministic
     re-run), so the winning outcome always carries its recording.
     """
-    best = _WORKER_BEST
-    if best is None:
-        return True
-    with best.get_lock():
-        if best.value < 0 or index < best.value:
-            best.value = index
-        return index <= best.value
+    return _WORKER_BEST is None or index <= _lower_bound(_WORKER_BEST, index)
 
 
-def _run_batch_job(job: HuntJob) -> JobOutcome:
+def _run_batch_job(job: HuntJob, profile_aggs) -> JobOutcome:
     """One job inside a batch: the in-batch cancellation / early-stop
     check (so a batch never holds back a drain or an armed stop), then
     the normal isolated execution."""
@@ -666,10 +631,16 @@ def _run_batch_job(job: HuntJob) -> JobOutcome:
         # before it is part of the deterministic stop_at_first prefix.
         if 0 <= stop < job.index:
             return JobOutcome(job=job, status="skipped")
-    assert _WORKER_STATE is not None
-    outcome = _execute_job(_WORKER_STATE, job, keep_execution=False)
+    assert _WORKER_RUN_JOB is not None
+    outcome = _WORKER_RUN_JOB(
+        job, keep_execution=False, profile_aggs=profile_aggs
+    )
     if outcome.status == "racy":
-        _note_racy_worker(job.index)
+        # Broadcast from the worker that found it: lowers the early-stop
+        # bound (when stop_at_first armed it) without waiting for the
+        # batch to reach the parent.
+        if _WORKER_STOP is not None:
+            _lower_bound(_WORKER_STOP, job.index)
         if not _keep_recording(job.index):
             outcome.recording = None  # can no longer win the merge
     return outcome
@@ -677,35 +648,13 @@ def _run_batch_job(job: HuntJob) -> JobOutcome:
 
 def _worker_run_batch(batch: Sequence[HuntJob]) -> BatchOutcome:
     """Run a whole batch and return one compact :class:`BatchOutcome`:
-    the per-try fields as parallel arrays, plus the batch-level profile
-    and metric folds."""
-    state = _WORKER_STATE
-    assert state is not None
-    outcomes = [_run_batch_job(job) for job in batch]
-    packed = BatchOutcome.pack(outcomes)
-    if state.profile:
-        profiles = [o.profile for o in outcomes if o.profile]
-        if profiles:
-            packed.profile_aggs = {
-                path: agg.to_dict()
-                for path, agg in obs.aggregate_records(profiles).items()
-            }
-    if state.collect_metrics:
-        from ..obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        duration = registry.histogram(
-            "hunt_job_duration_seconds", "per-job wall time",
-        )
-        for outcome in outcomes:
-            duration.observe(outcome.duration)
-        hits = sum(1 for o in outcomes if o.cache_hit)
-        if hits:
-            registry.counter(
-                "hunt_trace_cache_hits_total",
-                "analyses served from the trace cache",
-            ).inc(hits)
-        packed.metric_records = registry.to_records()
+    the per-try fields as parallel arrays, plus the batch's profile
+    aggregates."""
+    aggs: Optional[Dict[str, AggregateRecord]] = (
+        {} if _WORKER_PROFILING else None
+    )
+    packed = BatchOutcome.pack([_run_batch_job(job, aggs) for job in batch])
+    packed.profile_aggs = aggs or None
     return packed
 
 
@@ -716,8 +665,11 @@ def _worker_run_batch(batch: Sequence[HuntJob]) -> BatchOutcome:
 class _SerialExecutor:
     """In-process execution; the ``jobs=1`` path."""
 
-    def __init__(self, state: _HuntState) -> None:
-        self.state = state
+    def __init__(self, run_job: Callable[..., JobOutcome],
+                 profile_aggs: Optional[Dict[str, AggregateRecord]] = None,
+                 ) -> None:
+        self.run_job = run_job
+        self.profile_aggs = profile_aggs
         self.stop_index: Optional[int] = None
         self.cancelled = False
 
@@ -728,7 +680,9 @@ class _SerialExecutor:
             if self.stop_index is not None and job.index > self.stop_index:
                 # serial early stop: never start past the racy prefix
                 return
-            yield _execute_job(self.state, job, keep_execution=True)
+            yield self.run_job(
+                job, keep_execution=True, profile_aggs=self.profile_aggs
+            )
 
     def note_racy(self, index: int) -> None:
         if self.stop_index is None or index < self.stop_index:
@@ -746,22 +700,20 @@ class _PoolExecutor:
 
     Jobs are dispatched as batches (:func:`plan_batches`) and each
     worker reply is one :class:`BatchOutcome`; ``run`` unfolds them so
-    callers still consume a per-try outcome stream.  Batch-level
-    profile aggregates accumulate on ``profile_aggs``; worker metric
-    records are folded into *registry* as batches arrive.
+    callers still consume a per-try outcome stream, and folds each
+    batch's profile aggregates into *profile_aggs*.
     """
 
-    def __init__(self, state: _HuntState, workers: int,
-                 stop_at_first: bool, *, registry=None,
-                 batch_size: Optional[int] = None,
+    def __init__(self, run_job: Callable[..., JobOutcome],
+                 config: HuntConfig, workers: int, *,
+                 profile_aggs: Optional[Dict[str, AggregateRecord]] = None,
                  racy_floor: Optional[int] = None) -> None:
         ctx = multiprocessing.get_context("fork")
         self.workers = workers
-        self.batch_size = batch_size
-        self.registry = registry
-        self.profile_aggs: Dict[str, AggregateRecord] = {}
+        self.batch_size = config.batch_size
+        self.profile_aggs = profile_aggs
         seed = -1 if racy_floor is None else racy_floor
-        self.stop_at = ctx.Value("i", seed) if stop_at_first else None
+        self.stop_at = ctx.Value("i", seed) if config.stop_at_first else None
         # The recording-compaction bound: lowest racy index produced by
         # any worker (or restored from a checkpoint).  Separate from
         # stop_at because it is always armed — dropping a recording
@@ -771,15 +723,16 @@ class _PoolExecutor:
         self.cancel_flag = ctx.Value("i", 0)
         self.cache_path = None
         cache_lock = None
-        if state.trace_cache and state.detector != "streaming":
+        if config.uses_trace_cache:
             self.cache_path = sharedcache.create_cache_file()
             cache_lock = ctx.Lock()
         before = set(multiprocessing.active_children())
         self.pool = ctx.Pool(
             processes=workers,
             initializer=_init_worker,
-            initargs=(state, self.stop_at, self.cancel_flag,
-                      self.best_racy, self.cache_path, cache_lock),
+            initargs=(run_job, profile_aggs is not None, self.stop_at,
+                      self.cancel_flag, self.best_racy, self.cache_path,
+                      cache_lock),
         )
         # The pool's workers, found through the public child-process
         # list so close() need not read Pool's private worker list.
@@ -799,27 +752,16 @@ class _PoolExecutor:
         for batch in self.pool.imap_unordered(
             _worker_run_batch, batches, chunksize=1
         ):
-            if batch.metric_records and self.registry is not None:
-                with self.registry.hold():
-                    self.registry.merge_records(batch.metric_records)
             if batch.profile_aggs:
-                merge_aggregate_maps(self.profile_aggs, {
-                    path: AggregateRecord.from_dict(payload)
-                    for path, payload in batch.profile_aggs.items()
-                })
+                merge_aggregate_maps(self.profile_aggs, batch.profile_aggs)
             yield from batch.unfold(jobs_by_index)
 
     def note_racy(self, index: int) -> None:
         # Workers broadcast their own racy finds; the parent repeats
         # the update for restored/reclassified outcomes it alone sees.
-        with self.best_racy.get_lock():
-            if self.best_racy.value < 0 or index < self.best_racy.value:
-                self.best_racy.value = index
-        if self.stop_at is None:
-            return
-        with self.stop_at.get_lock():
-            if self.stop_at.value < 0 or index < self.stop_at.value:
-                self.stop_at.value = index
+        _lower_bound(self.best_racy, index)
+        if self.stop_at is not None:
+            _lower_bound(self.stop_at, index)
 
     def cancel(self) -> None:
         with self.cancel_flag.get_lock():
@@ -870,14 +812,30 @@ def _retry_job(job: HuntJob, retry_backoff: float) -> HuntJob:
         (job.index << 16) ^ (job.policy_index << 8) ^ attempt
     ).random()
     delay = retry_backoff * (2 ** (attempt - 1)) * (0.5 + jitter)
-    return HuntJob(
-        index=job.index,
-        seed=job.seed,
-        policy_index=job.policy_index,
-        policy_name=job.policy_name,
-        attempt=attempt,
-        delay=delay,
-    )
+    return replace(job, attempt=attempt, delay=delay)
+
+
+def _needs_retry(outcome: JobOutcome, last_error: Dict[int, str],
+                 max_retries: int, interrupted: bool) -> bool:
+    """Apply the retry policy to one finished attempt.  Returns True —
+    and marks the outcome ``retried`` — when the job should run again;
+    otherwise the outcome settles, carrying its retry count and, for a
+    failure, why retrying stopped."""
+    job = outcome.job
+    if outcome.status == "error" and not interrupted:
+        prior = last_error.get(job.index)
+        if prior is not None and prior == outcome.error:
+            # failed identically twice: deterministic, surface instead
+            # of burning more retries
+            outcome.failure_kind = "deterministic"
+        elif job.attempt < max_retries:
+            last_error[job.index] = outcome.error
+            outcome.status = "retried"
+            return True
+        else:
+            outcome.failure_kind = "exhausted" if job.attempt else "unretried"
+    outcome.retries = job.attempt
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -885,7 +843,11 @@ def _retry_job(job: HuntJob, retry_backoff: float) -> HuntJob:
 # ----------------------------------------------------------------------
 
 def _attach_first(
-    result: HuntResult, first: JobOutcome, state: _HuntState
+    result: HuntResult,
+    first: JobOutcome,
+    program: Program,
+    model_factory: Callable[[], MemoryModel],
+    config: HuntConfig,
 ) -> None:
     """Fill in the first racy execution + verify its recording."""
     result.seed = first.job.seed
@@ -901,14 +863,14 @@ def _attach_first(
         # for the one execution handed to the user).
         result.first_report = (
             first.report if first.report is not None
-            else _analyze(first.execution, state.detector)
+            else _analyze(first.execution, config.detector)
         )
         result.recording_verified = verify_recording(
-            state.program,
-            state.model_factory(),
+            program,
+            model_factory(),
             first.recording,
             first.execution,
-            max_steps=state.max_steps,
+            max_steps=config.max_steps,
         )
         return
     # Cross-process (or checkpoint-restored) job: reconstruct the
@@ -916,15 +878,15 @@ def _attach_first(
     # report digest verifies it.
     try:
         execution = replay_execution(
-            state.program,
-            state.model_factory(),
+            program,
+            model_factory(),
             first.recording,
-            max_steps=state.max_steps,
+            max_steps=config.max_steps,
         )
     except ReplayError:
         result.recording_verified = False
         return
-    report = _analyze(execution, state.detector)
+    report = _analyze(execution, config.detector)
     result.first_racy = execution
     result.first_report = report
     result.recording_verified = (
@@ -933,35 +895,38 @@ def _attach_first(
 
 
 def merge_outcomes(
-    state: _HuntState,
+    program: Program,
+    model_factory: Callable[[], MemoryModel],
+    config: HuntConfig,
     outcomes: Sequence[JobOutcome],
-    stop_at_first: bool,
+    *,
+    model_name: str,
 ) -> HuntResult:
     """Fold outcomes into a :class:`HuntResult` in canonical job order.
 
     Sorting by job index before folding makes the result a pure
     function of the outcome *set* — worker count, completion order,
     and checkpoint/resume boundaries cannot change it.  With
-    ``stop_at_first``, outcomes beyond the first racy index are
+    ``config.stop_at_first``, outcomes beyond the first racy index are
     discarded (the serial path never ran them).  Only settled outcomes
-    belong here: retried attempts are observer-visible telemetry, not
+    belong here: retried attempts are subscriber-visible telemetry, not
     merge input.
     """
     result = HuntResult(
-        program=state.program,
-        model_name=state.model_factory().name,
+        program=program,
+        model_name=model_name,
         tries=0,
         racy_runs=0,
         clean_runs=0,
-        detector=state.detector,
-        verify_robustness=state.verify_robustness,
+        detector=config.detector,
+        verify_robustness=config.verify_robustness,
     )
     first: Optional[JobOutcome] = None
     for outcome in sorted(outcomes, key=lambda o: o.job.index):
         if outcome.status == "skipped":
             continue
         if (
-            stop_at_first
+            config.stop_at_first
             and first is not None
             and outcome.job.index > first.job.index
         ):
@@ -1006,172 +971,129 @@ def merge_outcomes(
         else:
             result.clean_runs += 1
     if first is not None:
-        _attach_first(result, first, state)
+        _attach_first(result, first, program, model_factory, config)
     return result
 
 
 # ----------------------------------------------------------------------
-# telemetry folding (parent-side; batch workers pre-fold the
-# status-independent instruments, the parent folds the rest per job)
+# telemetry: the parent-side metrics fold of the outcome stream
 # ----------------------------------------------------------------------
 
-def _fold_outcome_metrics(
-    registry, outcome: JobOutcome, done: int, total: int, racy: int,
-    elapsed: float, detector: str = "postmortem",
-    worker_folded: bool = False, model: str = "",
-) -> None:
-    """Update the hunt metric family (see the table in
-    :mod:`repro.obs.metrics`) for one completed job.  Runs in the
-    parent only, so gauge last-wins semantics are safe.  Retried
-    attempts land in ``hunt_tries_total{status="retried"}`` without
-    advancing the job gauges.
-
-    With *worker_folded* (the batched pool path), the duration
-    histogram and cache-hit counter already arrived pre-aggregated on
-    the batch wire and were merged once per batch — only the
-    status-labelled counter (whose ``retried`` reclassification the
-    worker cannot see) and the parent-owned gauges fold here."""
-    registry.counter(
-        "hunt_tries_total", "hunt jobs by policy, outcome, and detector",
-        labels=("policy", "status", "detector"),
-    ).inc(
-        policy=outcome.job.policy_name, status=outcome.status,
-        detector=detector,
-    )
-    if not worker_folded:
-        if outcome.cache_hit:
-            registry.counter(
-                "hunt_trace_cache_hits_total",
-                "analyses served from the trace cache",
-            ).inc()
-        registry.histogram(
-            "hunt_job_duration_seconds", "per-job wall time",
-        ).observe(outcome.duration)
-    if outcome.status == "error":
-        registry.counter(
-            "hunt_failures_total",
-            "settled job failures by retry classification",
-            labels=("kind",),
-        ).inc(kind=outcome.failure_kind or "unretried")
-    if outcome.robust is not None:
-        registry.counter(
-            "hunt_robust_tries_total",
-            "robustness verdicts on verified hunt tries",
-            labels=("model", "verdict"),
-        ).inc(
-            model=model,
-            verdict="robust" if outcome.robust else "non-robust",
-        )
-    registry.gauge("hunt_done", "completed jobs").set(done)
-    registry.gauge("hunt_total", "planned jobs").set(total)
-    registry.gauge("hunt_racy", "racy runs so far").set(racy)
-    registry.gauge(
-        "hunt_elapsed_seconds", "wall time since the hunt began",
-    ).set(elapsed)
-    if elapsed > 0:
-        registry.timeseries(
-            "hunt_throughput", "(elapsed, jobs/sec) samples",
-        ).record(elapsed, done / elapsed)
+#: The hunt metric family (see the table in :mod:`repro.obs.metrics`),
+#: each instrument declared once: (attribute, kind, name, help, labels).
+_HUNT_INSTRUMENTS = (
+    ("tries", "counter", "hunt_tries_total",
+     "hunt jobs by policy, outcome, and detector",
+     ("policy", "status", "detector")),
+    ("cache_hits", "counter", "hunt_trace_cache_hits_total",
+     "analyses served from the trace cache", ()),
+    ("failures", "counter", "hunt_failures_total",
+     "settled job failures by retry classification", ("kind",)),
+    ("robust", "counter", "hunt_robust_tries_total",
+     "robustness verdicts on verified hunt tries", ("model", "verdict")),
+    ("duration", "histogram", "hunt_job_duration_seconds",
+     "per-job wall time", ()),
+    ("done", "gauge", "hunt_done", "completed jobs", ()),
+    ("total", "gauge", "hunt_total", "planned jobs", ()),
+    ("racy", "gauge", "hunt_racy", "racy runs so far", ()),
+    ("elapsed", "gauge", "hunt_elapsed_seconds",
+     "wall time since the hunt began", ()),
+    ("throughput", "timeseries", "hunt_throughput",
+     "(elapsed, jobs/sec) samples", ()),
+    ("fingerprints", "gauge", "hunt_coverage_fingerprints",
+     "distinct trace fingerprints seen this hunt", ()),
+    ("partitions", "gauge", "hunt_coverage_provenance_partitions",
+     "distinct first-race provenance partition signatures", ()),
+    ("coverage", "timeseries", "hunt_coverage",
+     "(elapsed, distinct count) growth curve", ("kind",)),
+    ("info", "gauge", "hunt_info",
+     "constant 1; labels join scrapes to events/checkpoints/results",
+     ("hunt_id", "detector", "model")),
+)
 
 
-class _CoverageTracker:
-    """Parent-side distinct-set coverage fold (the live novelty signal).
+class _HuntMetrics:
+    """Folds the outcome stream into a metrics registry, parent-side
+    only, so gauge last-wins semantics are safe.
 
-    Tracks the distinct trace fingerprints and first-race provenance
-    partition signatures seen across settled outcomes — including
-    checkpoint-restored ones, so a resumed hunt's coverage gauges pick
-    up where the original left off.  Set membership lives here (plain
-    parent-side sets); the registry only ever sees the cardinalities,
-    so scrapers get gauges and a growth curve without the engine
-    shipping sets anywhere.
+    Construction registers the whole family up front, so a scrape
+    racing the first settled outcome still sees every family (with zero
+    samples) and ``hunt_info`` joins the scrape to the hunt's other
+    surfaces.  Retried attempts land in
+    ``hunt_tries_total{status="retried"}`` without advancing the job
+    gauges; skipped jobs never ran, so they add no duration sample.
+
+    The coverage fold tracks the distinct trace fingerprints and
+    first-race provenance partition signatures of settled outcomes —
+    restored ones included, so a resumed hunt's coverage gauges pick up
+    where the original left off.  The sets live here; the registry only
+    ever sees their cardinalities.
     """
 
-    def __init__(self) -> None:
-        self.fingerprints: set = set()
-        self.partitions: set = set()
+    def __init__(self, registry, config: HuntConfig, model_name: str,
+                 hunt_id: str, restored: Sequence[JobOutcome],
+                 start: float) -> None:
+        self.registry = registry
+        self.detector = config.detector
+        self.model = model_name
+        self.start = start
+        self.seen_fingerprints: set = set()
+        self.seen_partitions: set = set()
+        # The hold() lock only matters when a telemetry server shares
+        # the registry; without one it is uncontended and effectively
+        # free (one RLock acquire per outcome, parent-side).
+        with registry.hold():
+            for attr, kind, name, help_text, labels in _HUNT_INSTRUMENTS:
+                setattr(self, attr, getattr(registry, kind)(
+                    name, help_text, labels=labels))
+            for gauge in (self.elapsed, self.fingerprints, self.partitions):
+                gauge.set(0)
+            self.done.set(len(restored))
+            self.racy.set(sum(1 for o in restored if o.status == "racy"))
+            self.total.set(config.tries)
+            self.info.set(1, hunt_id=hunt_id, detector=config.detector,
+                          model=model_name)
+            for outcome in restored:
+                self._cover(outcome, 0.0)
 
-    def fold(self, registry, outcome: JobOutcome, elapsed: float) -> None:
-        grew_fp = False
-        if outcome.fingerprint and outcome.fingerprint not in \
-                self.fingerprints:
-            self.fingerprints.add(outcome.fingerprint)
-            grew_fp = True
-        grew_part = False
-        for key in outcome.partition_keys:
-            if key not in self.partitions:
-                self.partitions.add(key)
-                grew_part = True
-        if grew_fp:
-            registry.gauge(
-                "hunt_coverage_fingerprints",
-                "distinct trace fingerprints seen this hunt",
-            ).set(len(self.fingerprints))
-        if grew_part:
-            registry.gauge(
-                "hunt_coverage_provenance_partitions",
-                "distinct first-race provenance partition signatures",
-            ).set(len(self.partitions))
-        if (grew_fp or grew_part) and elapsed > 0:
-            series = registry.timeseries(
-                "hunt_coverage", "(elapsed, distinct count) growth curve",
-                labels=("kind",),
-            )
-            if grew_fp:
-                series.record(elapsed, len(self.fingerprints),
-                              kind="fingerprints")
-            if grew_part:
-                series.record(elapsed, len(self.partitions),
-                              kind="partitions")
+    def __call__(self, outcome: JobOutcome, done: int, racy: int) -> None:
+        elapsed = time.perf_counter() - self.start
+        with self.registry.hold():
+            self.tries.inc(policy=outcome.job.policy_name,
+                           status=outcome.status, detector=self.detector)
+            if outcome.status != "skipped":
+                self.duration.observe(outcome.duration)
+            if outcome.cache_hit:
+                self.cache_hits.inc()
+            if outcome.status == "error":
+                self.failures.inc(kind=outcome.failure_kind or "unretried")
+            if outcome.robust is not None:
+                self.robust.inc(
+                    model=self.model,
+                    verdict="robust" if outcome.robust else "non-robust",
+                )
+            self.done.set(done)
+            self.racy.set(racy)
+            self.elapsed.set(elapsed)
+            if elapsed > 0:
+                self.throughput.record(elapsed, done / elapsed)
+            if outcome.status in ("racy", "clean"):
+                self._cover(outcome, elapsed)
 
-
-def _prime_hunt_metrics(registry, hunt_id: str, detector: str,
-                        model_name: str, total: int) -> None:
-    """Register the hunt metric family up front, so a scrape racing the
-    first settled outcome still sees every family (with zero samples)
-    and ``hunt_info`` joins the scrape to the hunt's other surfaces."""
-    registry.counter(
-        "hunt_tries_total", "hunt jobs by policy, outcome, and detector",
-        labels=("policy", "status", "detector"),
-    )
-    registry.counter(
-        "hunt_trace_cache_hits_total",
-        "analyses served from the trace cache",
-    )
-    registry.counter(
-        "hunt_failures_total",
-        "settled job failures by retry classification",
-        labels=("kind",),
-    )
-    registry.counter(
-        "hunt_robust_tries_total",
-        "robustness verdicts on verified hunt tries",
-        labels=("model", "verdict"),
-    )
-    registry.histogram("hunt_job_duration_seconds", "per-job wall time")
-    registry.gauge("hunt_done", "completed jobs").set(0)
-    registry.gauge("hunt_total", "planned jobs").set(total)
-    registry.gauge("hunt_racy", "racy runs so far").set(0)
-    registry.gauge(
-        "hunt_elapsed_seconds", "wall time since the hunt began",
-    ).set(0)
-    registry.timeseries("hunt_throughput", "(elapsed, jobs/sec) samples")
-    registry.gauge(
-        "hunt_coverage_fingerprints",
-        "distinct trace fingerprints seen this hunt",
-    ).set(0)
-    registry.gauge(
-        "hunt_coverage_provenance_partitions",
-        "distinct first-race provenance partition signatures",
-    ).set(0)
-    registry.timeseries(
-        "hunt_coverage", "(elapsed, distinct count) growth curve",
-        labels=("kind",),
-    )
-    registry.gauge(
-        "hunt_info",
-        "constant 1; labels join scrapes to events/checkpoints/results",
-        labels=("hunt_id", "detector", "model"),
-    ).set(1, hunt_id=hunt_id, detector=detector, model=model_name)
+    def _cover(self, outcome: JobOutcome, elapsed: float) -> None:
+        fingerprints = (outcome.fingerprint,) if outcome.fingerprint else ()
+        for seen, gauge, kind, keys in (
+            (self.seen_fingerprints, self.fingerprints, "fingerprints",
+             fingerprints),
+            (self.seen_partitions, self.partitions, "partitions",
+             outcome.partition_keys),
+        ):
+            fresh = set(keys) - seen
+            if fresh:
+                seen |= fresh
+                gauge.set(len(seen))
+                if elapsed > 0:
+                    self.coverage.record(elapsed, len(seen), kind=kind)
 
 
 # ----------------------------------------------------------------------
@@ -1181,125 +1103,55 @@ def _prime_hunt_metrics(registry, hunt_id: str, detector: str,
 def run_hunt(
     program: Program,
     model_factory: Callable[[], MemoryModel],
+    config: HuntConfig,
     *,
-    tries: int,
-    policies: Sequence[Tuple[str, PolicyFactory]],
-    stop_at_first: bool = False,
-    max_steps: int = 200_000,
-    jobs: int = 1,
-    job_timeout: Optional[float] = None,
     progress: Optional[ProgressCallback] = None,
-    trace_cache: bool = True,
     on_outcome: Optional[Callable[[JobOutcome], None]] = None,
     metrics=None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.05,
-    checkpoint=None,
-    resume: bool = False,
-    checkpoint_interval: int = 100,
     cancel: Optional[threading.Event] = None,
-    detector: str = "postmortem",
-    batch_size: Optional[int] = None,
-    hunt_id: Optional[str] = None,
-    verify_robustness: bool = False,
 ) -> HuntResult:
-    """Execute the seed x policy sweep on *jobs* workers and merge.
+    """Execute *config*'s seed x policy sweep on ``config.jobs``
+    workers and merge.
 
     The public entry point is
     :func:`repro.analysis.hunting.hunt_races`; this is the engine
-    underneath it.  *progress*, if given, is called after every
-    completed job as ``progress(done, total, racy_so_far)``.
-    *on_outcome*, if given, receives each :class:`JobOutcome` as it
-    completes, in completion order (the event log's feed) — including
-    ``status="retried"`` attempts that a later retry superseded.
+    underneath it, and :class:`~repro.analysis.hunting.HuntConfig`
+    documents every option.  Each outcome, in completion order, feeds
+    one list of subscribers: the metrics fold (when *metrics* is given
+    or a :mod:`repro.obs.metrics` registry is collecting), the
+    checkpoint writer, *progress* (called as ``progress(done, total,
+    racy_so_far)`` for every settled or skipped job) and *on_outcome*
+    (every outcome, including ``status="retried"`` attempts a later
+    retry superseded — the event log's feed).  *cancel* is a
+    cooperative stop that drains in-flight jobs and leaves
+    ``result.interrupted`` set.
 
     When a :mod:`repro.obs` profiler is active, every job (in-process
-    or forked) records per-stage spans into a job-local profiler; fork
-    workers fold a whole batch's spans into per-span-path aggregates
-    before shipping, and the parent merges one aggregate map per batch
-    (plus the serial path's per-job records) onto the active profiler
-    and ``HuntResult.stage_profile``.  Likewise, when a
-    :mod:`repro.obs.metrics` registry is collecting (or one is passed
-    as *metrics*), workers pre-fold the status-independent instruments
-    per batch and the parent folds the status counter and gauges per
-    job — one module-attribute check per hunt, so the disabled path
-    stays free.
+    or forked) records per-stage spans into a job-local profiler; both
+    executors fold them into one per-span-path aggregate map (fork
+    workers pre-fold a batch at a time), which lands on the active
+    profiler and ``HuntResult.stage_profile``.  Both checks happen once
+    per hunt, so the disabled path stays free.
 
-    Recovery knobs: *max_retries*/*retry_backoff* govern transient
-    failure retries; *checkpoint*/*resume*/*checkpoint_interval* the
-    durable progress file; *cancel* a cooperative stop that drains
-    in-flight jobs and leaves ``result.interrupted`` set.  See the
-    module docstring.
-
-    *batch_size* overrides the dispatch batch sizing of the pool path
-    (:func:`plan_batches`); the default targets a couple of batches
-    per worker.  ``jobs=1`` ignores it — the serial loop has no wire
-    to amortize.
-
-    *detector* picks the analysis backend for every job (one of
-    :data:`HUNT_DETECTORS`; ``"onthefly"`` is excluded because hunts
-    analyze traces, not operation streams).  ``"streaming"`` consumes
-    each execution's operation stream online with O(P·V) state and
-    never materializes a trace (the trace cache is bypassed).  The
-    detector is part of the checkpoint's hunt identity — resuming with
-    a different one is a
-    :class:`~repro.analysis.checkpoint.CheckpointMismatch`.
-
-    *hunt_id* is the run's telemetry correlation id
-    (:func:`~repro.analysis.checkpoint.make_hunt_id`); one is minted
-    when the caller passes none.  On a resume the checkpoint's stored
-    id always wins, so a resumed hunt's metrics, events, and results
-    join with the interrupted run's.  The id lands on
-    ``HuntResult.hunt_id``, in every checkpoint write, and — when a
-    registry collects — on the ``hunt_info`` gauge.
-
-    *verify_robustness* attaches a robustness verdict
-    (:func:`repro.core.robustness.check_robustness`) to every try:
-    verdicts ride each outcome (surviving batching, checkpoints, and
-    resume), fold into ``hunt_robust_tries_total{model,verdict}``, and
-    aggregate on the result — any non-robust try downgrades the
-    result's soundness claim (see :attr:`HuntResult.soundness`).  Part
-    of the checkpoint spec, like the detector.
+    On a resume the checkpoint's stored hunt id always wins over
+    ``config.hunt_id``, so a resumed hunt's metrics, events, and
+    results join with the interrupted run's.
     """
-    if tries < 1:
-        raise ValueError("tries must be positive")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    if job_timeout is not None and job_timeout <= 0:
-        raise ValueError("job_timeout must be positive (or None)")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    if checkpoint_interval < 1:
-        raise ValueError("checkpoint_interval must be positive")
-    if resume and checkpoint is None:
-        raise ValueError("resume requires a checkpoint path")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError("batch_size must be positive (or None for auto)")
-    if detector not in HUNT_DETECTORS:
-        raise ValueError(
-            f"unknown hunt detector {detector!r}; "
-            f"known: {', '.join(HUNT_DETECTORS)}"
-        )
-    policy_list = list(policies)
-    if not policy_list:
-        raise ValueError("policies must not be empty")
-    policy_names = [name for name, _ in policy_list]
-    job_plan = plan_jobs(tries, policy_names)
+    config = config.resolve(program)
+    job_plan = plan_jobs(config.tries, [name for name, _ in config.policies])
 
     # Process-wide injected faults (e.g. no_numpy) apply before any
     # analysis runs; fork workers inherit the patched state.
     _faults.apply_process_faults()
     fault_plan = _faults.active_plan()
 
-    spec = hunt_spec(
-        program, model_factory().name, tries, policy_names,
-        max_steps, stop_at_first, detector=detector,
-        verify_robustness=verify_robustness,
-    )
+    model_name = model_factory().name
+    spec = config.spec(program, model_name)
+    hunt_id = config.hunt_id
     restored: List[JobOutcome] = []
     racy_floor: Optional[int] = None
-    if resume:
-        loaded = load_checkpoint(checkpoint, expected_spec=spec)
+    if config.resume:
+        loaded = load_checkpoint(config.checkpoint, expected_spec=spec)
         restored = loaded.outcomes
         settled_indices = loaded.settled_indices
         job_plan = [j for j in job_plan if j.index not in settled_indices]
@@ -1307,7 +1159,7 @@ def run_hunt(
         # stop_at_first nothing beyond it is planned at all, and either
         # way workers can skip shipping recordings that cannot beat it.
         racy_floor = loaded.first_racy_index
-        if stop_at_first and racy_floor is not None:
+        if config.stop_at_first and racy_floor is not None:
             job_plan = [j for j in job_plan if j.index <= racy_floor]
         # The checkpoint's id wins: a resumed hunt is the same run for
         # telemetry purposes (legacy checkpoints have none to keep).
@@ -1315,100 +1167,61 @@ def run_hunt(
             hunt_id = loaded.hunt_id
     if hunt_id is None:
         hunt_id = make_hunt_id(spec)
-    writer = (
-        CheckpointWriter(checkpoint, spec, checkpoint_interval,
-                         hunt_id=hunt_id)
-        if checkpoint is not None else None
-    )
 
-    profiling = obs.enabled()
     registry = metrics if metrics is not None else obs.metrics.active()
-    state = _HuntState(program, model_factory, policy_list,
-                       max_steps, job_timeout, profile=profiling,
-                       trace_cache=trace_cache, detector=detector,
-                       collect_metrics=registry is not None,
-                       verify_robustness=verify_robustness)
+    profile_aggs: Optional[Dict[str, AggregateRecord]] = (
+        {} if obs.enabled() else None
+    )
+    run_job = functools.partial(
+        _execute_job, program, model_factory, config,
+        coverage=registry is not None,
+    )
     # Start every hunt cold so hit counts describe this hunt alone and
     # memory is bounded; workers inherit the empty L1 through fork and
     # share fresh analyses through the hunt's shared cache file.
     _TRACE_CACHE.clear()
-    workers = min(jobs, max(len(job_plan), 1))
+    workers = min(config.jobs, max(len(job_plan), 1))
     if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         workers = 1  # factories may be closures; spawn cannot ship them
     start = time.perf_counter()
-    observe: Optional[OutcomeObserver] = None
-    coverage: Optional[_CoverageTracker] = None
-    if registry is not None:
-        coverage = _CoverageTracker()
-        # The hold() lock only matters when a telemetry server shares
-        # the registry; without one it is uncontended and effectively
-        # free (one RLock acquire per settled outcome, parent-side).
-        with registry.hold():
-            _prime_hunt_metrics(
-                registry, hunt_id, state.detector,
-                state.model_factory().name, tries,
-            )
-            for outcome in restored:
-                coverage.fold(registry, outcome, 0.0)
-            if restored:
-                registry.gauge("hunt_done", "completed jobs") \
-                    .set(len(restored))
-                registry.gauge("hunt_racy", "racy runs so far").set(
-                    sum(1 for o in restored if o.status == "racy")
-                )
-    if registry is not None or on_outcome is not None:
-        worker_folded = workers > 1 and state.collect_metrics
-        fold_model = state.model_factory().name
 
-        def observe(outcome, done, total, racy):
-            if registry is not None:
-                with registry.hold():
-                    _fold_outcome_metrics(
-                        registry, outcome, done, total, racy,
-                        time.perf_counter() - start,
-                        detector=state.detector,
-                        worker_folded=worker_folded,
-                        model=fold_model,
-                    )
-                    if outcome.status in ("racy", "clean"):
-                        coverage.fold(registry, outcome,
-                                      time.perf_counter() - start)
-            if on_outcome is not None:
-                on_outcome(outcome)
+    settled: List[JobOutcome] = list(restored)
+    subscribers: List[OutcomeSubscriber] = []
+    if registry is not None:
+        subscribers.append(_HuntMetrics(
+            registry, config, model_name, hunt_id, restored, start))
+    if on_outcome is not None:
+        subscribers.append(lambda outcome, done, racy: on_outcome(outcome))
+    if progress is not None:
+        def _progress(outcome: JobOutcome, done: int, racy: int) -> None:
+            if outcome.status != "retried":
+                progress(done, config.tries, racy)
+        subscribers.append(_progress)
+    writer = None
+    if config.checkpoint is not None:
+        writer = CheckpointWriter(config.checkpoint, spec,
+                                  config.checkpoint_interval,
+                                  hunt_id=hunt_id)
+
+        def _checkpoint(outcome: JobOutcome, done: int, racy: int) -> None:
+            if outcome.status in _SETTLED:
+                writer.tick(settled)
+        subscribers.append(_checkpoint)
+    if fault_plan is not None:
+        # Last, so an injected parent death leaves a usable checkpoint.
+        def _fault(outcome: JobOutcome, done: int, racy: int) -> None:
+            if outcome.status in _SETTLED:
+                fault_plan.on_job_settled(len(settled) - len(restored))
+        subscribers.append(_fault)
 
     executor = (
-        _SerialExecutor(state) if workers == 1
-        else _PoolExecutor(state, workers, stop_at_first,
-                           registry=registry, batch_size=batch_size,
-                           racy_floor=racy_floor)
+        _SerialExecutor(run_job, profile_aggs) if workers == 1
+        else _PoolExecutor(run_job, config, workers,
+                           profile_aggs=profile_aggs, racy_floor=racy_floor)
     )
-
-    # Drive state shared by the settle path below.
-    settled: List[JobOutcome] = list(restored)
-    observed_profiles: List[JobOutcome] = []
     done = len(restored)
     racy_seen = sum(1 for o in restored if o.status == "racy")
-    new_settled = 0
     interrupted = False
-
-    def settle(outcome: JobOutcome) -> None:
-        """One outcome is final: record, observe, checkpoint, and give
-        the fault plan its shot at killing the parent (in that order,
-        so an injected parent death leaves a usable checkpoint)."""
-        nonlocal done, racy_seen, new_settled
-        settled.append(outcome)
-        done += 1
-        racy_seen += outcome.status == "racy"
-        new_settled += 1
-        if observe is not None:
-            observe(outcome, done, tries, racy_seen)
-        if progress is not None:
-            progress(done, tries, racy_seen)
-        if writer is not None:
-            writer.tick(settled)
-        if fault_plan is not None:
-            fault_plan.on_job_settled(new_settled)
-
     last_error: Dict[int, str] = {}
     pending = job_plan
     try:
@@ -1422,57 +1235,36 @@ def run_hunt(
                     ):
                         interrupted = True
                         executor.cancel()
-                    if profiling and outcome.profile:
-                        observed_profiles.append(outcome)
-                    if outcome.status == "skipped":
-                        # overrun past the early stop: report progress,
-                        # never merged
+                    # skipped: overrun past the early stop, counted
+                    # towards progress but never merged
+                    if outcome.status != "skipped" and _needs_retry(
+                        outcome, last_error, config.max_retries, interrupted
+                    ):
+                        retry_next.append(
+                            _retry_job(outcome.job, config.retry_backoff))
+                    if outcome.status != "retried":
                         done += 1
-                        if observe is not None:
-                            observe(outcome, done, tries, racy_seen)
-                        if progress is not None:
-                            progress(done, tries, racy_seen)
-                        continue
-                    if outcome.status == "error" and not interrupted:
-                        index = outcome.job.index
-                        prior = last_error.get(index)
-                        if prior is not None and prior == outcome.error:
-                            # failed identically twice: deterministic,
-                            # surface instead of burning more retries
-                            outcome.retries = outcome.job.attempt
-                            outcome.failure_kind = "deterministic"
-                        elif outcome.job.attempt < max_retries:
-                            last_error[index] = outcome.error
-                            outcome.status = "retried"
-                            if observe is not None:
-                                observe(outcome, done, tries, racy_seen)
-                            retry_next.append(
-                                _retry_job(outcome.job, retry_backoff)
-                            )
-                            continue
-                        else:
-                            outcome.retries = outcome.job.attempt
-                            outcome.failure_kind = (
-                                "exhausted" if outcome.job.attempt
-                                else "unretried"
-                            )
-                    elif outcome.job.attempt:
-                        outcome.retries = outcome.job.attempt
-                    settle(outcome)
-                    if stop_at_first and outcome.status == "racy":
+                    if outcome.status in _SETTLED:
+                        settled.append(outcome)
+                        racy_seen += outcome.status == "racy"
+                    for subscriber in subscribers:
+                        subscriber(outcome, done, racy_seen)
+                    if config.stop_at_first and outcome.status == "racy":
                         executor.note_racy(outcome.job.index)
                         if workers == 1:
                             break
                 if interrupted:
                     break
-                if stop_at_first:
-                    bound = _first_racy_index(settled)
+                if config.stop_at_first:
+                    bound = min((o.job.index for o in settled
+                                 if o.status == "racy"), default=None)
                     if bound is not None:
                         retry_next = [
                             j for j in retry_next if j.index <= bound
                         ]
                 pending = retry_next
-            result = merge_outcomes(state, settled, stop_at_first)
+            result = merge_outcomes(program, model_factory, config, settled,
+                                    model_name=model_name)
             result.interrupted = interrupted
             result.resumed_jobs = len(restored)
             if sp.enabled:
@@ -1484,25 +1276,14 @@ def run_hunt(
         executor.close()
     if writer is not None:
         writer.flush(settled, complete=not interrupted)
-    if profiling:
-        aggregates = obs.aggregate_records(
-            o.profile for o in observed_profiles if o.profile
-        )
-        batch_aggs = getattr(executor, "profile_aggs", None)
-        if batch_aggs:
-            merge_aggregate_maps(aggregates, batch_aggs)
+    if profile_aggs is not None:
         profiler = obs.active()
         if profiler is not None:
-            profiler.add_aggregates(aggregates)
+            profiler.add_aggregates(profile_aggs)
         result.stage_profile = {
-            path: agg.to_dict() for path, agg in sorted(aggregates.items())
+            path: agg.to_dict() for path, agg in sorted(profile_aggs.items())
         }
     result.jobs = workers
     result.elapsed = time.perf_counter() - start
     result.hunt_id = hunt_id
     return result
-
-
-def _first_racy_index(outcomes: Sequence[JobOutcome]) -> Optional[int]:
-    racy = [o.job.index for o in outcomes if o.status == "racy"]
-    return min(racy) if racy else None

@@ -30,6 +30,7 @@ import sys
 from typing import Callable, Dict, Optional, Sequence
 
 from . import obs
+from .analysis.hunting import HuntConfig
 from .analysis.naive import NaiveDetector
 from .api import (
     DETECTOR_NAMES,
@@ -281,19 +282,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     hunt_p.add_argument("workload", choices=sorted(WORKLOADS))
     hunt_p.add_argument("--model", default="WO", choices=ALL_MODEL_NAMES)
+    # Hunt option defaults are HuntConfig's; each flag's dest is the
+    # HuntConfig field it sets.
     hunt_p.add_argument(
-        "--detector", default="postmortem",
+        "--detector", default=HuntConfig.detector,
         choices=[n for n in DETECTOR_NAMES if n != "onthefly"],
         help="analysis backend for every execution (default "
              "%(default)s); part of the checkpoint identity — resuming "
              "with a different detector is a hard error",
     )
     hunt_p.add_argument(
-        "--tries", type=int, default=24,
+        "--tries", type=int, default=HuntConfig.tries,
         help="total executions to sweep (default %(default)s)",
     )
     hunt_p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=int, default=HuntConfig.jobs, metavar="N",
         help="worker processes; 1 runs in-process, N>1 shards the "
              "sweep with identical merged statistics",
     )
@@ -312,9 +315,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stop-at-first", action="store_true",
         help="stop as soon as one racy execution is found",
     )
-    hunt_p.add_argument("--max-steps", type=int, default=200_000)
+    hunt_p.add_argument("--max-steps", type=int, default=HuntConfig.max_steps)
     hunt_p.add_argument(
         "--timeout", type=float, default=None, metavar="SEC",
+        dest="job_timeout",
         help="per-execution wall-clock limit; timed-out runs are "
              "recorded as failures (nondeterministic — avoid when "
              "exact reproducibility matters)",
@@ -333,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "aggregated across all hunt jobs (see repro.obs)",
     )
     hunt_p.add_argument(
-        "--no-cache", action="store_true",
+        "--no-cache", action="store_false", dest="trace_cache",
         help="disable the per-worker trace-fingerprint analysis cache "
              "(every execution runs the full detection pipeline)",
     )
@@ -348,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "'weakraces events' to validate/summarize/tail it)",
     )
     hunt_p.add_argument(
-        "--checkpoint", metavar="FILE", dest="checkpoint_path",
+        "--checkpoint", metavar="FILE",
         help="periodically persist settled outcomes to FILE "
              "(atomic write), making the hunt resumable after a crash",
     )
@@ -359,19 +363,22 @@ def _build_parser() -> argparse.ArgumentParser:
              "identical to an uninterrupted run",
     )
     hunt_p.add_argument(
-        "--checkpoint-interval", type=int, default=100, metavar="N",
+        "--checkpoint-interval", type=int,
+        default=HuntConfig.checkpoint_interval, metavar="N",
         help="settled jobs between periodic checkpoint writes "
              "(default %(default)s; a final write always happens)",
     )
     hunt_p.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
+        "--max-retries", type=int, default=HuntConfig.max_retries,
+        metavar="N",
         help="retry a transiently failing job up to N times with "
              "exponential backoff (default %(default)s; jobs that "
              "fail identically twice are classified deterministic "
              "and not retried; 0 disables retries)",
     )
     hunt_p.add_argument(
-        "--retry-backoff", type=float, default=0.05, metavar="SEC",
+        "--retry-backoff", type=float, default=HuntConfig.retry_backoff,
+        metavar="SEC",
         help="base retry backoff delay (default %(default)ss; doubles "
              "per attempt, with deterministic seeded jitter)",
     )
@@ -745,6 +752,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
 
     if args.command == "hunt":
+        import dataclasses
         import os
         import signal
         import threading
@@ -756,26 +764,37 @@ def _dispatch(args: argparse.Namespace) -> int:
         from .obs import metrics as obs_metrics
         from .obs.live import HuntStatusLine
         program = WORKLOADS[args.workload]()
-        if args.resume and not args.checkpoint_path:
-            print("hunt: --resume requires --checkpoint FILE",
-                  file=sys.stderr)
+        # Every hunt option but the resolved policies and the hunt id is
+        # a flag named after its HuntConfig field.
+        options = {
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(HuntConfig)
+            if f.name not in ("policies", "hunt_id")
+        }
+        try:
+            config = HuntConfig(policies=(
+                policies_by_name(args.policies, program.processor_count)
+                if args.policies else None
+            ), **options)
+        except ValueError as exc:
+            print(f"hunt: {exc}", file=sys.stderr)
             return 2
         # Resolve the hunt id up front so every surface that mentions
         # it — events meta, /status, profile meta, checkpoint, the
         # final JSON — agrees.  On resume the checkpoint's stored id
         # wins (run_hunt enforces the same precedence).
-        hunt_id = None
-        if args.resume and args.checkpoint_path:
-            hunt_id = peek_hunt_id(args.checkpoint_path)
+        hunt_id = peek_hunt_id(config.checkpoint) if config.resume else None
         if hunt_id is None:
-            hunt_id = make_hunt_id({
-                "workload": args.workload,
-                "model": args.model,
-                "detector": args.detector,
-                "tries": args.tries,
-                "policies": args.policies or "default",
-            })
+            hunt_id = make_hunt_id(config.spec(program, args.model))
+        config = dataclasses.replace(config, hunt_id=hunt_id)
         args._hunt_id = hunt_id
+        # The run's description for the events meta and /status.
+        meta = {
+            "workload": args.workload, "model": args.model,
+            "hunt_id": hunt_id, "detector": config.detector,
+            "tries": config.tries, "jobs": config.jobs,
+            "policies": args.policies or "default",
+        }
         serve_address = None
         if args.serve_address:
             from .obs.server import parse_serve_address
@@ -800,31 +819,19 @@ def _dispatch(args: argparse.Namespace) -> int:
             from .obs.server import TelemetryServer
             if registry is None:
                 registry = obs_metrics.MetricsRegistry()
-            server = TelemetryServer(registry, info={
-                "hunt_id": hunt_id,
-                "workload": args.workload,
-                "model": args.model,
-                "detector": args.detector,
-                "tries": args.tries,
-                "jobs": args.jobs,
-                "policies": args.policies or "default",
-                "verify_robustness": args.verify_robustness,
-            }, host=serve_address[0], port=serve_address[1])
+            server = TelemetryServer(
+                registry,
+                info=dict(meta, verify_robustness=config.verify_robustness),
+                host=serve_address[0], port=serve_address[1],
+            )
             url = server.start()
             print(f"hunt: telemetry serving on {url} "
                   f"(/metrics /status /healthz)",
                   file=sys.stderr, flush=True)
         event_log = None
         if args.events_path:
-            event_log = obs_events.HuntEventLog(args.events_path, meta={
-                "workload": args.workload,
-                "model": args.model,
-                "tries": args.tries,
-                "jobs": args.jobs,
-                "policies": args.policies or "default",
-                "hunt_id": hunt_id,
-                "detector": args.detector,
-            }, detector=args.detector)
+            event_log = obs_events.HuntEventLog(
+                args.events_path, meta=meta, detector=config.detector)
         # Graceful interruption: the first SIGINT/SIGTERM stops
         # dispatch and drains in-flight jobs (a final checkpoint and a
         # partial result still come out); a second signal means "now",
@@ -845,33 +852,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         for signum in (signal.SIGINT, signal.SIGTERM):
             previous_handlers[signum] = signal.signal(signum, _interrupt)
         try:
-            policies = (
-                policies_by_name(args.policies, program.processor_count)
-                if args.policies else None
-            )
             result = hunt_races(
-                program,
-                lambda: make_model(args.model),
-                tries=args.tries,
-                policies=policies,
-                stop_at_first=args.stop_at_first,
-                max_steps=args.max_steps,
-                jobs=args.jobs,
-                job_timeout=args.timeout,
+                program, lambda: make_model(args.model), config,
                 progress=progress,
-                trace_cache=not args.no_cache,
                 on_outcome=event_log.on_outcome if event_log else None,
-                metrics=registry,
-                max_retries=args.max_retries,
-                retry_backoff=args.retry_backoff,
-                checkpoint=args.checkpoint_path,
-                resume=args.resume,
-                checkpoint_interval=args.checkpoint_interval,
-                cancel=cancel,
-                detector=args.detector,
-                batch_size=args.batch_size,
-                hunt_id=hunt_id,
-                verify_robustness=args.verify_robustness,
+                metrics=registry, cancel=cancel,
             )
         except (CheckpointError, ValueError) as exc:
             if event_log is not None:
@@ -913,7 +898,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                         "non_robust_tries": result.non_robust_tries,
                         "soundness": result.soundness,
                     }
-                    if result.verify_robustness else {}
+                    if result.soundness else {}
                 ),
             })
             event_log.close()
@@ -941,8 +926,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
             if args.save_recording and result.recording is not None:
                 print(f"recording written to {args.save_recording}")
-        if args.checkpoint_path:
-            print(f"hunt checkpoint written to {args.checkpoint_path}",
+        if config.checkpoint:
+            print(f"hunt checkpoint written to {config.checkpoint}",
                   file=sys.stderr)
         if result.interrupted:
             return 130

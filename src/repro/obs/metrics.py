@@ -18,14 +18,13 @@ get-or-create (:meth:`MetricsRegistry.counter` etc. return the existing
 instrument when the name is already registered, and raise on a
 type/label mismatch), so call sites never coordinate creation.
 
-Cross-process merge: fork workers (or repeated runs) serialize a
-registry with :meth:`MetricsRegistry.to_records` — plain dicts, cheap
-to pickle or JSON — and any registry folds them back in with
+Cross-process merge: another process (or a repeated run) serializes
+a registry with :meth:`MetricsRegistry.to_records` — plain dicts,
+cheap to pickle or JSON — and any registry folds them back in with
 :meth:`MetricsRegistry.merge_records`.  Counters and histograms sum,
 gauges keep the last value applied, time series interleave by
 timestamp and keep the newest ``capacity`` points; merging is
-commutative for everything except gauges (documented, and the hunt
-only sets gauges parent-side).
+commutative for everything except gauges.
 
 Like the profiler, collection is opt-in: the hunt engine folds
 per-outcome metrics into a registry only when one is active (one
@@ -67,14 +66,13 @@ name                           type       labels / meaning
                                           requests served
 =============================  =========  ==================================
 
-The fold is split across the batch wire (see
-:class:`repro.analysis.parallel.BatchOutcome`): pool workers pre-fold
-the *status-independent* instruments — the duration histogram and the
-cache-hit counter — into one ``to_records()`` payload per batch, which
-the parent ``merge_records()``s as batches arrive; the status counter
-(whose error→retried reclassification only the parent can decide) and
-every gauge/time series fold parent-side per outcome.  Totals are
-identical to the serial fold either way.
+Every instrument folds in the parent, one outcome at a time, whatever
+the executor: pool batches (:class:`repro.analysis.parallel.BatchOutcome`)
+already carry each try's duration and cache hit, so the parent folds
+the unfolded per-try stream exactly as the serial path does, and the
+totals cannot depend on the worker count.  Jobs skipped by an early
+stop never ran, so they count in ``hunt_tries_total{status="skipped"}``
+but add no ``hunt_job_duration_seconds`` sample.
 """
 
 from __future__ import annotations

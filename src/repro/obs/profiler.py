@@ -166,22 +166,6 @@ class AggregateRecord:
         if other.peak_rss_kb is not None:
             self.peak_rss_kb = max(self.peak_rss_kb or 0, other.peak_rss_kb)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AggregateRecord":
-        """Rebuild an aggregate from its :meth:`to_dict` wire form."""
-        return cls(
-            path=payload["path"],
-            count=int(payload.get("count", 0)),
-            total_sec=float(payload.get("total_sec", 0.0)),
-            min_sec=float(payload.get("min_sec", float("inf"))),
-            max_sec=float(payload.get("max_sec", 0.0)),
-            counters={
-                str(k): int(v)
-                for k, v in (payload.get("counters") or {}).items()
-            },
-            peak_rss_kb=payload.get("peak_rss_kb"),
-        )
-
     def to_dict(self) -> dict:
         return {
             "t": "agg",
@@ -197,14 +181,17 @@ class AggregateRecord:
 
 def aggregate_records(
     record_lists: Iterable[List[dict]],
+    into: Optional[Dict[str, AggregateRecord]] = None,
 ) -> Dict[str, AggregateRecord]:
     """Fold many flat span-record lists into per-path aggregates.
 
     Input elements are ``Profiler.to_records()`` outputs (one per
     worker job); the result maps span path -> totals, and is
-    deterministic for any input order (pure sums/extrema).
+    deterministic for any input order (pure sums/extrema).  With
+    *into*, the records fold into that map in place (and it is
+    returned), so a running hunt can accumulate job by job.
     """
-    out: Dict[str, AggregateRecord] = {}
+    out: Dict[str, AggregateRecord] = {} if into is None else into
     for records in record_lists:
         for rec in records:
             if rec.get("t") != "span":

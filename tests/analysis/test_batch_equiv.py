@@ -12,6 +12,7 @@ batching primitives (:func:`plan_batches`, :class:`BatchOutcome`,
 defensive pool shutdown.
 """
 
+import functools
 import json
 import multiprocessing
 import threading
@@ -20,13 +21,13 @@ import pytest
 
 from repro import faults
 from repro.analysis import sharedcache
-from repro.analysis.hunting import hunt_races
+from repro.analysis.hunting import HuntConfig, hunt_races
 from repro.analysis.parallel import (
     BatchOutcome,
     HuntJob,
     JobOutcome,
-    _HuntState,
     _PoolExecutor,
+    _execute_job,
     plan_batches,
     plan_jobs,
 )
@@ -161,16 +162,29 @@ def test_batched_resume_with_stop_at_first(tmp_path):
     assert resumed.recording_verified
 
 
-def test_metric_totals_identical_serial_vs_batched():
-    """The fold is split across the batch wire (duration histogram and
-    cache hits fold worker-side); the registry a caller sees must not
-    be able to tell."""
+@pytest.mark.parametrize("stop_at_first", [False, True])
+def test_metric_totals_identical_serial_vs_batched(stop_at_first):
+    """Every instrument folds parent-side from the unfolded per-try
+    stream; the registry a caller sees must not be able to tell the
+    batched pool from the serial loop.  Under early stop, jobs the pool
+    skipped never ran, so they add no duration sample."""
     registries = []
-    for jobs, batch_size in ((1, None), (4, 3)):
+    for jobs, batch_size in ((1, None), (2, 30) if stop_at_first else (4, 3)):
         reg = MetricsRegistry()
-        hunt_races(buggy_workqueue_program(), _wo, tries=12, jobs=jobs,
-                   batch_size=batch_size, metrics=reg)
+        hunt_races(buggy_workqueue_program(), _wo,
+                   tries=60 if stop_at_first else 12, jobs=jobs,
+                   batch_size=batch_size, metrics=reg,
+                   stop_at_first=stop_at_first)
         registries.append(reg)
+    if stop_at_first:
+        for reg in registries:
+            ran = sum(
+                entry["value"]
+                for entry in reg.get("hunt_tries_total").series()
+                if entry["labels"]["status"] != "skipped"
+            )
+            assert reg.get("hunt_job_duration_seconds").count() == ran
+        return
     serial, batched = registries
     tries_s = serial.get("hunt_tries_total")
     tries_b = batched.get("hunt_tries_total")
@@ -342,17 +356,18 @@ def test_cache_file_lifecycle(tmp_path, monkeypatch):
 # defensive pool shutdown (a stdlib reshape must degrade, not raise)
 # ----------------------------------------------------------------------
 
-def _pool_state():
-    return _HuntState(
-        racy_counter_program(), _wo,
-        [("stubborn", lambda: None)], max_steps=100, job_timeout=None,
-    )
+def _pool(stop_at_first):
+    config = HuntConfig(policies=[("stubborn", lambda: None)],
+                        max_steps=100, stop_at_first=stop_at_first)
+    run_job = functools.partial(
+        _execute_job, racy_counter_program(), _wo, config)
+    return _PoolExecutor(run_job, config, workers=2)
 
 
 def test_pool_close_degrades_without_private_worker_list():
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork start method unavailable")
-    executor = _PoolExecutor(_pool_state(), workers=2, stop_at_first=False)
+    executor = _pool(stop_at_first=False)
     # simulate a future stdlib that renames Pool._pool
     executor.pool._pool = None
     executor.close()  # must fall back to terminate(), not raise
@@ -362,6 +377,6 @@ def test_pool_close_degrades_without_private_worker_list():
 def test_pool_close_is_clean_on_untouched_pool():
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork start method unavailable")
-    executor = _PoolExecutor(_pool_state(), workers=2, stop_at_first=True)
+    executor = _pool(stop_at_first=True)
     executor.close()
     assert executor.cache_path is None

@@ -11,14 +11,13 @@ from repro.analysis.checkpoint import (
     CheckpointError,
     CheckpointMismatch,
     CheckpointWriter,
-    hunt_spec,
     load_checkpoint,
     outcome_from_payload,
     outcome_to_payload,
     program_fingerprint,
     save_checkpoint,
 )
-from repro.analysis.hunting import hunt_races
+from repro.analysis.hunting import HuntConfig, hunt_races, policies_by_name
 from repro.analysis.parallel import HuntJob, JobOutcome
 from repro.machine.models import make_model
 from repro.programs.kernels import locked_counter_program, racy_counter_program
@@ -29,10 +28,10 @@ def _wo():
 
 
 def _spec(program=None, **overrides):
-    spec = hunt_spec(
-        program or racy_counter_program(), "WO", 12,
-        ["stubborn", "ring"], 200_000, False,
-    )
+    program = program or racy_counter_program()
+    config = HuntConfig(tries=12, policies=policies_by_name(
+        ["stubborn", "ring"], program.processor_count))
+    spec = config.spec(program, "WO")
     spec.update(overrides)
     return spec
 
@@ -66,6 +65,19 @@ def test_hunt_spec_fields():
     assert spec["policies"] == ["stubborn", "ring"]
     assert spec["detector"] == "postmortem"
     assert spec["verify_robustness"] is False
+    # The derived identity, pinned literally: a field added to or
+    # dropped from HuntConfig.IDENTITY (or a changed program hash)
+    # fails here instead of silently breaking resume of old checkpoints.
+    assert spec == {
+        "program_sha": "bc4402a6512effef209120d553cdf79d",
+        "model": "WO",
+        "tries": 12,
+        "policies": ["stubborn", "ring"],
+        "max_steps": 200_000,
+        "stop_at_first": False,
+        "detector": "postmortem",
+        "verify_robustness": False,
+    }
 
 
 # ----------------------------------------------------------------------

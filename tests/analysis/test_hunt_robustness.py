@@ -15,13 +15,12 @@ import pytest
 
 from repro.analysis.checkpoint import (
     CheckpointMismatch,
-    hunt_spec,
     load_checkpoint,
     outcome_from_payload,
     outcome_to_payload,
     save_checkpoint,
 )
-from repro.analysis.hunting import hunt_races
+from repro.analysis.hunting import HuntConfig, hunt_races
 from repro.analysis.parallel import BatchOutcome, HuntJob, JobOutcome
 from repro.core.robustness import RobustnessReport
 from repro.machine.models import make_model
@@ -35,6 +34,12 @@ def _tso():
 
 def _sc():
     return make_model("SC")
+
+
+def _spec(verify_robustness=False):
+    config = HuntConfig(tries=8, policies=[("stubborn", None)],
+                        verify_robustness=verify_robustness)
+    return config.spec(store_buffering_program(), "TSO")
 
 
 def _hunt(jobs=1, tries=12, **kw):
@@ -167,16 +172,12 @@ class TestWireFormat:
 
 class TestCheckpointing:
     def test_spec_records_flag(self):
-        spec = hunt_spec(store_buffering_program(), "TSO", 8,
-                         ["stubborn"], 200_000, False,
-                         verify_robustness=True)
+        spec = _spec(verify_robustness=True)
         assert spec["verify_robustness"] is True
 
     def test_spec_mismatch_on_flip(self, tmp_path):
         path = tmp_path / "hunt.ckpt"
-        spec = hunt_spec(store_buffering_program(), "TSO", 8,
-                         ["stubborn"], 200_000, False,
-                         verify_robustness=False)
+        spec = _spec(verify_robustness=False)
         save_checkpoint(path, spec, [], complete=False)
         expected = dict(spec, verify_robustness=True)
         with pytest.raises(CheckpointMismatch, match="verify_robustness"):
@@ -184,8 +185,7 @@ class TestCheckpointing:
 
     def test_legacy_spec_loads_as_unverified(self, tmp_path):
         path = tmp_path / "hunt.ckpt"
-        spec = hunt_spec(store_buffering_program(), "TSO", 8,
-                         ["stubborn"], 200_000, False)
+        spec = _spec()
         del spec["verify_robustness"]
         save_checkpoint(path, spec, [], complete=False)
         loaded = load_checkpoint(path)

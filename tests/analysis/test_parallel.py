@@ -6,11 +6,10 @@ import time
 
 import pytest
 
-from repro.analysis.hunting import hunt_races
+from repro.analysis.hunting import HuntConfig, hunt_races
 from repro.analysis.parallel import (
     HuntJob,
     JobOutcome,
-    _HuntState,
     merge_outcomes,
     plan_jobs,
     run_hunt,
@@ -100,17 +99,21 @@ def _clean_outcomes(tries, policies):
     ]
 
 
+def _merge(program, outcomes, stop_at_first):
+    config = HuntConfig(tries=len(outcomes), max_steps=1000,
+                        policies=[("stubborn", StubbornPropagation)],
+                        stop_at_first=stop_at_first)
+    return merge_outcomes(program, _wo, config, outcomes, model_name="WO")
+
+
 def test_merge_is_independent_of_outcome_order():
-    state = _HuntState(
-        locked_counter_program(2, 2), _wo,
-        [("stubborn", StubbornPropagation)], 1000, None,
-    )
+    program = locked_counter_program(2, 2)
     outcomes = _clean_outcomes(9, ["stubborn"])
-    baseline = merge_outcomes(state, outcomes, stop_at_first=False)
+    baseline = _merge(program, outcomes, stop_at_first=False)
     for seed in range(5):
         shuffled = list(outcomes)
         random.Random(seed).shuffle(shuffled)
-        merged = merge_outcomes(state, shuffled, stop_at_first=False)
+        merged = _merge(program, shuffled, stop_at_first=False)
         assert merged.stats() == baseline.stats()
 
 
@@ -118,18 +121,15 @@ def test_merge_discards_overrun_beyond_first_racy():
     """With stop_at_first, workers may complete jobs past the first
     racy index before the broadcast reaches them; the merge must drop
     those so the result matches the serial prefix."""
-    state = _HuntState(
-        figure1a_program(), _wo,
-        [("stubborn", StubbornPropagation)], 1000, None,
-    )
+    program = figure1a_program()
     outcomes = _clean_outcomes(6, ["stubborn"])
     outcomes[2] = JobOutcome(job=outcomes[2].job, status="racy")
     outcomes[4] = JobOutcome(job=outcomes[4].job, status="skipped")
-    merged = merge_outcomes(state, outcomes, stop_at_first=True)
+    merged = _merge(program, outcomes, stop_at_first=True)
     assert merged.tries == 3
     assert merged.racy_runs == 1 and merged.clean_runs == 2
     # without the stop flag everything completed is counted
-    merged_all = merge_outcomes(state, outcomes, stop_at_first=False)
+    merged_all = _merge(program, outcomes, stop_at_first=False)
     assert merged_all.tries == 5  # the skipped job is never counted
 
 
@@ -202,12 +202,12 @@ def test_step_bound_runs_flagged():
 
 def test_run_hunt_validation():
     with pytest.raises(ValueError):
-        run_hunt(
-            racy_counter_program(), _wo, tries=0,
-            policies=[("stubborn", StubbornPropagation)],
-        )
+        run_hunt(racy_counter_program(), _wo, HuntConfig(
+            tries=0, policies=[("stubborn", StubbornPropagation)],
+        ))
     with pytest.raises(ValueError):
-        run_hunt(racy_counter_program(), _wo, tries=3, policies=[])
+        run_hunt(racy_counter_program(), _wo,
+                 HuntConfig(tries=3, policies=[]))
 
 
 def test_jobs_capped_at_job_count():

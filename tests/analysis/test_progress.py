@@ -6,7 +6,7 @@ every completed job."""
 
 import pytest
 
-from repro.analysis.hunting import hunt_races
+from repro.analysis.hunting import HuntConfig, hunt_races
 from repro.analysis.parallel import run_hunt
 from repro.machine.models import make_model
 from repro.machine.propagation import PropagationPolicy, StubbornPropagation
@@ -248,7 +248,7 @@ def test_run_hunt_observer_not_built_when_unused():
     """No registry and no on_outcome: run_hunt must not pay for an
     observer closure (the disabled-overhead contract)."""
     result = run_hunt(
-        racy_counter_program(), _wo, tries=2,
-        policies=[("stubborn", StubbornPropagation)],
+        racy_counter_program(), _wo,
+        HuntConfig(tries=2, policies=[("stubborn", StubbornPropagation)]),
     )
     assert result.tries == 2

@@ -5,7 +5,7 @@ and the merged result's invariance under retries."""
 import pytest
 
 from repro import faults
-from repro.analysis.hunting import hunt_races
+from repro.analysis.hunting import HuntConfig, hunt_races
 from repro.analysis.parallel import _retry_job, plan_jobs, run_hunt
 from repro.faults import FaultPlan
 from repro.machine.models import make_model
@@ -158,11 +158,14 @@ def test_run_hunt_rejects_bad_recovery_params():
     program = racy_counter_program()
     policies = [("stubborn", StubbornPropagation)]
     with pytest.raises(ValueError, match="max_retries"):
-        run_hunt(program, _wo, tries=2, policies=policies, max_retries=-1)
+        run_hunt(program, _wo, HuntConfig(tries=2, policies=policies,
+                                          max_retries=-1))
     with pytest.raises(ValueError, match="checkpoint_interval"):
-        run_hunt(program, _wo, tries=2, policies=policies,
-                 checkpoint_interval=0)
+        run_hunt(program, _wo, HuntConfig(tries=2, policies=policies,
+                                          checkpoint_interval=0))
     with pytest.raises(ValueError, match="resume requires"):
-        run_hunt(program, _wo, tries=2, policies=policies, resume=True)
+        run_hunt(program, _wo, HuntConfig(tries=2, policies=policies,
+                                          resume=True))
     with pytest.raises(ValueError, match="job_timeout"):
-        run_hunt(program, _wo, tries=2, policies=policies, job_timeout=0)
+        run_hunt(program, _wo, HuntConfig(tries=2, policies=policies,
+                                          job_timeout=0))

@@ -364,6 +364,26 @@ def test_hunt_serve_rejects_bad_address(capsys):
     assert "--serve expects HOST:PORT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, options", [
+    (["--tries", "0"], {"tries": 0}),
+    (["--jobs", "0"], {"jobs": 0}),
+    (["--timeout", "0"], {"job_timeout": 0}),
+    (["--max-retries", "-1"], {"max_retries": -1}),
+    (["--checkpoint-interval", "0"], {"checkpoint_interval": 0}),
+    (["--batch-size", "0"], {"batch_size": 0}),
+    (["--resume"], {"resume": True}),
+])
+def test_hunt_rejects_what_hunt_config_rejects(flags, options, capsys):
+    """The CLI owns no validation of its own: each bad value exits 2
+    with exactly the library's HuntConfig message."""
+    from repro.analysis.hunting import HuntConfig
+    with pytest.raises(ValueError) as excinfo:
+        HuntConfig(**options)
+    code = main(["hunt", "racy-counter", *flags])
+    assert code == 2
+    assert f"hunt: {excinfo.value}" in capsys.readouterr().err
+
+
 def test_hunt_profile_meta_carries_hunt_id(tmp_path, capsys):
     import json
     profile = tmp_path / "hunt.profile.jsonl"
