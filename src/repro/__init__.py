@@ -55,7 +55,6 @@ from .core import (
     Condition34Report,
     RobustnessReport,
     FirstRaceOnTheFlyDetector,
-    locate_first_races_on_the_fly,
     EventRace,
     HappensBefore1,
     OnTheFlyDetector,
@@ -102,7 +101,7 @@ from .programs import (
     run_figure2,
 )
 from .staticanalysis import StaticReport, find_static_races
-from .trace import Trace, build_trace, read_trace, write_trace
+from .trace import Trace, build_trace, write_trace
 
 __version__ = "1.0.0"
 
@@ -138,7 +137,6 @@ __all__ = [
     "OnTheFlyDetector",
     "OnTheFlyReport",
     "FirstRaceOnTheFlyDetector",
-    "locate_first_races_on_the_fly",
     "PartitionAnalysis",
     "PostMortemDetector",
     "RacePartition",
@@ -174,7 +172,6 @@ __all__ = [
     "run_figure2",
     "Trace",
     "build_trace",
-    "read_trace",
     "write_trace",
     "__version__",
 ]

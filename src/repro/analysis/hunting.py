@@ -162,7 +162,7 @@ class HuntResult:
     # in to_json() with the detector, for the same reason.
     certified_races: int = 0
     # Telemetry correlation id (repro.analysis.checkpoint.make_hunt_id).
-    # The same id appears in the metrics registry's hunt_info gauge,
+    # The same id appears in the metrics registry's hunt-info gauge,
     # the event log's meta record, the checkpoint, and profile exports;
     # run metadata only, so stats()/summary() stay byte-identical.
     hunt_id: Optional[str] = None

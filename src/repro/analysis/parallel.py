@@ -58,7 +58,8 @@ has accumulated, so failures must cost one job, not the run):
   fails *identically* twice in a row is classified deterministic and
   surfaced as a failure instead of being retried again.  Retried
   attempts are visible to the outcome subscribers
-  (``hunt_tries_total{status="retried"}``, event-log ``try`` records)
+  (a ``status="retried"`` try record, counted by the metrics fold and
+  written to the event log)
   but never change the merged statistics.
 * With ``checkpoint=PATH`` the parent periodically persists every
   settled outcome (atomically — see :mod:`repro.analysis.checkpoint`);
@@ -128,6 +129,7 @@ from ..machine.replay import (
     verify_recording,
 )
 from ..core.provenance import partition_coverage_keys
+from ..obs.events import try_record
 from ..obs.profiler import AggregateRecord, merge_aggregate_maps
 from ..trace.build import build_trace
 from ..trace.fingerprint import trace_fingerprint
@@ -976,127 +978,6 @@ def merge_outcomes(
 
 
 # ----------------------------------------------------------------------
-# telemetry: the parent-side metrics fold of the outcome stream
-# ----------------------------------------------------------------------
-
-#: The hunt metric family (see the table in :mod:`repro.obs.metrics`),
-#: each instrument declared once: (attribute, kind, name, help, labels).
-_HUNT_INSTRUMENTS = (
-    ("tries", "counter", "hunt_tries_total",
-     "hunt jobs by policy, outcome, and detector",
-     ("policy", "status", "detector")),
-    ("cache_hits", "counter", "hunt_trace_cache_hits_total",
-     "analyses served from the trace cache", ()),
-    ("failures", "counter", "hunt_failures_total",
-     "settled job failures by retry classification", ("kind",)),
-    ("robust", "counter", "hunt_robust_tries_total",
-     "robustness verdicts on verified hunt tries", ("model", "verdict")),
-    ("duration", "histogram", "hunt_job_duration_seconds",
-     "per-job wall time", ()),
-    ("done", "gauge", "hunt_done", "completed jobs", ()),
-    ("total", "gauge", "hunt_total", "planned jobs", ()),
-    ("racy", "gauge", "hunt_racy", "racy runs so far", ()),
-    ("elapsed", "gauge", "hunt_elapsed_seconds",
-     "wall time since the hunt began", ()),
-    ("throughput", "timeseries", "hunt_throughput",
-     "(elapsed, jobs/sec) samples", ()),
-    ("fingerprints", "gauge", "hunt_coverage_fingerprints",
-     "distinct trace fingerprints seen this hunt", ()),
-    ("partitions", "gauge", "hunt_coverage_provenance_partitions",
-     "distinct first-race provenance partition signatures", ()),
-    ("coverage", "timeseries", "hunt_coverage",
-     "(elapsed, distinct count) growth curve", ("kind",)),
-    ("info", "gauge", "hunt_info",
-     "constant 1; labels join scrapes to events/checkpoints/results",
-     ("hunt_id", "detector", "model")),
-)
-
-
-class _HuntMetrics:
-    """Folds the outcome stream into a metrics registry, parent-side
-    only, so gauge last-wins semantics are safe.
-
-    Construction registers the whole family up front, so a scrape
-    racing the first settled outcome still sees every family (with zero
-    samples) and ``hunt_info`` joins the scrape to the hunt's other
-    surfaces.  Retried attempts land in
-    ``hunt_tries_total{status="retried"}`` without advancing the job
-    gauges; skipped jobs never ran, so they add no duration sample.
-
-    The coverage fold tracks the distinct trace fingerprints and
-    first-race provenance partition signatures of settled outcomes —
-    restored ones included, so a resumed hunt's coverage gauges pick up
-    where the original left off.  The sets live here; the registry only
-    ever sees their cardinalities.
-    """
-
-    def __init__(self, registry, config: HuntConfig, model_name: str,
-                 hunt_id: str, restored: Sequence[JobOutcome],
-                 start: float) -> None:
-        self.registry = registry
-        self.detector = config.detector
-        self.model = model_name
-        self.start = start
-        self.seen_fingerprints: set = set()
-        self.seen_partitions: set = set()
-        # The hold() lock only matters when a telemetry server shares
-        # the registry; without one it is uncontended and effectively
-        # free (one RLock acquire per outcome, parent-side).
-        with registry.hold():
-            for attr, kind, name, help_text, labels in _HUNT_INSTRUMENTS:
-                setattr(self, attr, getattr(registry, kind)(
-                    name, help_text, labels=labels))
-            for gauge in (self.elapsed, self.fingerprints, self.partitions):
-                gauge.set(0)
-            self.done.set(len(restored))
-            self.racy.set(sum(1 for o in restored if o.status == "racy"))
-            self.total.set(config.tries)
-            self.info.set(1, hunt_id=hunt_id, detector=config.detector,
-                          model=model_name)
-            for outcome in restored:
-                self._cover(outcome, 0.0)
-
-    def __call__(self, outcome: JobOutcome, done: int, racy: int) -> None:
-        elapsed = time.perf_counter() - self.start
-        with self.registry.hold():
-            self.tries.inc(policy=outcome.job.policy_name,
-                           status=outcome.status, detector=self.detector)
-            if outcome.status != "skipped":
-                self.duration.observe(outcome.duration)
-            if outcome.cache_hit:
-                self.cache_hits.inc()
-            if outcome.status == "error":
-                self.failures.inc(kind=outcome.failure_kind or "unretried")
-            if outcome.robust is not None:
-                self.robust.inc(
-                    model=self.model,
-                    verdict="robust" if outcome.robust else "non-robust",
-                )
-            self.done.set(done)
-            self.racy.set(racy)
-            self.elapsed.set(elapsed)
-            if elapsed > 0:
-                self.throughput.record(elapsed, done / elapsed)
-            if outcome.status in ("racy", "clean"):
-                self._cover(outcome, elapsed)
-
-    def _cover(self, outcome: JobOutcome, elapsed: float) -> None:
-        fingerprints = (outcome.fingerprint,) if outcome.fingerprint else ()
-        for seen, gauge, kind, keys in (
-            (self.seen_fingerprints, self.fingerprints, "fingerprints",
-             fingerprints),
-            (self.seen_partitions, self.partitions, "partitions",
-             outcome.partition_keys),
-        ):
-            fresh = set(keys) - seen
-            if fresh:
-                seen |= fresh
-                gauge.set(len(seen))
-                if elapsed > 0:
-                    self.coverage.record(elapsed, len(seen), kind=kind)
-
-
-# ----------------------------------------------------------------------
 # engine entry point
 # ----------------------------------------------------------------------
 
@@ -1188,8 +1069,15 @@ def run_hunt(
     settled: List[JobOutcome] = list(restored)
     subscribers: List[OutcomeSubscriber] = []
     if registry is not None:
-        subscribers.append(_HuntMetrics(
-            registry, config, model_name, hunt_id, restored, start))
+        fold = obs.metrics.HuntMetrics(
+            registry, total=config.tries, model=model_name,
+            detector=config.detector, hunt_id=hunt_id)
+        fold.restore(try_record(o, config.detector) for o in restored)
+
+        def _metrics(outcome: JobOutcome, done: int, racy: int) -> None:
+            fold.fold(try_record(outcome, config.detector),
+                      time.perf_counter() - start)
+        subscribers.append(_metrics)
     if on_outcome is not None:
         subscribers.append(lambda outcome, done, racy: on_outcome(outcome))
     if progress is not None:

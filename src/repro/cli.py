@@ -689,6 +689,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "events":
         from .obs import events as obs_events
+        from .obs.top import TopSnapshot, render_summary
         problems, warnings = obs_events.check_events(args.file)
         for warning in warnings:
             print(f"{args.file}: warning: {warning}", file=sys.stderr)
@@ -697,15 +698,16 @@ def _dispatch(args: argparse.Namespace) -> int:
                 print(f"{args.file}: {problem}", file=sys.stderr)
             return 2
         loaded = obs_events.read_events(args.file)
+        snap = TopSnapshot.from_events(loaded, source=args.file)
         if args.as_json:
             payload = dict(loaded)
-            payload["breakdown"] = obs_events.summary_data(loaded)
+            payload["breakdown"] = snap.breakdown()
             print(json.dumps(payload, indent=2, sort_keys=True))
         elif args.tail is not None:
             for record in loaded["tries"][-max(args.tail, 0):]:
                 print(obs_events.format_try(record))
         else:
-            print(obs_events.summarize_events(loaded))
+            print(render_summary(snap, loaded))
         return 0
 
     if args.command == "explain":
@@ -805,15 +807,11 @@ def _dispatch(args: argparse.Namespace) -> int:
                 return 2
         registry = None
         status_line = None
-        progress = None
         if args.live:
             registry = obs_metrics.MetricsRegistry()
             status_line = HuntStatusLine(registry=registry)
-            progress = status_line.progress
         elif sys.stderr.isatty() and not args.as_json:
-            def progress(done: int, total: int, racy: int) -> None:
-                print(f"\rhunt: {done}/{total} executions, {racy} racy",
-                      end="", file=sys.stderr, flush=True)
+            status_line = HuntStatusLine(registry=None)
         server = None
         if serve_address is not None:
             from .obs.server import TelemetryServer
@@ -854,7 +852,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         try:
             result = hunt_races(
                 program, lambda: make_model(args.model), config,
-                progress=progress,
+                progress=status_line.progress if status_line else None,
                 on_outcome=event_log.on_outcome if event_log else None,
                 metrics=registry, cancel=cancel,
             )
@@ -871,8 +869,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             if status_line is not None:
                 status_line.finish(
                     note="interrupted" if cancel.is_set() else None)
-            elif progress is not None:
-                print(file=sys.stderr)  # end the live status line
         if event_log is not None:
             event_log.write_stages(result.stage_profile)
             event_log.write_summary({

@@ -19,8 +19,6 @@ sequentially consistent execution.
 
 from __future__ import annotations
 
-import warnings
-
 from .. import obs
 from ..machine.simulator import ExecutionResult
 from ..trace.build import Trace, build_trace
@@ -60,26 +58,3 @@ class PostMortemDetector:
     def analyze_execution(self, result: ExecutionResult) -> RaceReport:
         """Instrument a simulated execution and analyze it."""
         return self.analyze(build_trace(result))
-
-
-def detect(trace_or_result) -> RaceReport:
-    """Deprecated convenience path; use :func:`repro.detect`.
-
-    Kept (with its original Trace-or-ExecutionResult contract, so a
-    path still raises ``TypeError``) for callers that imported it from
-    ``repro.core.detector``; ``repro.detect`` accepts trace-file paths
-    and selects among detector variants.
-    """
-    warnings.warn(
-        "repro.core.detector.detect is deprecated; use repro.detect",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not isinstance(trace_or_result, (Trace, ExecutionResult)):
-        raise TypeError(
-            f"expected Trace or ExecutionResult, "
-            f"got {type(trace_or_result).__name__}"
-        )
-    from ..api import detect as unified_detect
-
-    return unified_detect(trace_or_result)

@@ -4,12 +4,18 @@ Two complementary layers:
 
 * the span profiler (:mod:`repro.obs.profiler` + :mod:`repro.obs.export`)
   answers "where did the time go" for one bounded run;
-* the telemetry layer (:mod:`repro.obs.metrics` typed registry,
-  :mod:`repro.obs.events` structured JSONL event log,
-  :mod:`repro.obs.live` status line, :mod:`repro.obs.exporters`
-  Prometheus exposition, :mod:`repro.obs.server` HTTP endpoint, and
-  :mod:`repro.obs.top` dashboard) answers "what is happening right
-  now" for long-running hunts.
+* the telemetry layer answers "what is happening right now" for
+  long-running hunts.  One outcome stream feeds one snapshot model:
+  :mod:`repro.obs.events` builds each try record (and writes the
+  structured JSONL event log); :mod:`repro.obs.metrics` holds the
+  typed registry, the hunt metric family and the fold of try records
+  into it; :mod:`repro.obs.top` turns a registry, a ``/status``
+  payload or a replayed event log into one ``TopSnapshot``, which the
+  dashboard, the :mod:`repro.obs.live` status line, ``weakraces
+  events`` and the :mod:`repro.obs.server` HTTP endpoint all render.
+  :mod:`repro.obs.prometheus` is the Prometheus text exposition (and
+  its strict parser); :mod:`repro.obs.export` is the profile JSONL
+  schema.
 
 The hot path calls :func:`span`/:func:`count` (near-zero-cost no-ops
 until a :class:`Profiler` is activated); CLI/API entry points activate
@@ -20,10 +26,10 @@ and the file schemas.
 
 from . import events, live, metrics
 
-# exporters/server/top are deliberately NOT imported here: each is
-# also an entry point (``python -m repro.obs.exporters``) or pulls in
-# http/urllib machinery the hot path never needs — import them as
-# submodules (``from repro.obs import server``) on demand.
+# prometheus/server are deliberately NOT imported here: each is also
+# an entry point (``python -m repro.obs.prometheus``) or pulls in http
+# machinery the hot path never needs — import them as submodules
+# (``from repro.obs import server``) on demand.
 from .profiler import (
     NULL_SPAN,
     AggregateRecord,

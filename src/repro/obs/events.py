@@ -33,6 +33,10 @@ The schema (``EVENTS_FORMAT`` = 1) is JSON-lines:
 * ``{"t": "summary", ...}`` — the run's closing totals (a subset of
   ``HuntResult.to_json()``).
 
+:func:`try_record` builds each ``try`` record, and the metrics fold
+(:class:`repro.obs.metrics.HuntMetrics`) reads the same records, so a
+log replays into the counts a live registry shows.
+
 :func:`check_events` checks a file against this schema — including
 rejecting unknown ``schema`` versions — and ``weakraces events FILE``
 validates, summarizes, or tails a log.  Records are flushed per line,
@@ -100,6 +104,41 @@ class EventLogWriter:
         return False
 
 
+def try_record(outcome, detector: str = "") -> dict:
+    """The ``try`` record of one job outcome (duck-typed
+    :class:`repro.analysis.parallel.JobOutcome`): what the event log
+    writes, and what :class:`repro.obs.metrics.HuntMetrics` folds."""
+    record = {
+        "t": "try",
+        "index": outcome.job.index,
+        "seed": outcome.job.seed,
+        "policy": outcome.job.policy_name,
+        "status": outcome.status,
+        "duration_sec": round(outcome.duration, 6),
+        "cache_hit": outcome.cache_hit,
+        "fingerprint": outcome.fingerprint,
+        "races": outcome.race_count,
+        "operations": outcome.operations,
+        "completed": outcome.completed,
+        "error": outcome.error,
+        "attempt": outcome.job.attempt,
+        "retries": outcome.retries,
+        "certified": getattr(outcome, "certified_races", 0),
+    }
+    if detector:
+        record["detector"] = detector
+    failure_kind = getattr(outcome, "failure_kind", "")
+    if failure_kind:
+        record["failure_kind"] = failure_kind
+    partitions = getattr(outcome, "partition_keys", ())
+    if partitions:
+        record["partitions"] = list(partitions)
+    robust = getattr(outcome, "robust", None)
+    if robust is not None:
+        record["robust"] = robust
+    return record
+
+
 class HuntEventLog:
     """The hunt's event stream: one ``try`` record per job outcome.
 
@@ -121,38 +160,9 @@ class HuntEventLog:
         return self.writer.path
 
     def on_outcome(self, outcome) -> None:
-        """Record one job outcome (duck-typed
-        :class:`repro.analysis.parallel.JobOutcome`)."""
+        """Record one job outcome (see :func:`try_record`)."""
         self.tries += 1
-        record = {
-            "t": "try",
-            "index": outcome.job.index,
-            "seed": outcome.job.seed,
-            "policy": outcome.job.policy_name,
-            "status": outcome.status,
-            "duration_sec": round(outcome.duration, 6),
-            "cache_hit": outcome.cache_hit,
-            "fingerprint": outcome.fingerprint,
-            "races": outcome.race_count,
-            "operations": outcome.operations,
-            "completed": outcome.completed,
-            "error": outcome.error,
-            "attempt": outcome.job.attempt,
-            "retries": outcome.retries,
-            "certified": getattr(outcome, "certified_races", 0),
-        }
-        if self.detector:
-            record["detector"] = self.detector
-        failure_kind = getattr(outcome, "failure_kind", "")
-        if failure_kind:
-            record["failure_kind"] = failure_kind
-        partitions = getattr(outcome, "partition_keys", ())
-        if partitions:
-            record["partitions"] = list(partitions)
-        robust = getattr(outcome, "robust", None)
-        if robust is not None:
-            record["robust"] = robust
-        self.writer.write(record)
+        self.writer.write(try_record(outcome, self.detector))
 
     def write_stages(self, stage_profile: Optional[Dict[str, dict]]) -> None:
         """Append one ``stage`` record per aggregated span path (from
@@ -184,7 +194,7 @@ class HuntEventLog:
 
 
 # ----------------------------------------------------------------------
-# read-back, validation, summarization
+# read-back, validation, the tail view
 # ----------------------------------------------------------------------
 
 def read_events(path: Union[str, Path]) -> Dict[str, object]:
@@ -296,130 +306,3 @@ def format_try(record: dict) -> str:
         f"races={record['races']:<3} "
         f"{record['duration_sec'] * 1000:7.2f}ms{fp}{suffix}"
     )
-
-
-def summary_data(loaded: Dict[str, object]) -> Dict[str, object]:
-    """Machine-readable aggregation of a loaded event log: per-policy
-    and per-detector breakdowns plus totals.  This is what ``weakraces
-    events --json`` attaches under ``"breakdown"`` and what the
-    ``top --events`` dashboard renders.
-
-    The detector of a try resolves from the record's own ``detector``
-    field (newer writers) falling back to the meta record's; logs
-    written before either existed aggregate under ``""`` and the
-    per-detector table is simply empty.
-    """
-    meta = loaded.get("meta") or {}
-    tries: List[dict] = loaded.get("tries") or []  # type: ignore[assignment]
-    ran = [t for t in tries if t["status"] not in ("skipped", "retried")]
-    per_policy: Dict[str, Dict[str, int]] = {}
-    per_detector: Dict[str, Dict[str, int]] = {}
-    by_status: Dict[str, int] = {}
-    failures_by_kind: Dict[str, int] = {}
-    meta_detector = meta.get("detector") if isinstance(meta, dict) else None
-    for record in ran:
-        racy = record["status"] == "racy"
-        by_status[record["status"]] = by_status.get(record["status"], 0) + 1
-        policy = per_policy.setdefault(
-            record["policy"], {"tries": 0, "racy": 0})
-        policy["tries"] += 1
-        policy["racy"] += racy
-        detector = record.get("detector") or meta_detector
-        if detector:
-            cell = per_detector.setdefault(
-                str(detector), {"tries": 0, "racy": 0, "certified": 0})
-            cell["tries"] += 1
-            cell["racy"] += racy
-            if racy:
-                cell["certified"] += int(record.get("certified", 0) or 0)
-        if record["status"] == "error":
-            kind = record.get("failure_kind") or "unretried"
-            failures_by_kind[kind] = failures_by_kind.get(kind, 0) + 1
-    return {
-        "tries": len(ran),
-        "skipped": sum(1 for t in tries if t["status"] == "skipped"),
-        "retried": sum(1 for t in tries if t["status"] == "retried"),
-        "by_status": by_status,
-        "per_policy": per_policy,
-        "per_detector": per_detector,
-        "failures_by_kind": failures_by_kind,
-        "cache_hits": sum(1 for t in ran if t.get("cache_hit")),
-    }
-
-
-def summarize_events(loaded: Dict[str, object]) -> str:
-    """Aggregate a loaded event log (see :func:`read_events`) into a
-    human-readable summary: totals, per-policy racy rates, cache hit
-    rate, duration percentiles, and the stage table when present."""
-    meta = loaded.get("meta") or {}
-    tries: List[dict] = loaded.get("tries") or []  # type: ignore[assignment]
-    stages: List[dict] = loaded.get("stages") or []  # type: ignore[assignment]
-    lines: List[str] = []
-    context = " ".join(
-        f"{key}={meta[key]}" for key in ("workload", "model", "jobs")
-        if key in meta
-    )
-    lines.append(f"hunt event log{': ' + context if context else ''}")
-    # Retried attempts were superseded by a later attempt of the same
-    # job; keep them out of the racy-rate and duration statistics.
-    ran = [t for t in tries
-           if t["status"] not in ("skipped", "retried")]
-    skipped = sum(1 for t in tries if t["status"] == "skipped")
-    retried = sum(1 for t in tries if t["status"] == "retried")
-    by_status: Dict[str, int] = {}
-    for record in ran:
-        by_status[record["status"]] = by_status.get(record["status"], 0) + 1
-    status_text = ", ".join(
-        f"{count} {status}" for status, count in sorted(by_status.items())
-    )
-    lines.append(
-        f"  {len(ran)} tries ({status_text or 'none'})"
-        + (f", {skipped} skipped by early stop" if skipped else "")
-        + (f", {retried} retried attempt(s)" if retried else "")
-    )
-    cache_hits = sum(1 for record in ran if record.get("cache_hit"))
-    if ran:
-        lines.append(
-            f"  trace cache: {cache_hits}/{len(ran)} hits "
-            f"({cache_hits / len(ran):.0%})"
-        )
-        durations = sorted(record["duration_sec"] for record in ran)
-
-        def pct(q: float) -> float:
-            return durations[min(int(q * len(durations)), len(durations) - 1)]
-
-        lines.append(
-            f"  job duration: p50={pct(0.5) * 1000:.2f}ms "
-            f"p95={pct(0.95) * 1000:.2f}ms max={durations[-1] * 1000:.2f}ms"
-        )
-    per_policy: Dict[str, List[int]] = {}
-    for record in ran:
-        racy, total = per_policy.setdefault(record["policy"], [0, 0])
-        per_policy[record["policy"]] = [
-            racy + (record["status"] == "racy"), total + 1,
-        ]
-    for policy, (racy, total) in sorted(per_policy.items()):
-        lines.append(f"  {policy}: {racy}/{total} racy")
-    per_detector = summary_data(loaded)["per_detector"]
-    if per_detector:
-        lines.append("  detectors:")
-        for detector, cell in sorted(per_detector.items()):  # type: ignore
-            lines.append(
-                f"    {detector}: {cell['racy']}/{cell['tries']} racy, "
-                f"{cell['certified']} certified race(s)"
-            )
-    if stages:
-        lines.append("  stages (aggregated across workers):")
-        for record in stages:
-            lines.append(
-                f"    {record['path']}: n={record['count']} "
-                f"total={record['total_sec'] * 1000:.2f}ms"
-            )
-    summary = loaded.get("summary")
-    if isinstance(summary, dict) and "elapsed_sec" in summary:
-        lines.append(
-            f"  run total: {summary.get('tries')} tries in "
-            f"{summary['elapsed_sec']}s "
-            f"({summary.get('executions_per_sec', '?')} exec/s)"
-        )
-    return "\n".join(lines)

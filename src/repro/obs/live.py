@@ -1,9 +1,10 @@
 """repro.obs.live — a rolling status line for long-running hunts.
 
-``weakraces hunt --live`` attaches a :class:`HuntStatusLine` to the
-hunt's progress callback.  Each tick reads the active
-:class:`~repro.obs.metrics.MetricsRegistry` (throughput samples, cache
-hits, racy fraction) and repaints one ``\\r``-terminated line::
+``weakraces hunt`` attaches a :class:`HuntStatusLine` to the hunt's
+progress callback (with ``--live`` it also reads the hunt's
+:class:`~repro.obs.metrics.MetricsRegistry`; on a plain terminal it
+shows progress alone).  Each paint renders a
+:class:`~repro.obs.top.TopSnapshot` as one ``\\r``-terminated line::
 
     hunt  37/256 (14%)  312.4 jobs/s  racy 12%  cache 48%  eta 0.7s
 
@@ -18,6 +19,7 @@ import time
 from typing import Optional, TextIO
 
 from . import metrics as _metrics
+from .top import TopSnapshot
 
 
 def _format_eta(seconds: float) -> str:
@@ -31,13 +33,11 @@ def _format_eta(seconds: float) -> str:
 
 
 class HuntStatusLine:
-    """Renders hunt progress from the metrics registry.
+    """Renders hunt progress as a throttled status line.
 
-    Use :meth:`progress` as the hunt's progress callback; it updates
-    the registry-independent fallbacks (done/total/racy) and repaints.
-    The registry — when one is collecting — supplies the derived rates:
-    throughput from the ``hunt_throughput`` time series, cache hit rate
-    from ``hunt_trace_cache_hits_total``.
+    :meth:`progress` is the hunt's progress callback (done/total/racy);
+    *registry*, else the active one, adds the throughput sample, cache
+    hits and skipped jobs through a :class:`~repro.obs.top.TopSnapshot`.
     """
 
     def __init__(self, registry: Optional[_metrics.MetricsRegistry] = None,
@@ -51,9 +51,7 @@ class HuntStatusLine:
         self._started = clock()
         self._last_paint = 0.0
         self._last_width = 0
-        self._done = 0
-        self._total = 0
-        self._racy = 0
+        self._done = self._total = self._racy = 0
 
     # -- progress-callback protocol ------------------------------------
     def progress(self, done: int, total: int, racy: int) -> None:
@@ -68,38 +66,35 @@ class HuntStatusLine:
                final: bool = False, note: Optional[str] = None) -> str:
         """The status line for the current state (no I/O).
 
-        With *final* the line describes a hunt that has stopped: the
-        rate is the whole-run average (``done / elapsed``, never a
-        stale mid-run throughput sample) and no ETA is shown — an ETA
-        or an old rate on the terminal's last line would misreport a
-        hunt that early-stopped or was interrupted.  *note* appends a
+        The rate is the registry's latest throughput sample, else
+        ``done / elapsed``.  With *final* the line describes a hunt
+        that has stopped: the rate is the whole-run average (never a
+        stale mid-run sample) and no ETA is shown.  *note* appends a
         trailing marker (e.g. ``interrupted``).
         """
         if elapsed is None:
             elapsed = self._clock() - self._started
-        done, total, racy = self._done, self._total, self._racy
         registry = self.registry if self.registry is not None \
             else _metrics.active()
+        if registry is None:
+            snap = TopSnapshot()
+        else:
+            with registry.hold():
+                snap = TopSnapshot.from_registry(registry)
+        # the progress feed is this line's source for the counts
+        snap.done, snap.total, snap.racy = self._done, self._total, self._racy
+        done, total = snap.done, snap.total
         rate = done / elapsed if elapsed > 0 else 0.0
-        cache_text = ""
-        if registry is not None:
-            if not final:
-                throughput = registry.get("hunt_throughput")
-                if isinstance(throughput, _metrics.TimeSeries):
-                    latest = throughput.latest()
-                    if latest is not None:
-                        rate = latest[1]
-            hits = registry.get("hunt_trace_cache_hits_total")
-            if isinstance(hits, _metrics.Counter) and done:
-                cache_text = f"  cache {hits.total() / done:.0%}"
+        if not final and snap.throughput is not None:
+            rate = snap.throughput
         parts = [f"hunt {done}/{total}"]
         if total:
             parts.append(f"({done / total:.0%})")
         parts.append(f"{rate:.1f} jobs/s")
-        if done:
-            parts.append(f"racy {racy / done:.0%}")
-        if cache_text:
-            parts.append(cache_text.strip())
+        if snap.ran:
+            parts.append(f"racy {snap.racy / snap.ran:.0%}")
+            if snap.cache_hits:
+                parts.append(f"cache {snap.cache_hits / snap.ran:.0%}")
         if not final and rate > 0 and total > done:
             parts.append(f"eta {_format_eta((total - done) / rate)}")
         if note:

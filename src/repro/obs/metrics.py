@@ -31,48 +31,13 @@ per-outcome metrics into a registry only when one is active (one
 module-attribute check per *hunt*, not per job), so the disabled-mode
 overhead budget of ``benchmarks/bench_profiling.py`` is unaffected.
 
-Hunt metric names (written by :func:`repro.analysis.parallel.run_hunt`,
-read by :class:`repro.obs.live.HuntStatusLine`):
-
-=============================  =========  ==================================
-name                           type       labels / meaning
-=============================  =========  ==================================
-``hunt_tries_total``           Counter    ``policy``, ``status`` (racy |
-                                          clean | error | skipped, plus
-                                          ``retried`` for attempts a
-                                          later retry superseded),
-                                          ``detector`` (the hunt's
-                                          analysis backend)
-``hunt_trace_cache_hits_total``  Counter  analyses served from the cache
-``hunt_job_duration_seconds``  Histogram  per-job wall time
-``hunt_done`` / ``hunt_total``  Gauge     completed / planned jobs
-``hunt_racy``                  Gauge      racy runs so far
-``hunt_elapsed_seconds``       Gauge      wall time since the hunt began
-``hunt_throughput``            TimeSeries ``(elapsed, jobs/sec)`` samples
-``hunt_failures_total``        Counter    ``kind`` — settled-error
-                                          classification (deterministic
-                                          | exhausted | unretried)
-``hunt_info``                  Gauge      ``hunt_id``, ``detector``,
-                                          ``model`` — constant ``1``;
-                                          joins scrapes to event logs,
-                                          checkpoints, and results
-``hunt_coverage_fingerprints`` Gauge     distinct trace fingerprints
-``hunt_coverage_provenance_partitions``  Gauge — distinct first-race
-                                          provenance partition signatures
-``hunt_coverage``              TimeSeries ``(elapsed, count)`` growth
-                                          curve, labelled ``kind``
-                                          (fingerprints | partitions)
-``hunt_scrapes_total``         Counter    ``endpoint`` — telemetry-server
-                                          requests served
-=============================  =========  ==================================
-
-Every instrument folds in the parent, one outcome at a time, whatever
-the executor: pool batches (:class:`repro.analysis.parallel.BatchOutcome`)
-already carry each try's duration and cache hit, so the parent folds
-the unfolded per-try stream exactly as the serial path does, and the
-totals cannot depend on the worker count.  Jobs skipped by an early
-stop never ran, so they count in ``hunt_tries_total{status="skipped"}``
-but add no ``hunt_job_duration_seconds`` sample.
+The hunt metric family is declared once, in :data:`HUNT_FAMILY` at the
+foot of this module — every hunt metric name lives here alone, and
+``docs/detection_pipeline.md`` ("Observability") tabulates it.
+:class:`HuntMetrics` folds try records (:func:`repro.obs.events.try_record`,
+the event-log schema) into it, in the parent, one outcome at a time,
+whatever the executor — so totals cannot depend on the worker count;
+:meth:`repro.obs.top.TopSnapshot.from_registry` is its one reader.
 """
 
 from __future__ import annotations
@@ -90,6 +55,10 @@ __all__ = [
     "collect",
     "enabled",
     "DEFAULT_BUCKETS",
+    "HUNT_FAMILY",
+    "HuntMetrics",
+    "count_scrape",
+    "hunt_family",
 ]
 
 #: Default histogram bucket upper bounds (seconds-flavoured, like the
@@ -249,6 +218,11 @@ class Histogram(_Instrument):
         if not cell or cell[1] == 0:
             return None
         return cell[2] / cell[1]
+
+    def buckets(self, **labels: str) -> List[int]:
+        """Per-bucket (non-cumulative) counts, the +inf bucket last."""
+        cell = self._data.get(self._key(labels))
+        return list(cell[0]) if cell else [0] * (len(self.bounds) + 1)
 
     def quantile(self, q: float, **labels: str) -> Optional[float]:
         """Estimate the *q*-quantile (0..1) from the bucket counts.
@@ -536,3 +510,148 @@ def collect(registry: Optional[MetricsRegistry] = None) -> _Collection:
                           labels=("policy", "status", "detector")).total())
     """
     return _Collection(registry if registry is not None else MetricsRegistry())
+
+
+# ----------------------------------------------------------------------
+# the hunt family and its fold
+# ----------------------------------------------------------------------
+
+#: The hunt metric family, each instrument declared once: (fold
+#: attribute, kind, name, help, labels).
+HUNT_FAMILY = (
+    ("tries", "counter", "hunt_tries_total",
+     "hunt jobs by policy, outcome, and detector",
+     ("policy", "status", "detector")),
+    ("cache_hits", "counter", "hunt_trace_cache_hits_total",
+     "analyses served from the trace cache", ()),
+    ("certified", "counter", "hunt_certified_races_total",
+     "certified races on racy hunt tries", ("detector",)),
+    ("failures", "counter", "hunt_failures_total",
+     "settled job failures by retry classification", ("kind",)),
+    ("robust", "counter", "hunt_robust_tries_total",
+     "robustness verdicts on verified hunt tries", ("model", "verdict")),
+    ("duration", "histogram", "hunt_job_duration_seconds",
+     "per-job wall time", ()),
+    ("done", "gauge", "hunt_done", "completed jobs", ()),
+    ("total", "gauge", "hunt_total", "planned jobs", ()),
+    ("racy", "gauge", "hunt_racy", "racy runs so far", ()),
+    ("elapsed", "gauge", "hunt_elapsed_seconds",
+     "wall time since the hunt began", ()),
+    ("throughput", "timeseries", "hunt_throughput",
+     "(elapsed, jobs/sec) samples", ()),
+    ("fingerprints", "gauge", "hunt_coverage_fingerprints",
+     "distinct trace fingerprints seen this hunt", ()),
+    ("partitions", "gauge", "hunt_coverage_provenance_partitions",
+     "distinct first-race provenance partition signatures", ()),
+    ("coverage", "timeseries", "hunt_coverage",
+     "(elapsed, distinct count) growth curve", ("kind",)),
+    ("info", "gauge", "hunt_info",
+     "constant 1; labels join scrapes to events/checkpoints/results",
+     ("hunt_id", "detector", "model")),
+)
+
+
+def hunt_family(registry: MetricsRegistry) -> Dict[str, Optional[_Instrument]]:
+    """The family's instruments on *registry* by fold attribute, without
+    creating any (``None`` where absent)."""
+    return {attr: registry.get(name) for attr, _, name, _, _ in HUNT_FAMILY}
+
+
+def count_scrape(registry: MetricsRegistry, endpoint: str) -> None:
+    """Count one telemetry-server request for *endpoint*."""
+    registry.counter(
+        "hunt_scrapes_total",
+        "Telemetry-server requests served, by endpoint.",
+        labels=("endpoint",),
+    ).inc(endpoint=endpoint)
+
+
+class HuntMetrics:
+    """The hunt family on one registry, and the fold of try records into
+    it: ``done`` counts every resolved job (skipped ones included,
+    superseded retry attempts not), ``racy`` every racy one, and skipped
+    jobs add no duration sample.
+
+    Construction registers the whole family, so a scrape racing the
+    first record still sees every family; given a *hunt_id*,
+    ``hunt_info`` joins the scrape to the hunt's other surfaces.  The
+    coverage sets (fingerprints and provenance partitions of racy and
+    clean tries) live here; the registry only sees their sizes.
+    """
+
+    def __init__(self, registry: MetricsRegistry, *, total: int = 0,
+                 model: str = "", detector: str = "",
+                 hunt_id: Optional[str] = None) -> None:
+        self.registry = registry
+        self.model = model
+        self.detector = detector
+        self.seen_fingerprints: set = set()
+        self.seen_partitions: set = set()
+        with registry.hold():  # uncontended unless a server shares it
+            for attr, kind, name, help_text, labels in HUNT_FAMILY:
+                setattr(self, attr, getattr(registry, kind)(
+                    name, help_text, labels=labels))
+            for gauge in (self.done, self.racy, self.elapsed,
+                          self.fingerprints, self.partitions):
+                gauge.set(0)
+            self.total.set(total)
+            if hunt_id is not None:
+                self.info.set(1, hunt_id=hunt_id, detector=detector,
+                              model=model)
+
+    def restore(self, records: Iterable[dict]) -> None:
+        """Seed progress and coverage from the records of jobs a resumed
+        hunt restored from its checkpoint (they add no tries)."""
+        with self.registry.hold():
+            for record in records:
+                self._count(record["status"])
+                self._cover(record, 0.0)
+
+    def fold(self, record: dict, elapsed: float = 0.0) -> None:
+        """Fold one try record; *elapsed* (seconds since the hunt began,
+        0 when replaying a log) drives the rate and growth curves."""
+        status = record["status"]
+        detector = record.get("detector") or self.detector
+        with self.registry.hold():
+            self.tries.inc(policy=record["policy"], status=status,
+                           detector=detector)
+            if status != "skipped":
+                self.duration.observe(record["duration_sec"])
+            if record["cache_hit"]:
+                self.cache_hits.inc()
+            if status == "error":
+                self.failures.inc(
+                    kind=record.get("failure_kind") or "unretried")
+            elif status == "racy" and record.get("certified"):
+                self.certified.inc(record["certified"], detector=detector)
+            robust = record.get("robust")
+            if robust is not None:
+                self.robust.inc(model=self.model,
+                                verdict="robust" if robust else "non-robust")
+            self._count(status)
+            self.elapsed.set(elapsed)
+            if elapsed > 0:
+                self.throughput.record(elapsed, self.done.value() / elapsed)
+            if status in ("racy", "clean"):
+                self._cover(record, elapsed)
+
+    def _count(self, status: str) -> None:
+        if status != "retried":
+            self.done.add()
+        if status == "racy":
+            self.racy.add()
+
+    def _cover(self, record: dict, elapsed: float) -> None:
+        fingerprint = record.get("fingerprint")
+        for seen, gauge, kind, keys in (
+            (self.seen_fingerprints, self.fingerprints, "fingerprints",
+             (fingerprint,) if fingerprint else ()),
+            (self.seen_partitions, self.partitions, "partitions",
+             record.get("partitions") or ()),
+        ):
+            fresh = set(keys) - seen
+            if fresh:
+                seen |= fresh
+                gauge.set(len(seen))
+                if elapsed > 0:
+                    self.coverage.record(elapsed, len(seen), kind=kind)

@@ -2,24 +2,22 @@
 
 ``weakraces hunt --serve HOST:PORT`` starts a :class:`TelemetryServer`
 — a stdlib :class:`~http.server.ThreadingHTTPServer` on a daemon
-thread — in the *parent* process.  The hunt's parent-side ``observe``
-fold is the single metrics producer (workers ship batched records they
-would ship anyway), so serving adds zero per-try work on the worker
-side; the only cross-thread coordination is the registry's reentrant
+thread — in the *parent* process.  The hunt's parent-side
+:class:`~repro.obs.metrics.HuntMetrics` fold is the single metrics
+producer, so serving adds zero per-try work on the worker side; the
+only cross-thread coordination is the registry's reentrant
 :meth:`~repro.obs.metrics.MetricsRegistry.hold` lock, taken briefly per
-outcome fold and per scrape.
+folded record and per scrape.
 
 Three endpoints:
 
 ``/metrics``
-    Prometheus text exposition 0.0.4 (see :mod:`repro.obs.exporters`),
+    Prometheus text exposition 0.0.4 (see :mod:`repro.obs.prometheus`),
     content type ``text/plain; version=0.0.4``.
 ``/status``
-    A JSON snapshot assembled by :func:`hunt_status`: hunt identity
-    (``hunt_id``, workload, model, detector, policies), seeds settled
-    and remaining, racy count, throughput, per-status/-policy/-detector
-    try counts, failure classification, cache hit rate, coverage
-    counters, and job-duration quantiles.
+    The hunt's :class:`~repro.obs.top.TopSnapshot` as JSON
+    (:meth:`~repro.obs.top.TopSnapshot.to_json`; schema in
+    ``docs/detection_pipeline.md``).
 ``/healthz``
     ``200 ok`` while the server thread is up — a liveness probe.
 
@@ -36,11 +34,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from . import metrics as _metrics
-from .exporters import render_prometheus
+from .prometheus import render_prometheus
+from .top import TopSnapshot
 
 __all__ = [
     "TelemetryServer",
-    "hunt_status",
     "parse_serve_address",
 ]
 
@@ -59,104 +57,6 @@ def parse_serve_address(text: str) -> Tuple[str, int]:
     if not 0 <= port <= 65535:
         raise ValueError(f"--serve port out of range: {port}")
     return host, port
-
-
-def _gauge_value(registry: _metrics.MetricsRegistry, name: str,
-                 default: Optional[float] = None) -> Optional[float]:
-    instrument = registry.get(name)
-    if isinstance(instrument, _metrics.Gauge) and not instrument.labels:
-        value = instrument.value()
-        if value is not None:
-            return value
-    return default
-
-
-def _counter_breakdown(registry: _metrics.MetricsRegistry, name: str,
-                       label: str) -> Dict[str, float]:
-    """Sum a counter's series over one label dimension."""
-    instrument = registry.get(name)
-    out: Dict[str, float] = {}
-    if isinstance(instrument, _metrics.Counter):
-        for entry in instrument.series():
-            key = entry["labels"].get(label, "")
-            out[key] = out.get(key, 0) + entry["value"]
-    return out
-
-
-def hunt_status(registry: _metrics.MetricsRegistry,
-                info: Optional[Dict[str, object]] = None) -> dict:
-    """The ``/status`` snapshot, assembled from the hunt metric names
-    documented in :mod:`repro.obs.metrics` plus the static *info* the
-    CLI passes at server construction (hunt_id, workload, model, ...).
-
-    Callers sharing the registry with a writer thread should bracket
-    this with ``registry.hold()`` (the server does).
-    """
-    info = dict(info or {})
-    done = int(_gauge_value(registry, "hunt_done", 0) or 0)
-    total = int(_gauge_value(registry, "hunt_total",
-                             info.get("tries") or 0) or 0)
-    racy = int(_gauge_value(registry, "hunt_racy", 0) or 0)
-    elapsed = _gauge_value(registry, "hunt_elapsed_seconds", 0.0) or 0.0
-
-    throughput = None
-    series = registry.get("hunt_throughput")
-    if isinstance(series, _metrics.TimeSeries):
-        latest = series.latest()
-        if latest is not None:
-            throughput = latest[1]
-
-    hits = 0.0
-    cache = registry.get("hunt_trace_cache_hits_total")
-    if isinstance(cache, _metrics.Counter):
-        hits = cache.total()
-
-    duration = registry.get("hunt_job_duration_seconds")
-    quantiles = None
-    if isinstance(duration, _metrics.Histogram) and duration.count() > 0:
-        quantiles = {
-            "p50": duration.quantile(0.5),
-            "p90": duration.quantile(0.9),
-            "p99": duration.quantile(0.99),
-            "mean": duration.mean(),
-            "count": duration.count(),
-        }
-
-    status = {
-        "t": "hunt_status",
-        "hunt_id": info.get("hunt_id"),
-        "hunt": info,
-        "seeds": {
-            "settled": done,
-            "remaining": max(0, total - done),
-            "total": total,
-        },
-        "racy": racy,
-        "elapsed_sec": elapsed,
-        "throughput_per_sec": throughput,
-        "tries_by_status": _counter_breakdown(
-            registry, "hunt_tries_total", "status"),
-        "tries_by_policy": _counter_breakdown(
-            registry, "hunt_tries_total", "policy"),
-        "tries_by_detector": _counter_breakdown(
-            registry, "hunt_tries_total", "detector"),
-        "failures_by_kind": _counter_breakdown(
-            registry, "hunt_failures_total", "kind"),
-        "robustness_by_verdict": _counter_breakdown(
-            registry, "hunt_robust_tries_total", "verdict"),
-        "cache": {
-            "hits": hits,
-            "hit_rate": (hits / done) if done else None,
-        },
-        "coverage": {
-            "fingerprints": int(_gauge_value(
-                registry, "hunt_coverage_fingerprints", 0) or 0),
-            "provenance_partitions": int(_gauge_value(
-                registry, "hunt_coverage_provenance_partitions", 0) or 0),
-        },
-        "job_duration_sec": quantiles,
-    }
-    return status
 
 
 class TelemetryServer:
@@ -226,13 +126,6 @@ class TelemetryServer:
             self._thread = None
 
     # -- request handling ----------------------------------------------
-    def _count_scrape(self, endpoint: str) -> None:
-        self.registry.counter(
-            "hunt_scrapes_total",
-            "Telemetry-server requests served, by endpoint.",
-            labels=("endpoint",),
-        ).inc(endpoint=endpoint)
-
     def _handle(self, request: BaseHTTPRequestHandler) -> None:
         path = request.path.split("?", 1)[0]
         if path == "/healthz":
@@ -240,14 +133,15 @@ class TelemetryServer:
             content_type = "text/plain; charset=utf-8"
         elif path == "/metrics":
             with self.registry.hold():
-                self._count_scrape("metrics")
+                _metrics.count_scrape(self.registry, "metrics")
                 body = render_prometheus(self.registry).encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         elif path == "/status":
             with self.registry.hold():
-                self._count_scrape("status")
-                status = hunt_status(self.registry, self.info)
-            body = (json.dumps(status, sort_keys=True) + "\n").encode("utf-8")
+                _metrics.count_scrape(self.registry, "status")
+                status = TopSnapshot.from_registry(self.registry, self.info)
+            body = (json.dumps(status.to_json(), sort_keys=True)
+                    + "\n").encode("utf-8")
             content_type = "application/json"
         else:
             body = b"not found\n"

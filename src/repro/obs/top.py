@@ -1,39 +1,33 @@
-"""repro.obs.top — a terminal dashboard for hunts.
+"""repro.obs.top — the hunt view-model and its terminal dashboard.
 
-``weakraces top --attach HOST:PORT`` polls a live hunt's telemetry
-server (see :mod:`repro.obs.server`) and repaints a one-screen,
-curses-free ANSI dashboard: progress, throughput, per-policy and
-per-detector racy rates, a job-duration histogram sparkline, coverage
-counters, cache hit rate, and the failure-classification table.
-``weakraces top --events FILE`` renders the same dashboard from a
-``hunt --events`` JSONL log instead — post-hoc, or over a growing file
-while the hunt runs.
+:class:`TopSnapshot` is the one view of a hunt's counts.  ``/status``
+(:meth:`~TopSnapshot.to_json`), ``weakraces top`` (:func:`render_top`),
+the ``hunt`` status line (:mod:`repro.obs.live`) and ``weakraces
+events`` (:func:`render_summary`, :meth:`~TopSnapshot.breakdown`) all
+render it, and its three sources all read one fold,
+:class:`repro.obs.metrics.HuntMetrics`: a live registry
+(:meth:`~TopSnapshot.from_registry`), a ``/status`` payload
+(:meth:`~TopSnapshot.from_json` — ``top --attach`` makes one request
+per frame), or an event log replayed through a fresh fold
+(:meth:`~TopSnapshot.from_events`).
 
-The module splits cleanly into a data layer and a render layer:
-
-* :class:`TopSnapshot` — one dashboard's worth of numbers, with
-  constructors :func:`snapshot_from_http` (GET ``/status`` +
-  ``/metrics``, the exposition parsed by the strict vendored parser in
-  :mod:`repro.obs.exporters`) and :func:`snapshot_from_events`
-  (:func:`repro.obs.events.read_events` + ``summary_data``);
-* :func:`render_top` — pure snapshot → text, which is what the tests
-  drive;
-* :func:`run_top` — the repaint loop (ANSI home + clear-to-end, no
-  curses), with ``--once`` for scripts and a graceful "hunt finished"
-  exit when a previously healthy endpoint goes away.
+``done`` (progress) counts every resolved job, skipped ones included;
+the racy share and the per-policy and per-detector cells cover only
+the jobs that ran; duration quantiles and buckets come from the one
+job-duration histogram.  :func:`run_top` is the curses-free repaint
+loop, with ``--once`` for scripts.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import events as _events
-from .exporters import ExpositionError, parse_exposition
+from . import metrics as _metrics
 
 __all__ = [
     "TopError",
@@ -41,6 +35,7 @@ __all__ = [
     "snapshot_from_http",
     "snapshot_from_events",
     "sparkline",
+    "render_summary",
     "render_top",
     "run_top",
 ]
@@ -48,11 +43,23 @@ __all__ = [
 #: sparkline glyphs, lowest to highest
 _SPARKS = "▁▂▃▄▅▆▇█"
 
-#: duration bounds used when binning an event log ourselves (matches
-#: the hunt histogram's DEFAULT_BUCKETS, +inf implicit)
-_EVENT_BUCKET_BOUNDS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
-)
+#: try statuses that reached no verdict: early-stop skips, superseded retries
+_UNRAN = ("skipped", "retried")
+
+
+#: TopSnapshot field -> its dotted key path in the ``/status`` payload
+_STATUS_KEYS = {
+    "hunt_id": "hunt_id", "info": "hunt", "done": "seeds.settled",
+    "total": "seeds.total", "racy": "racy", "elapsed_sec": "elapsed_sec",
+    "throughput": "throughput_per_sec", "tries_by_status": "tries_by_status",
+    "per_policy": "per_policy", "per_detector": "per_detector",
+    "failures_by_kind": "failures_by_kind",
+    "robust_by_verdict": "robustness_by_verdict", "cache_hits": "cache.hits",
+    "coverage_fingerprints": "coverage.fingerprints",
+    "coverage_partitions": "coverage.provenance_partitions",
+    "duration_quantiles": "job_duration_sec",
+    "duration_buckets": "job_duration_buckets",
+}
 
 
 class TopError(RuntimeError):
@@ -61,24 +68,27 @@ class TopError(RuntimeError):
 
 @dataclass
 class TopSnapshot:
-    """Everything one dashboard frame needs, source-agnostic."""
+    """One hunt's counts, whatever the source."""
 
-    source: str                       # "http://..." or an events path
+    source: str = ""                  # "http://...", an events path, ...
     hunt_id: Optional[str] = None
     info: Dict[str, object] = field(default_factory=dict)
-    settled: int = 0
+    done: int = 0
     total: int = 0
     racy: int = 0
     elapsed_sec: float = 0.0
     throughput: Optional[float] = None
+    #: every try status, skipped and retried included
     tries_by_status: Dict[str, float] = field(default_factory=dict)
+    #: {policy: {"tries", "racy"}} over jobs that ran
     per_policy: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: {detector: {"tries", "racy", "certified"}} over jobs that ran
     per_detector: Dict[str, Dict[str, float]] = field(default_factory=dict)
     failures_by_kind: Dict[str, float] = field(default_factory=dict)
     #: robustness verdict counts ({"robust": n, "non-robust": m});
     #: empty when the hunt did not verify robustness
     robust_by_verdict: Dict[str, float] = field(default_factory=dict)
-    cache_hits: float = 0.0
+    cache_hits: float = 0
     coverage_fingerprints: int = 0
     coverage_partitions: int = 0
     duration_quantiles: Optional[Dict[str, float]] = None
@@ -86,178 +96,203 @@ class TopSnapshot:
     duration_buckets: List[Tuple[str, float]] = field(default_factory=list)
     finished: bool = False
 
+    @property
+    def ran(self) -> int:
+        """Resolved jobs that ran to a verdict (``done`` minus skipped)."""
+        return self.done - int(self.tries_by_status.get("skipped", 0))
+
+    @property
+    def ran_by_status(self) -> Dict[str, float]:
+        return {status: count for status, count in self.tries_by_status.items()
+                if status not in _UNRAN}
+
+    # -- constructors --------------------------------------------------
+    @classmethod
+    def from_registry(cls, registry: _metrics.MetricsRegistry,
+                      info: Optional[Dict[str, object]] = None,
+                      source: str = "") -> "TopSnapshot":
+        """The snapshot of a registry holding the hunt family, plus the
+        static *info* (hunt_id, workload, ...); callers sharing the
+        registry with a writer thread hold ``registry.hold()``."""
+        info = dict(info or {})
+        family = _metrics.hunt_family(registry)
+
+        def gauge(attr: str) -> float:
+            instrument = family[attr]
+            return (instrument.value() or 0) if instrument is not None else 0
+
+        def by_label(attr: str, label: str) -> Dict[str, float]:
+            out: Dict[str, float] = {}
+            instrument = family[attr]
+            for entry in instrument.series() if instrument else ():
+                key = entry["labels"][label]
+                out[key] = out.get(key, 0) + entry["value"]
+            return out
+
+        snap = cls(
+            source=source,
+            hunt_id=info.get("hunt_id"),  # type: ignore[arg-type]
+            info=info,
+            done=int(gauge("done")),
+            total=int(gauge("total") or info.get("tries") or 0),
+            racy=int(gauge("racy")),
+            elapsed_sec=float(gauge("elapsed")),
+            failures_by_kind=by_label("failures", "kind"),
+            robust_by_verdict=by_label("robust", "verdict"),
+            coverage_fingerprints=int(gauge("fingerprints")),
+            coverage_partitions=int(gauge("partitions")),
+        )
+        if family["cache_hits"] is not None:
+            snap.cache_hits = family["cache_hits"].total()
+        if family["throughput"] is not None:
+            latest = family["throughput"].latest()
+            if latest is not None:
+                snap.throughput = latest[1]
+        for entry in family["tries"].series() if family["tries"] else ():
+            labels, count = entry["labels"], entry["value"]
+            status = labels["status"]
+            snap.tries_by_status[status] = \
+                snap.tries_by_status.get(status, 0) + count
+            if status in _UNRAN:
+                continue
+            for cells, key in ((snap.per_policy, labels["policy"]),
+                               (snap.per_detector, labels["detector"])):
+                if key:
+                    cell = cells.setdefault(key, {"tries": 0, "racy": 0})
+                    cell["tries"] += count
+                    cell["racy"] += count if status == "racy" else 0
+        certified = by_label("certified", "detector")
+        for detector, cell in snap.per_detector.items():
+            cell["certified"] = certified.get(detector, 0)
+        duration = family["duration"]
+        if duration is not None:
+            bounds = [str(bound) for bound in duration.bounds] + ["+Inf"]
+            snap.duration_buckets = list(zip(bounds, duration.buckets()))
+            if duration.count() > 0:
+                snap.duration_quantiles = {
+                    "p50": duration.quantile(0.5),
+                    "p90": duration.quantile(0.9),
+                    "p99": duration.quantile(0.99),
+                    "mean": duration.mean(),
+                    "count": duration.count(),
+                }
+        return snap
+
+    @classmethod
+    def from_json(cls, status: dict, source: str = "") -> "TopSnapshot":
+        """Invert :meth:`to_json` (a ``GET /status`` body)."""
+        snap = cls(source=source)
+        for name, path in _STATUS_KEYS.items():
+            value = status
+            for key in path.split("."):
+                value = (value or {}).get(key)
+            if value is not None:
+                setattr(snap, name, value)
+        snap.duration_buckets = [tuple(b) for b in snap.duration_buckets]
+        return snap
+
+    @classmethod
+    def from_events(cls, loaded: Dict[str, object],
+                    source: str = "") -> "TopSnapshot":
+        """Replay a loaded event log (:func:`repro.obs.events.read_events`)
+        through a fresh fold.  A try's detector resolves from its own
+        record, falling back to the meta record's; logs with neither
+        leave ``per_detector`` empty."""
+        meta: dict = loaded.get("meta") or {}  # type: ignore[assignment]
+        planned = meta.get("tries")
+        registry = _metrics.MetricsRegistry()
+        fold = _metrics.HuntMetrics(
+            registry, total=planned if isinstance(planned, int) else 0,
+            model=str(meta.get("model") or ""),
+            detector=str(meta.get("detector") or ""))
+        for record in loaded.get("tries") or ():  # type: ignore[union-attr]
+            fold.fold(record)
+        info = {key: meta[key] for key in
+                ("hunt_id", "workload", "model", "detector", "jobs",
+                 "policies") if key in meta}
+        snap = cls.from_registry(registry, info, source=source)
+        if not isinstance(planned, int):
+            snap.total = snap.ran
+        summary = loaded.get("summary")
+        if isinstance(summary, dict):
+            snap.finished = True
+            snap.elapsed_sec = float(summary.get("elapsed_sec") or 0.0)
+            if snap.elapsed_sec > 0:
+                snap.throughput = snap.done / snap.elapsed_sec
+        return snap
+
+    # -- JSON views ----------------------------------------------------
+    def to_json(self) -> dict:
+        """The ``/status`` payload: every field at its
+        :data:`_STATUS_KEYS` path, plus the derived keys."""
+        status: dict = {
+            "t": "hunt_status",
+            "seeds": {"remaining": max(0, self.total - self.done)},
+            "cache": {"hit_rate": (self.cache_hits / self.done
+                                   if self.done else None)},
+            "tries_by_policy": {key: cell["tries"]
+                                for key, cell in self.per_policy.items()},
+            "tries_by_detector": {key: cell["tries"]
+                                  for key, cell in self.per_detector.items()},
+        }
+        for name, path in _STATUS_KEYS.items():
+            *parents, leaf = path.split(".")
+            node = status
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[leaf] = getattr(self, name)
+        return status
+
+    def breakdown(self) -> dict:
+        """The ``breakdown`` object of ``weakraces events --json``."""
+        return {
+            "tries": self.ran,
+            "skipped": int(self.tries_by_status.get("skipped", 0)),
+            "retried": int(self.tries_by_status.get("retried", 0)),
+            "by_status": self.ran_by_status,
+            "per_policy": self.per_policy,
+            "per_detector": self.per_detector,
+            "failures_by_kind": self.failures_by_kind,
+            "cache_hits": self.cache_hits,
+        }
+
 
 # ----------------------------------------------------------------------
-# data layer
+# sources
 # ----------------------------------------------------------------------
-
-def _fetch(url: str, timeout: float) -> bytes:
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.read()
-    except (urllib.error.URLError, OSError, ValueError) as exc:
-        raise TopError(f"cannot fetch {url}: {exc}") from None
-
-
-def _duration_buckets_from_metrics(text: str) -> List[Tuple[str, float]]:
-    """Extract the job-duration histogram from exposition text as
-    non-cumulative ``(le-label, count)`` pairs (validated first)."""
-    families = parse_exposition(text)
-    family = families.get("hunt_job_duration_seconds")
-    if family is None:
-        return []
-    pairs: List[Tuple[float, str, float]] = []
-    for sample in family.samples:
-        if sample.name.endswith("_bucket") and "le" in sample.labels:
-            le = sample.labels["le"]
-            bound = float("inf") if le == "+Inf" else float(le)
-            pairs.append((bound, le, sample.value))
-    pairs.sort(key=lambda item: item[0])
-    out: List[Tuple[str, float]] = []
-    previous = 0.0
-    for _, le, cumulative in pairs:
-        out.append((le, cumulative - previous))
-        previous = cumulative
-    return out
-
 
 def snapshot_from_http(base_url: str,
                        timeout: float = 5.0) -> TopSnapshot:
-    """One frame from a live telemetry server (``/status`` +
-    ``/metrics``).  Raises :class:`TopError` on connection or parse
-    failures."""
+    """One frame from a live telemetry server (one ``GET /status``).
+    Raises :class:`TopError` on connection or parse failures."""
+    # lazy: every hunt's status line imports this module; only --attach fetches
+    import urllib.error
+    import urllib.request
     base = base_url.rstrip("/")
     if not base.startswith("http"):
         base = "http://" + base
+    url = base + "/status"
     try:
-        status = json.loads(_fetch(base + "/status", timeout))
+        with urllib.request.urlopen(url, timeout=timeout) as response:
+            body = response.read()
+    except (urllib.error.URLError, OSError, ValueError) as exc:
+        raise TopError(f"cannot fetch {url}: {exc}") from None
+    try:
+        return TopSnapshot.from_json(json.loads(body), source=base)
     except ValueError as exc:
-        raise TopError(f"{base}/status: invalid JSON: {exc}") from None
-    try:
-        buckets = _duration_buckets_from_metrics(
-            _fetch(base + "/metrics", timeout).decode("utf-8"))
-    except ExpositionError as exc:
-        raise TopError(f"{base}/metrics: {exc}") from None
-    seeds = status.get("seeds") or {}
-    per_policy = {
-        policy: {"tries": tries}
-        for policy, tries in (status.get("tries_by_policy") or {}).items()
-    }
-    per_detector = {
-        detector: {"tries": tries}
-        for detector, tries in (status.get("tries_by_detector") or {}).items()
-    }
-    coverage = status.get("coverage") or {}
-    cache = status.get("cache") or {}
-    return TopSnapshot(
-        source=base,
-        hunt_id=status.get("hunt_id"),
-        info=status.get("hunt") or {},
-        settled=int(seeds.get("settled", 0) or 0),
-        total=int(seeds.get("total", 0) or 0),
-        racy=int(status.get("racy", 0) or 0),
-        elapsed_sec=float(status.get("elapsed_sec", 0.0) or 0.0),
-        throughput=status.get("throughput_per_sec"),
-        tries_by_status=status.get("tries_by_status") or {},
-        per_policy=per_policy,
-        per_detector=per_detector,
-        failures_by_kind=status.get("failures_by_kind") or {},
-        robust_by_verdict=status.get("robustness_by_verdict") or {},
-        cache_hits=float(cache.get("hits", 0) or 0),
-        coverage_fingerprints=int(coverage.get("fingerprints", 0) or 0),
-        coverage_partitions=int(
-            coverage.get("provenance_partitions", 0) or 0),
-        duration_quantiles=status.get("job_duration_sec"),
-        duration_buckets=buckets,
-    )
+        raise TopError(f"{url}: invalid JSON: {exc}") from None
 
 
 def snapshot_from_events(path: str) -> TopSnapshot:
-    """One frame from a ``hunt --events`` JSONL log (works on a log
-    still being appended to — the tolerant reader skips a torn final
-    line)."""
-    import os
+    """One frame from a ``hunt --events`` JSONL log (the tolerant
+    reader skips a torn final line)."""
     if not os.path.exists(path):
         raise TopError(f"cannot read {path}: no such file")
     try:
         loaded = _events.read_events(path)
     except OSError as exc:
         raise TopError(f"cannot read {path}: {exc}") from None
-    meta = loaded.get("meta") or {}
-    if not isinstance(meta, dict):
-        meta = {}
-    breakdown = _events.summary_data(loaded)
-    tries: List[dict] = loaded.get("tries") or []  # type: ignore[assignment]
-    ran = [t for t in tries if t["status"] not in ("skipped", "retried")]
-    robust_by_verdict: Dict[str, float] = {}
-    for record in ran:
-        verdict = record.get("robust")
-        if verdict is not None:
-            key = "robust" if verdict else "non-robust"
-            robust_by_verdict[key] = robust_by_verdict.get(key, 0) + 1
-    fingerprints = {t["fingerprint"] for t in ran if t.get("fingerprint")}
-    partitions: set = set()
-    for record in ran:
-        partitions.update(record.get("partitions") or ())
-    durations = sorted(t["duration_sec"] for t in ran)
-    counts = [0.0] * (len(_EVENT_BUCKET_BOUNDS) + 1)
-    for value in durations:
-        for i, bound in enumerate(_EVENT_BUCKET_BOUNDS):
-            if value <= bound:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
-    labels = [str(bound) for bound in _EVENT_BUCKET_BOUNDS] + ["+Inf"]
-    quantiles = None
-    if durations:
-        def pct(q: float) -> float:
-            return durations[min(int(q * len(durations)),
-                                 len(durations) - 1)]
-        quantiles = {
-            "p50": pct(0.5), "p90": pct(0.9), "p99": pct(0.99),
-            "mean": sum(durations) / len(durations),
-            "count": len(durations),
-        }
-    summary = loaded.get("summary")
-    finished = isinstance(summary, dict)
-    total = meta.get("tries")
-    elapsed = 0.0
-    racy = int(breakdown["by_status"].get("racy", 0))  # type: ignore[union-attr]
-    if finished:
-        elapsed = float(summary.get("elapsed_sec", 0.0) or 0.0)
-    per_policy = {
-        policy: dict(cell)
-        for policy, cell in breakdown["per_policy"].items()  # type: ignore
-    }
-    for policy, cell in per_policy.items():
-        cell["racy"] = cell.get("racy", 0)
-    return TopSnapshot(
-        source=str(path),
-        hunt_id=meta.get("hunt_id"),
-        info={key: meta[key] for key in
-              ("workload", "model", "detector", "jobs", "policies")
-              if key in meta},
-        settled=int(breakdown["tries"]),  # type: ignore[arg-type]
-        total=int(total) if isinstance(total, int) else len(ran),
-        racy=racy,
-        elapsed_sec=elapsed,
-        throughput=(int(breakdown["tries"]) / elapsed  # type: ignore
-                    if elapsed > 0 else None),
-        tries_by_status=dict(breakdown["by_status"]),  # type: ignore[arg-type]
-        per_policy=per_policy,
-        per_detector={d: dict(c) for d, c in
-                      breakdown["per_detector"].items()},  # type: ignore
-        failures_by_kind=dict(
-            breakdown["failures_by_kind"]),  # type: ignore[arg-type]
-        robust_by_verdict=robust_by_verdict,
-        cache_hits=float(breakdown["cache_hits"]),  # type: ignore[arg-type]
-        coverage_fingerprints=len(fingerprints),
-        coverage_partitions=len(partitions),
-        duration_quantiles=quantiles,
-        duration_buckets=list(zip(labels, counts)),
-        finished=finished,
-    )
+    return TopSnapshot.from_events(loaded, source=str(path))
 
 
 # ----------------------------------------------------------------------
@@ -284,33 +319,49 @@ def _bar(fraction: float, width: int = 28) -> str:
     return "#" * filled + "-" * (width - filled)
 
 
+def _share(part: float, whole: float) -> float:
+    return part / whole if whole else 0.0
+
+
+def _counts(counts: Dict[str, float]) -> str:
+    """``"2 clean, 1 racy"`` — one ``count key`` per entry, sorted."""
+    return ", ".join(f"{int(n)} {key}" for key, n in sorted(counts.items()))
+
+
+def _rates(cells: Dict[str, Dict[str, float]], indent: str) -> List[str]:
+    """``name: racy/tries racy[, n certified race(s)]`` per cell."""
+    return [
+        f"{indent}{name}: {int(cell['racy'])}/{int(cell['tries'])} racy"
+        + (f", {int(cell['certified'])} certified race(s)"
+           if "certified" in cell else "")
+        for name, cell in sorted(cells.items())
+    ]
+
+
+def _quantiles(snap: TopSnapshot) -> str:
+    quant = snap.duration_quantiles or {}
+    return " ".join(f"{name}={quant[name] * 1000:.2f}ms"
+                    for name in ("p50", "p90", "p99") if name in quant)
+
+
 def render_top(snap: TopSnapshot) -> str:
     """The dashboard frame for *snap* (no I/O, no ANSI — the repaint
     loop adds cursor control)."""
-    lines: List[str] = []
-    title_bits = [
-        str(snap.info.get(key))
-        for key in ("workload", "model", "detector")
-        if snap.info.get(key)
-    ]
-    title = " ".join(title_bits) or "hunt"
-    lines.append(f"weakraces top — {title}"
-                 + (f"  [hunt {snap.hunt_id}]" if snap.hunt_id else ""))
-    lines.append(f"source: {snap.source}"
-                 + ("  (finished)" if snap.finished else ""))
-    fraction = snap.settled / snap.total if snap.total else 0.0
+    title = " ".join(str(snap.info[key]) for key in
+                     ("workload", "model", "detector")
+                     if snap.info.get(key)) or "hunt"
+    fraction = _share(snap.done, snap.total)
     rate = (f"{snap.throughput:.1f}/s"
             if snap.throughput is not None else "-")
-    lines.append(
-        f"progress [{_bar(fraction)}] {snap.settled}/{snap.total} "
-        f"({fraction:.0%})  rate {rate}  elapsed {snap.elapsed_sec:.1f}s"
-    )
-    racy_rate = snap.racy / snap.settled if snap.settled else 0.0
-    status_text = ", ".join(
-        f"{int(count)} {status}"
-        for status, count in sorted(snap.tries_by_status.items())
-    ) or "none"
-    lines.append(f"racy {snap.racy} ({racy_rate:.0%})  tries: {status_text}")
+    lines = [
+        f"weakraces top — {title}"
+        + (f"  [hunt {snap.hunt_id}]" if snap.hunt_id else ""),
+        f"source: {snap.source}" + ("  (finished)" if snap.finished else ""),
+        f"progress [{_bar(fraction)}] {snap.done}/{snap.total} "
+        f"({fraction:.0%})  rate {rate}  elapsed {snap.elapsed_sec:.1f}s",
+        f"racy {snap.racy} ({_share(snap.racy, snap.ran):.0%})  "
+        f"tries: {_counts(snap.tries_by_status) or 'none'}",
+    ]
     if snap.robust_by_verdict:
         verified = sum(snap.robust_by_verdict.values())
         non_robust = snap.robust_by_verdict.get("non-robust", 0)
@@ -321,50 +372,62 @@ def render_top(snap: TopSnapshot) -> str:
             f"{int(non_robust)} non-robust of {int(verified)} verified "
             f"({verdict})"
         )
-    cache_rate = snap.cache_hits / snap.settled if snap.settled else 0.0
     lines.append(
-        f"cache {int(snap.cache_hits)} hits ({cache_rate:.0%})  "
+        f"cache {int(snap.cache_hits)} hits "
+        f"({_share(snap.cache_hits, snap.ran):.0%})  "
         f"coverage: {snap.coverage_fingerprints} fingerprint(s), "
         f"{snap.coverage_partitions} provenance partition(s)"
     )
     if snap.duration_buckets:
         counts = [count for _, count in snap.duration_buckets]
-        quant = snap.duration_quantiles or {}
-        quant_text = "  ".join(
-            f"{name} {quant[name] * 1000:.2f}ms"
-            for name in ("p50", "p90", "p99") if quant.get(name) is not None
-        )
-        lines.append(
-            f"job duration {sparkline(counts)} "
-            f"(le {snap.duration_buckets[0][0]}s..+Inf)"
-            + (f"  {quant_text}" if quant_text else "")
-        )
-    if snap.per_policy:
-        lines.append("policies:")
-        for policy, cell in sorted(snap.per_policy.items()):
-            tries = int(cell.get("tries", 0))
-            racy = cell.get("racy")
-            racy_text = f"{int(racy)}/{tries} racy" if racy is not None \
-                else f"{tries} tries"
-            lines.append(f"  {policy:<16} {racy_text}")
-    if snap.per_detector:
-        lines.append("detectors:")
-        for detector, cell in sorted(snap.per_detector.items()):
-            tries = int(cell.get("tries", 0))
-            racy = cell.get("racy")
-            certified = cell.get("certified")
-            text = f"{tries} tries"
-            if racy is not None:
-                text = f"{int(racy)}/{tries} racy"
-            if certified is not None:
-                text += f", {int(certified)} certified"
-            lines.append(f"  {detector:<16} {text}")
+        lines.append(f"job duration {sparkline(counts)} "
+                     f"(le {snap.duration_buckets[0][0]}s..+Inf)  "
+                     f"{_quantiles(snap)}".rstrip())
+    for header, cells in (("policies:", snap.per_policy),
+                          ("detectors:", snap.per_detector)):
+        if cells:
+            lines += [header] + _rates(cells, "  ")
     if snap.failures_by_kind:
-        failure_text = ", ".join(
-            f"{int(count)} {kind}"
-            for kind, count in sorted(snap.failures_by_kind.items())
+        lines.append(f"failures: {_counts(snap.failures_by_kind)}")
+    return "\n".join(lines)
+
+
+def render_summary(snap: TopSnapshot, loaded: Dict[str, object]) -> str:
+    """The ``weakraces events`` text view: *snap*'s totals, per-policy
+    and per-detector racy rates, cache hit rate and duration quantiles,
+    plus the stage table and run totals of the *loaded* log."""
+    meta = loaded.get("meta") or {}
+    context = " ".join(f"{key}={meta[key]}"  # type: ignore[index]
+                       for key in ("workload", "model", "jobs") if key in meta)
+    skipped = int(snap.tries_by_status.get("skipped", 0))
+    retried = int(snap.tries_by_status.get("retried", 0))
+    lines = [
+        f"hunt event log{': ' + context if context else ''}",
+        f"  {snap.ran} tries ({_counts(snap.ran_by_status) or 'none'})"
+        + (f", {skipped} skipped by early stop" if skipped else "")
+        + (f", {retried} retried attempt(s)" if retried else ""),
+    ]
+    if snap.ran:
+        lines.append(f"  trace cache: {int(snap.cache_hits)}/{snap.ran} hits "
+                     f"({_share(snap.cache_hits, snap.ran):.0%})")
+    if snap.duration_quantiles:
+        lines.append(f"  job duration: {_quantiles(snap)}")
+    lines += _rates(snap.per_policy, "  ")
+    if snap.per_detector:
+        lines += ["  detectors:"] + _rates(snap.per_detector, "    ")
+    stages: List[dict] = loaded.get("stages") or []  # type: ignore[assignment]
+    if stages:
+        lines.append("  stages (aggregated across workers):")
+        lines += [f"    {record['path']}: n={record['count']} "
+                  f"total={record['total_sec'] * 1000:.2f}ms"
+                  for record in stages]
+    summary = loaded.get("summary")
+    if isinstance(summary, dict) and "elapsed_sec" in summary:
+        lines.append(
+            f"  run total: {summary.get('tries')} tries in "
+            f"{summary['elapsed_sec']}s "
+            f"({summary.get('executions_per_sec', '?')} exec/s)"
         )
-        lines.append(f"failures: {failure_text}")
     return "\n".join(lines)
 
 

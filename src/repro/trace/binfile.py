@@ -26,7 +26,6 @@ a raw ``struct.error`` / ``KeyError`` / ``UnicodeDecodeError``.
 from __future__ import annotations
 
 import struct
-import warnings
 from pathlib import Path
 from typing import BinaryIO, Dict, List, Union
 
@@ -239,22 +238,6 @@ def _parse_stream(fh: BinaryIO) -> Trace:
 
 
 def _read_binary_trace(path: Union[str, Path]) -> Trace:
-    """Internal, warning-free loader used by :func:`repro.load_trace`."""
+    """Internal binary loader behind :func:`repro.load_trace`."""
     with Path(path).open("rb") as fh:
         return _read_binary_trace_stream(fh)
-
-
-def read_binary_trace(path: Union[str, Path]) -> Trace:
-    """Load a trace written by :func:`write_binary_trace`.
-
-    .. deprecated::
-        Call :func:`repro.load_trace` instead — it sniffs the format
-        (columnar, binary, JSON-lines) from the magic bytes.
-    """
-    warnings.warn(
-        "read_binary_trace is deprecated; use repro.load_trace, which "
-        "auto-detects the trace format",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _read_binary_trace(path)

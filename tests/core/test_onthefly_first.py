@@ -1,9 +1,6 @@
 """On-the-fly first-race location tests (section 5 future work)."""
 
-from repro.core.onthefly_first import (
-    FirstRaceOnTheFlyDetector,
-    locate_first_races_on_the_fly,
-)
+from repro.core.onthefly_first import FirstRaceOnTheFlyDetector
 from repro.machine.models import make_model
 from repro.machine.program import ProgramBuilder
 from repro.machine.scheduler import ScriptedScheduler
@@ -12,10 +9,21 @@ from repro.programs.figure1 import figure1a_program
 from repro.programs.workqueue import run_figure2
 
 
+def _locate_first(operations, processor_count,
+                                  reader_history=4, writer_history=1):
+    """One streaming pass: ``{"first": [...], "non_first": [...]}``."""
+    detector = FirstRaceOnTheFlyDetector(
+        processor_count, reader_history, writer_history
+    )
+    detector.process_all(operations)
+    return {"first": detector.first_races,
+            "non_first": detector.non_first_races}
+
+
 def test_clean_program_reports_nothing():
     from repro.programs.kernels import locked_counter_program
     result = run_program(locked_counter_program(2, 2), make_model("WO"), seed=1)
-    out = locate_first_races_on_the_fly(
+    out = _locate_first(
         result.operations, result.processor_count
     )
     assert out["first"] == []
@@ -34,7 +42,7 @@ def test_independent_races_all_first():
     with b.thread() as t:
         t.read(y)
     result = run_program(b.build(), make_model("SC"), seed=0)
-    out = locate_first_races_on_the_fly(
+    out = _locate_first(
         result.operations, result.processor_count, reader_history=8
     )
     assert len(out["first"]) == 2
@@ -43,7 +51,7 @@ def test_independent_races_all_first():
 
 def test_figure2_first_is_a_queue_race():
     result = run_figure2(make_model("WO"))
-    out = locate_first_races_on_the_fly(
+    out = _locate_first(
         result.operations, result.processor_count,
         reader_history=8, writer_history=4,
     )
@@ -76,7 +84,7 @@ def test_downstream_race_marked_non_first():
         b.build(), make_model("SC"),
         scheduler=ScriptedScheduler([0, 1, 0, 2]), seed=0,
     ).run()
-    out = locate_first_races_on_the_fly(
+    out = _locate_first(
         result.operations, result.processor_count, reader_history=8
     )
     name = result.addr_name
@@ -104,7 +112,7 @@ def test_contamination_propagates_through_sync():
         b.build(), make_model("SC"),
         scheduler=ScriptedScheduler([0, 1, 0, 2, 2, 2, 2, 3]), seed=0,
     ).run()
-    out = locate_first_races_on_the_fly(
+    out = _locate_first(
         result.operations, result.processor_count, reader_history=8
     )
     name = result.addr_name
@@ -124,7 +132,7 @@ def test_counts_partition_the_race_set():
 
 def test_figure1a_races_first():
     result = run_program(figure1a_program(), make_model("SC"), seed=0)
-    out = locate_first_races_on_the_fly(
+    out = _locate_first(
         result.operations, result.processor_count
     )
     # Depending on schedule, the second race may be po-downstream of

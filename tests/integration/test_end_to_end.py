@@ -9,7 +9,8 @@ from repro.machine.simulator import run_program
 from repro.programs.random_programs import random_racy_program
 from repro.programs.workqueue import run_figure2
 from repro.trace.build import build_trace
-from repro.trace.tracefile import read_trace, write_trace
+from repro import load_trace
+from repro.trace.tracefile import write_trace
 
 
 def test_file_based_pipeline(tmp_path):
@@ -18,7 +19,7 @@ def test_file_based_pipeline(tmp_path):
     path = tmp_path / "exec.trace"
     write_trace(trace, path)
 
-    loaded = read_trace(path)
+    loaded = load_trace(path)
     report = PostMortemDetector().analyze(loaded)
     assert not report.race_free
     assert len(report.first_partitions) == 1

@@ -15,10 +15,9 @@ from repro.obs.events import (
     check_events,
     format_try,
     read_events,
-    summarize_events,
-    summary_data,
     validate_events,
 )
+from repro.obs.top import TopSnapshot, render_summary
 from repro.programs.workqueue import buggy_workqueue_program
 
 
@@ -35,6 +34,11 @@ def _try_record(**overrides):
     }
     record.update(overrides)
     return record
+
+
+def _summarize(loaded):
+    """The ``weakraces events`` text view of a loaded log."""
+    return render_summary(TopSnapshot.from_events(loaded), loaded)
 
 
 def _write_lines(path, records):
@@ -207,7 +211,7 @@ def test_retried_status_validates_and_summarizes(tmp_path):
         _try_record(index=4),
     ])
     assert validate_events(path) == []
-    text = summarize_events(read_events(path))
+    text = _summarize(read_events(path))
     # superseded attempts are excluded from the racy-rate stats
     assert "2 tries" in text
     assert "1 retried attempt(s)" in text
@@ -259,7 +263,7 @@ def test_summarize_events(tmp_path):
          "executions_per_sec": 60.0},
     ])
     assert validate_events(path) == []
-    text = summarize_events(read_events(path))
+    text = _summarize(read_events(path))
     assert "workload=wq model=WO jobs=2" in text
     assert "3 tries (1 clean, 2 racy), 1 skipped by early stop" in text
     assert "trace cache: 1/3 hits (33%)" in text
@@ -270,8 +274,8 @@ def test_summarize_events(tmp_path):
 
 
 def test_summarize_empty_log():
-    text = summarize_events({"meta": {}, "tries": [], "stages": [],
-                             "summary": None})
+    text = _summarize({"meta": {}, "tries": [], "stages": [],
+                      "summary": None})
     assert "0 tries (none)" in text
 
 
@@ -287,7 +291,7 @@ def test_summarize_events_per_detector_breakdown(tmp_path):
         _try_record(index=2, status="racy", races=1, certified=1),
     ])
     assert validate_events(path) == []
-    text = summarize_events(read_events(path))
+    text = _summarize(read_events(path))
     assert "detectors:" in text
     assert "shb: 1/2 racy, 2 certified race(s)" in text
     assert "postmortem: 1/1 racy, 1 certified race(s)" in text
@@ -307,7 +311,7 @@ def test_summary_data_aggregates(tmp_path):
         _try_record(index=4, status="retried"),
         _try_record(index=5, status="skipped"),
     ])
-    data = summary_data(read_events(path))
+    data = TopSnapshot.from_events(read_events(path)).breakdown()
     assert data["tries"] == 4
     assert data["skipped"] == 1
     assert data["retried"] == 1
@@ -322,9 +326,9 @@ def test_summary_data_aggregates(tmp_path):
 
 
 def test_summary_data_no_detector_anywhere():
-    data = summary_data({"meta": {"t": "meta"}, "tries": [
+    data = TopSnapshot.from_events({"meta": {"t": "meta"}, "tries": [
         _try_record(index=0, status="racy"),
-    ], "stages": [], "summary": None})
+    ], "stages": [], "summary": None}).breakdown()
     assert data["per_detector"] == {}
 
 

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from repro.obs.exporters import (
+from repro.obs.prometheus import (
     ExpositionError,
     main,
     parse_exposition,

@@ -17,7 +17,7 @@ from repro.analysis.hunting import hunt_races
 from repro.machine.models import make_model
 from repro.obs.events import HuntEventLog, read_events, validate_events
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.server import TelemetryServer, hunt_status
+from repro.obs.server import TelemetryServer
 from repro.obs.top import (
     TopSnapshot,
     render_top,
@@ -64,7 +64,7 @@ def test_metrics_fold_by_verdict(verified_hunt):
 
 def test_status_snapshot_carries_breakdown(verified_hunt):
     result, registry, _ = verified_hunt
-    status = hunt_status(registry, {"hunt_id": "cafe"})
+    status = TopSnapshot.from_registry(registry, {"hunt_id": "cafe"}).to_json()
     assert status["robustness_by_verdict"] == {
         "robust": result.robust_tries,
         "non-robust": result.non_robust_tries,

@@ -9,9 +9,10 @@ import urllib.request
 
 import pytest
 
-from repro.obs.exporters import parse_exposition
+from repro.obs.prometheus import parse_exposition
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.server import TelemetryServer, hunt_status, parse_serve_address
+from repro.obs.server import TelemetryServer, parse_serve_address
+from repro.obs.top import TopSnapshot
 
 
 @pytest.fixture
@@ -139,11 +140,12 @@ def test_stop_closes_the_listener(served):
 
 
 # ----------------------------------------------------------------------
-# hunt_status on sparse registries
+# /status snapshots of sparse registries
 # ----------------------------------------------------------------------
 
 def test_hunt_status_defaults_on_empty_registry():
-    snapshot = hunt_status(MetricsRegistry(), {"tries": 12})
+    snapshot = TopSnapshot.from_registry(
+        MetricsRegistry(), {"tries": 12}).to_json()
     assert snapshot["seeds"] == {"settled": 0, "remaining": 12, "total": 12}
     assert snapshot["throughput_per_sec"] is None
     assert snapshot["cache"]["hit_rate"] is None

@@ -86,7 +86,7 @@ def test_snapshot_from_events(events_log):
     snap = snapshot_from_events(str(events_log))
     assert snap.hunt_id == "feedface01020304"
     assert snap.info["workload"] == "workqueue-buggy"
-    assert snap.settled == 4
+    assert snap.done == snap.ran == 4
     assert snap.total == 4
     assert snap.racy == 2
     assert snap.finished  # the summary record landed
@@ -95,8 +95,9 @@ def test_snapshot_from_events(events_log):
     assert snap.per_detector["shb"]["certified"] == 2
     assert snap.failures_by_kind == {"deterministic": 1}
     assert snap.cache_hits == 1
-    # fp0 appears twice (a cache hit repeats it), fp1, fp3 → 3 distinct
-    assert snap.coverage_fingerprints == 3
+    # fp0 appears twice (a cache hit repeats it), fp1 → 2 distinct; the
+    # error try's fp3 is no coverage, exactly as the live fold counts it
+    assert snap.coverage_fingerprints == 2
     assert snap.coverage_partitions == 2
     assert snap.duration_quantiles["count"] == 4
     assert sum(count for _, count in snap.duration_buckets) == 4
@@ -112,7 +113,7 @@ def test_snapshot_from_unfinished_log(tmp_path):
     _write_log(path, [META, _try(0, "racy")])
     snap = snapshot_from_events(str(path))
     assert not snap.finished
-    assert snap.settled == 1
+    assert snap.done == 1
     assert snap.total == 4  # meta's planned tries, not tries so far
 
 
@@ -122,10 +123,16 @@ def test_snapshot_from_unfinished_log(tmp_path):
 
 def test_snapshot_from_http():
     registry = MetricsRegistry()
-    registry.counter(
+    tries = registry.counter(
         "hunt_tries_total", labels=("policy", "status", "detector"),
-    ).inc(5, policy="ring", status="racy", detector="wcp")
-    registry.gauge("hunt_done").set(5)
+    )
+    tries.inc(5, policy="ring", status="racy", detector="wcp")
+    # skipped jobs resolve (progress) but never ran (per-policy cells)
+    tries.inc(2, policy="ring", status="skipped", detector="wcp")
+    registry.counter(
+        "hunt_certified_races_total", labels=("detector",),
+    ).inc(3, detector="wcp")
+    registry.gauge("hunt_done").set(7)
     registry.gauge("hunt_total").set(10)
     registry.gauge("hunt_racy").set(5)
     registry.gauge("hunt_coverage_fingerprints").set(4)
@@ -142,14 +149,17 @@ def test_snapshot_from_http():
     finally:
         server.stop()
     assert snap.hunt_id == "0011223344556677"
-    assert snap.settled == 5
+    assert snap.done == 7
+    assert snap.ran == 5
     assert snap.total == 10
     assert snap.racy == 5
-    assert snap.per_policy == {"ring": {"tries": 5}}
-    assert snap.per_detector == {"wcp": {"tries": 5}}
+    assert snap.per_policy == {"ring": {"tries": 5, "racy": 5}}
+    assert snap.per_detector == {
+        "wcp": {"tries": 5, "racy": 5, "certified": 3},
+    }
     assert snap.coverage_fingerprints == 4
     assert snap.coverage_partitions == 2
-    # non-cumulative bucket counts recovered from the cumulative wire
+    # non-cumulative bucket counts, carried on /status itself
     counts = dict(snap.duration_buckets)
     assert counts == {"0.01": 0.0, "0.1": 1.0, "+Inf": 0.0}
 
@@ -169,7 +179,7 @@ def test_render_top_frame(events_log):
     assert "[hunt feedface01020304]" in frame
     assert "4/4 (100%)" in frame
     assert "racy 2 (50%)" in frame
-    assert "3 fingerprint(s), 2 provenance partition(s)" in frame
+    assert "2 fingerprint(s), 2 provenance partition(s)" in frame
     assert "ring" in frame and "2/2 racy" in frame
     assert "shb" in frame and "2 certified" in frame
     assert "failures: 1 deterministic" in frame

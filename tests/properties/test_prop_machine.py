@@ -179,14 +179,15 @@ def test_assembler_roundtrip_preserves_semantics(seed):
 @given(seed=seeds)
 @settings(max_examples=30, deadline=None)
 def test_binary_trace_roundtrip(seed, tmp_path_factory):
-    from repro.trace.binfile import read_binary_trace, write_binary_trace
+    from repro import load_trace
+    from repro.trace.binfile import write_binary_trace
     from repro.trace.build import build_trace
     program = random_racy_program(seed % 300, race_prob=0.4)
     result = run_program(program, make_model("WO"), seed=seed)
     trace = build_trace(result)
     path = tmp_path_factory.mktemp("bin") / "t.bin"
     write_binary_trace(trace, path)
-    loaded = read_binary_trace(path)
+    loaded = load_trace(path)
     assert loaded.sync_order == trace.sync_order
     for pa, pb in zip(trace.events, loaded.events):
         assert [type(e).__name__ for e in pa] == [type(e).__name__ for e in pb]

@@ -10,7 +10,8 @@ from repro.programs.figure1 import figure1b_program
 from repro.programs.workqueue import run_figure2
 from repro.trace.build import build_trace
 from repro.trace.events import ComputationEvent, SyncEvent
-from repro.trace.tracefile import TraceFormatError, read_trace, write_trace
+from repro import load_trace
+from repro.trace.tracefile import TraceFormatError, write_trace
 
 
 @pytest.fixture
@@ -42,21 +43,21 @@ def _assert_traces_equal(a, b):
 def test_roundtrip(trace, tmp_path):
     path = tmp_path / "t.trace"
     write_trace(trace, path)
-    _assert_traces_equal(trace, read_trace(path))
+    _assert_traces_equal(trace, load_trace(path))
 
 
 def test_roundtrip_figure2(tmp_path):
     trace = build_trace(run_figure2(make_model("WO")))
     path = tmp_path / "f2.trace"
     write_trace(trace, path)
-    _assert_traces_equal(trace, read_trace(path))
+    _assert_traces_equal(trace, load_trace(path))
 
 
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.trace"
     path.write_text("")
     with pytest.raises(TraceFormatError):
-        read_trace(path)
+        load_trace(path)
 
 
 def test_bad_version_rejected(tmp_path, trace):
@@ -68,7 +69,7 @@ def test_bad_version_rejected(tmp_path, trace):
     lines[0] = json.dumps(header)
     path.write_text("\n".join(lines))
     with pytest.raises(TraceFormatError):
-        read_trace(path)
+        load_trace(path)
 
 
 def test_out_of_order_event_rejected(tmp_path, trace):
@@ -93,7 +94,7 @@ def test_out_of_order_event_rejected(tmp_path, trace):
     lines[a], lines[b] = lines[b], lines[a]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError):
-        read_trace(path)
+        load_trace(path)
 
 
 def test_unknown_record_type_rejected(tmp_path, trace):
@@ -102,7 +103,7 @@ def test_unknown_record_type_rejected(tmp_path, trace):
     with path.open("a") as fh:
         fh.write(json.dumps({"t": "mystery", "proc": 0, "pos": 99}) + "\n")
     with pytest.raises(TraceFormatError):
-        read_trace(path)
+        load_trace(path)
 
 
 def test_detection_identical_from_file(tmp_path):
@@ -112,7 +113,7 @@ def test_detection_identical_from_file(tmp_path):
     trace = build_trace(run_figure2(make_model("WO")))
     path = tmp_path / "f2.trace"
     write_trace(trace, path)
-    loaded = read_trace(path)
+    loaded = load_trace(path)
     det = PostMortemDetector()
     r1, r2 = det.analyze(trace), det.analyze(loaded)
     assert [(r.a, r.b, r.locations) for r in r1.races] == \
@@ -123,4 +124,4 @@ def test_detection_identical_from_file(tmp_path):
 def test_accepts_str_and_path(trace, tmp_path):
     path = tmp_path / "p.trace"
     write_trace(trace, str(path))
-    read_trace(str(path))
+    load_trace(str(path))
