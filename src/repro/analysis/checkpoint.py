@@ -1,7 +1,7 @@
 """Hunt checkpoints: durable, resumable progress for long hunts.
 
 The paper's pipeline is post-mortem (§4.1): a hunt's value is the
-recorded executions and race statistics it accumulates, so a worker
+settled tries and race statistics it accumulates, so a worker
 crash or a killed parent at try 40k of 50k must never cost the whole
 run.  The engine (:func:`repro.analysis.parallel.run_hunt`) therefore
 periodically persists every *settled* job outcome to a checkpoint
@@ -15,15 +15,14 @@ Checkpoints cut at *settled outcomes*, never at the pool's dispatch
 batches: a parent killed mid-batch persists exactly the outcomes that
 reached it, and resume re-plans every unsettled job individually —
 batch boundaries are an executor detail with no representation here.
-Likewise the pool's wire-level recording compaction is invisible: a
-racy outcome whose recording was dropped in flight could not have been
-the lowest racy index at the time, and if a crash erases the then-lower
-index, resume simply re-runs it (purity reproduces the recording).
+Checkpoints store no recordings: the hunt records only its winning try,
+by re-simulating it after the merge, so a resumed hunt re-derives the
+recording exactly as an uninterrupted one does.
 
-Format (``CHECKPOINT_FORMAT`` = 1) — one JSON document::
+Format (``CHECKPOINT_FORMAT`` = 2) — one JSON document::
 
     {
-      "format": 1,
+      "format": 2,
       "complete": false,                # True once the sweep finished
       "hunt_id": "a1b2...",             # telemetry correlation id
                                         # (absent in legacy checkpoints;
@@ -43,6 +42,9 @@ Format (``CHECKPOINT_FORMAT`` = 1) — one JSON document::
       },
       "outcomes": [ {...}, ... ]        # settled jobs, by index
     }
+
+Format 1 differs only in that the lowest-index racy outcome carried a
+``recording`` key; format-1 files still load, and the key is ignored.
 
 Checkpoints are always written atomically (write-tmp + fsync +
 rename, :func:`repro.ioutil.atomic_write_text`), so a crash mid-write
@@ -65,9 +67,10 @@ from typing import List, Optional, Sequence, Union
 
 from ..ioutil import atomic_write_text
 from ..machine.program import Program
-from ..machine.replay import ExecutionRecording
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
+#: Formats :func:`load_checkpoint` reads.
+_READABLE_FORMATS = (1, CHECKPOINT_FORMAT)
 
 
 class CheckpointError(ValueError):
@@ -124,8 +127,8 @@ def peek_hunt_id(path: Union[str, Path]) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# outcome (de)serialization — exactly what the deterministic merge and
-# the first-racy replay need, in plain JSON
+# outcome (de)serialization — exactly what the deterministic merge
+# needs, in plain JSON
 # ----------------------------------------------------------------------
 
 #: JobOutcome fields a checkpoint stores verbatim; the first three must
@@ -138,13 +141,8 @@ _OUTCOME_FIELDS = (
 _REQUIRED_FIELDS = _OUTCOME_FIELDS[:3]
 
 
-def outcome_to_payload(outcome, include_recording: bool = True) -> dict:
-    """Serialize one settled :class:`~repro.analysis.parallel.JobOutcome`
-    (live executions/reports never ride along — resume reconstructs
-    the first racy execution by replaying the recording).  With
-    *include_recording* false the recording is dropped: the merge only
-    ever attaches the lowest-index racy outcome's recording, so a
-    checkpoint persists exactly that one and stays small."""
+def outcome_to_payload(outcome) -> dict:
+    """Serialize one settled :class:`~repro.analysis.parallel.JobOutcome`."""
     job = outcome.job
     payload = {name: getattr(outcome, name) for name in _OUTCOME_FIELDS}
     payload.update(
@@ -155,11 +153,6 @@ def outcome_to_payload(outcome, include_recording: bool = True) -> dict:
         attempt=job.attempt,
         duration=round(outcome.duration, 6),
         partition_keys=list(outcome.partition_keys),
-        recording=(
-            outcome.recording.to_payload()
-            if include_recording and outcome.recording is not None
-            else None
-        ),
     )
     return payload
 
@@ -175,7 +168,6 @@ def outcome_from_payload(payload: dict):
             policy_name=payload["policy"],
             attempt=payload.get("attempt", 0),
         )
-        recording = payload.get("recording")
         return JobOutcome(
             job=job,
             **{
@@ -184,10 +176,6 @@ def outcome_from_payload(payload: dict):
             },
             duration=payload.get("duration", 0.0),
             partition_keys=tuple(payload.get("partition_keys", ())),
-            recording=(
-                ExecutionRecording.from_payload(recording)
-                if recording is not None else None
-            ),
         )
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed outcome record: {exc}") from exc
@@ -204,24 +192,14 @@ def save_checkpoint(
     complete: bool,
     hunt_id: Optional[str] = None,
 ) -> None:
-    """Atomically persist the settled outcomes (sorted by index).
-
-    Only the lowest-index racy outcome keeps its recording: it is the
-    one the deterministic merge attaches as the hunt's replayable
-    race, and the settled set only ever grows, so the minimum can only
-    move to a *new* outcome (which arrives carrying its own
-    recording).  Persisting the rest would bloat the checkpoint by
-    kilobytes per racy run and make every periodic write O(racy
-    recordings)."""
-    ordered = sorted(outcomes, key=lambda o: o.job.index)
-    first_racy = next((o for o in ordered if o.status == "racy"), None)
+    """Atomically persist the settled outcomes (sorted by index)."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "complete": bool(complete),
         "spec": spec,
         "outcomes": [
-            outcome_to_payload(o, include_recording=o is first_racy)
-            for o in ordered
+            outcome_to_payload(o)
+            for o in sorted(outcomes, key=lambda o: o.job.index)
         ],
     }
     if hunt_id:
@@ -253,11 +231,8 @@ class LoadedCheckpoint:
     def first_racy_index(self) -> Optional[int]:
         """Lowest settled racy job index, or ``None``.
 
-        Resume seeds the engine's shared racy bounds with this: under
-        ``stop_at_first`` nothing beyond it is re-planned, and either
-        way pool workers skip shipping recordings that cannot beat it
-        in the lowest-racy-index merge (the checkpoint already holds
-        the winner's recording)."""
+        Resume seeds the engine's early-stop bound with this: under
+        ``stop_at_first`` nothing beyond it is re-planned."""
         return min((o.job.index for o in self.outcomes
                     if o.status == "racy"), default=None)
 
@@ -285,10 +260,11 @@ def load_checkpoint(
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: checkpoint is not a JSON object")
     version = payload.get("format")
-    if version != CHECKPOINT_FORMAT:
+    if version not in _READABLE_FORMATS:
         raise CheckpointError(
             f"{path}: unknown checkpoint format {version!r} "
-            f"(this reader understands {CHECKPOINT_FORMAT})"
+            f"(this reader understands formats "
+            f"{', '.join(map(str, _READABLE_FORMATS))})"
         )
     spec = payload.get("spec")
     if not isinstance(spec, dict):

@@ -33,11 +33,9 @@ coordination as the scaling bottleneck):
   back into per-try :class:`JobOutcome` streams so the merge,
   subscribers, event logs, retries, and checkpoints are byte-identical
   to the unbatched protocol.
-* **Compact wire outcomes** — a worker consults the shared best-racy
-  index before pickling a racy try's
-  :class:`~repro.machine.replay.ExecutionRecording`: a try that can no
-  longer win the lowest-racy-index merge ships without it (the winner
-  always ships its own).  Per-try span lists never cross the pipe —
+* **Compact wire outcomes** — a try ships plain fields only (status,
+  counts, fingerprint, report digest); no execution or recording ever
+  crosses the pipe.  Per-try span lists never cross it either —
   profile spans are pre-aggregated in the worker and folded once per
   batch.
 * **Shared trace cache** — the per-worker analysis cache is backed by
@@ -83,13 +81,17 @@ included), the checkpoint writer, the progress callback, and the
 ``on_outcome`` observer.  Telemetry is therefore folded in the parent
 only, from the unfolded per-try outcomes, whatever the executor.
 
-Workers never ship :class:`~repro.machine.simulator.ExecutionResult`
-objects back — they return the racy run's
-:class:`~repro.machine.replay.ExecutionRecording` (plain lists of
-ints, cheap to pickle) plus a report digest, and the parent *replays*
-the recording to reconstruct the execution.  That replay doubles as
-verification that the advertised recording actually reproduces the
-race (``HuntResult.recording_verified``).
+**Record on demand.**  Tries run unrecorded (plain
+:func:`~repro.machine.simulator.run_program`), and no executor keeps a
+try's execution: the hunt needs one replayable race, the lowest-index
+racy try's.  Once the merge has picked that winner, the parent
+re-simulates the one job under
+:func:`~repro.machine.replay.record_execution` — the simulator is
+deterministic in ``(program, model, seed, policy)``, the premise of the
+seed-major sweep and of resume — and verifies it twice
+(``HuntResult.recording_verified``): the re-run's report must equal the
+try's report digest, and the recording must replay to the re-run.
+Serial, pool and resumed hunts share this one path.
 
 Parallel execution requires the ``fork`` start method (policy and
 model factories may be closures, which ``spawn`` cannot pickle); on
@@ -121,13 +123,8 @@ from .. import faults as _faults
 from .. import obs
 from ..machine.models.base import MemoryModel
 from ..machine.program import Program
-from ..machine.replay import (
-    ExecutionRecording,
-    ReplayError,
-    record_execution,
-    replay_execution,
-    verify_recording,
-)
+from ..machine.replay import record_execution, verify_recording
+from ..machine.simulator import run_program
 from ..core.provenance import partition_coverage_keys
 from ..obs.events import try_record
 from ..obs.profiler import AggregateRecord, merge_aggregate_maps
@@ -199,23 +196,17 @@ class HuntJob:
 
 @dataclass
 class JobOutcome:
-    """What one job produced, in picklable form.
-
-    ``execution``/``report`` are populated only when the job ran
-    in-process (the serial path keeps the live objects); workers leave
-    them ``None`` and the parent reconstructs the racy execution by
-    replaying ``recording``.
-    """
+    """What one job produced, in picklable form: plain fields only.
+    No outcome keeps its execution or a recording; the merge
+    re-simulates the winning job to record it (see
+    :func:`_attach_first`)."""
 
     job: HuntJob
     status: str  # "racy" | "clean" | "error" | "retried" | "skipped"
     completed: bool = True
     operations: int = 0
     error: str = ""
-    recording: Optional[ExecutionRecording] = None
     report_digest: str = ""
-    execution: Optional[object] = None
-    report: Optional[object] = None
     cache_hit: bool = False  # analysis served from the trace cache
     duration: float = 0.0  # wall-clock seconds spent on this job
     fingerprint: str = ""  # canonical trace fingerprint ("" = cache off)
@@ -252,9 +243,8 @@ _BATCH_ARRAYS = (
 #: the tries whose value differs from the default: (map attribute,
 #: JobOutcome field, default).
 _BATCH_SPARSE = (
-    ("digests", "report_digest", ""), ("recordings", "recording", None),
-    ("partitions", "partition_keys", ()), ("robust", "robust", None),
-    ("robustness", "robustness", None),
+    ("digests", "report_digest", ""), ("partitions", "partition_keys", ()),
+    ("robust", "robust", None), ("robustness", "robustness", None),
 )
 
 
@@ -263,15 +253,14 @@ class BatchOutcome:
     """One batch of job outcomes in compact wire form.
 
     Parallel arrays hold the per-try fields every outcome has; sparse
-    position-keyed maps hold the rare payloads (recordings that can
-    still win the merge, racy report digests, error texts).  Profile
-    spans are pre-aggregated — the parent folds them once per batch
-    instead of once per try.
+    position-keyed maps hold the rare payloads (racy report digests,
+    error texts, robustness verdicts).  Profile spans are
+    pre-aggregated — the parent folds them once per batch instead of
+    once per try.
 
     :meth:`pack`/:meth:`unfold` are exact inverses over everything a
-    worker can produce (live executions/reports never cross the pipe),
-    so the parent-side per-try outcome stream is byte-identical to the
-    old one-pickle-per-job protocol.
+    worker can produce, so the parent-side per-try outcome stream is
+    byte-identical to the old one-pickle-per-job protocol.
     """
 
     indices: List[int] = field(default_factory=list)
@@ -284,7 +273,6 @@ class BatchOutcome:
     race_counts: List[int] = field(default_factory=list)
     certified: List[int] = field(default_factory=list)
     digests: Dict[int, str] = field(default_factory=dict)
-    recordings: Dict[int, ExecutionRecording] = field(default_factory=dict)
     errors: Dict[int, Tuple[str, str]] = field(default_factory=dict)
     #: coverage partition keys, racy cache-misses only (sparse like the
     #: other rare payloads)
@@ -415,7 +403,6 @@ def _execute_job(
     config: HuntConfig,
     job: HuntJob,
     *,
-    keep_execution: bool,
     profile_aggs: Optional[Dict[str, AggregateRecord]] = None,
     coverage: bool = False,
 ) -> JobOutcome:
@@ -430,7 +417,7 @@ def _execute_job(
     if job.delay > 0:
         time.sleep(job.delay)  # retry backoff; not part of the timed body
     begin = time.perf_counter()
-    args = (program, model_factory, config, job, keep_execution, coverage)
+    args = (program, model_factory, config, job, coverage)
     if profile_aggs is None:
         outcome = _execute_job_inner(*args)
         outcome.duration = time.perf_counter() - begin
@@ -466,7 +453,6 @@ def _execute_job_inner(
     model_factory: Callable[[], MemoryModel],
     config: HuntConfig,
     job: HuntJob,
-    keep_execution: bool,
     coverage: bool,
 ) -> JobOutcome:
     """Run one job with failure/timeout isolation."""
@@ -478,7 +464,7 @@ def _execute_job_inner(
                 # Inside the time limit on purpose: an injected hang
                 # must drive the real JobTimeout path.
                 plan.on_job_start(job.index, job.attempt)
-            execution, recording = record_execution(
+            execution = run_program(
                 program,
                 model_factory(),
                 seed=job.seed,
@@ -537,12 +523,11 @@ def _execute_job_inner(
     partition_keys: Tuple[str, ...] = ()
     if racy and report is not None and coverage:
         partition_keys = partition_coverage_keys(report)
-    outcome = JobOutcome(
+    return JobOutcome(
         job=job,
         status="racy" if racy else "clean",
         completed=execution.completed,
         operations=len(execution.operations),
-        recording=recording if racy else None,
         report_digest=digest if racy else "",
         cache_hit=cache_hit,
         fingerprint=fingerprint,
@@ -552,10 +537,6 @@ def _execute_job_inner(
         robust=robust,
         robustness=robustness_payload,
     )
-    if keep_execution:
-        outcome.execution = execution
-        outcome.report = report  # None on a cache hit; merge re-analyzes
-    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -567,19 +548,17 @@ _WORKER_RUN_JOB: Optional[Callable[..., JobOutcome]] = None
 _WORKER_PROFILING = False  # fold job spans into per-batch aggregates
 _WORKER_STOP = None  # multiprocessing.Value: lowest racy index, -1 = none
 _WORKER_CANCEL = None  # multiprocessing.Value: 1 = drain, don't start work
-_WORKER_BEST = None  # multiprocessing.Value: lowest racy index seen anywhere
 _SHARED_CACHE: Optional[sharedcache.SharedTraceCache] = None
 
 
-def _init_worker(run_job, profiling, stop_at, cancel_flag, best_racy,
+def _init_worker(run_job, profiling, stop_at, cancel_flag,
                  cache_path, cache_lock) -> None:
     global _WORKER_RUN_JOB, _WORKER_PROFILING
-    global _WORKER_STOP, _WORKER_CANCEL, _WORKER_BEST, _SHARED_CACHE
+    global _WORKER_STOP, _WORKER_CANCEL, _SHARED_CACHE
     _WORKER_RUN_JOB = run_job
     _WORKER_PROFILING = profiling
     _WORKER_STOP = stop_at
     _WORKER_CANCEL = cancel_flag
-    _WORKER_BEST = best_racy
     _SHARED_CACHE = (
         sharedcache.SharedTraceCache(
             cache_path, cache_lock, local=_TRACE_CACHE,
@@ -598,27 +577,11 @@ def _init_worker(run_job, profiling, stop_at, cancel_flag, best_racy,
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
 
 
-def _lower_bound(bound, index: int) -> int:
-    """Lower a shared racy-index bound (-1 = unset) to *index*, and
-    return the bound as it stands under the same lock."""
+def _lower_bound(bound, index: int) -> None:
+    """Lower a shared racy-index bound (-1 = unset) to *index*."""
     with bound.get_lock():
         if bound.value < 0 or index < bound.value:
             bound.value = index
-        return bound.value
-
-
-def _keep_recording(index: int) -> bool:
-    """Update the shared best-racy index with this racy try and decide
-    whether its recording can still win the lowest-racy-index merge.
-
-    Update-then-check under one lock: after the update the shared value
-    is ``min(previous, index)``, so ``index`` keeps its recording
-    exactly when it *is* the minimum.  The bound only ever decreases,
-    and every value it takes belongs to a racy outcome that will reach
-    the merge (or, after a crash, be reproduced by the deterministic
-    re-run), so the winning outcome always carries its recording.
-    """
-    return _WORKER_BEST is None or index <= _lower_bound(_WORKER_BEST, index)
 
 
 def _run_batch_job(job: HuntJob, profile_aggs) -> JobOutcome:
@@ -634,17 +597,11 @@ def _run_batch_job(job: HuntJob, profile_aggs) -> JobOutcome:
         if 0 <= stop < job.index:
             return JobOutcome(job=job, status="skipped")
     assert _WORKER_RUN_JOB is not None
-    outcome = _WORKER_RUN_JOB(
-        job, keep_execution=False, profile_aggs=profile_aggs
-    )
-    if outcome.status == "racy":
+    outcome = _WORKER_RUN_JOB(job, profile_aggs=profile_aggs)
+    if outcome.status == "racy" and _WORKER_STOP is not None:
         # Broadcast from the worker that found it: lowers the early-stop
-        # bound (when stop_at_first armed it) without waiting for the
-        # batch to reach the parent.
-        if _WORKER_STOP is not None:
-            _lower_bound(_WORKER_STOP, job.index)
-        if not _keep_recording(job.index):
-            outcome.recording = None  # can no longer win the merge
+        # bound without waiting for the batch to reach the parent.
+        _lower_bound(_WORKER_STOP, job.index)
     return outcome
 
 
@@ -682,9 +639,7 @@ class _SerialExecutor:
             if self.stop_index is not None and job.index > self.stop_index:
                 # serial early stop: never start past the racy prefix
                 return
-            yield self.run_job(
-                job, keep_execution=True, profile_aggs=self.profile_aggs
-            )
+            yield self.run_job(job, profile_aggs=self.profile_aggs)
 
     def note_racy(self, index: int) -> None:
         if self.stop_index is None or index < self.stop_index:
@@ -714,14 +669,10 @@ class _PoolExecutor:
         self.workers = workers
         self.batch_size = config.batch_size
         self.profile_aggs = profile_aggs
-        seed = -1 if racy_floor is None else racy_floor
-        self.stop_at = ctx.Value("i", seed) if config.stop_at_first else None
-        # The recording-compaction bound: lowest racy index produced by
-        # any worker (or restored from a checkpoint).  Separate from
-        # stop_at because it is always armed — dropping a recording
-        # that cannot win the merge is sound whether or not the hunt
-        # stops at the first race.
-        self.best_racy = ctx.Value("i", seed)
+        self.stop_at = (
+            ctx.Value("i", -1 if racy_floor is None else racy_floor)
+            if config.stop_at_first else None
+        )
         self.cancel_flag = ctx.Value("i", 0)
         self.cache_path = None
         cache_lock = None
@@ -733,8 +684,7 @@ class _PoolExecutor:
             processes=workers,
             initializer=_init_worker,
             initargs=(run_job, profile_aggs is not None, self.stop_at,
-                      self.cancel_flag, self.best_racy, self.cache_path,
-                      cache_lock),
+                      self.cancel_flag, self.cache_path, cache_lock),
         )
         # The pool's workers, found through the public child-process
         # list so close() need not read Pool's private worker list.
@@ -761,7 +711,6 @@ class _PoolExecutor:
     def note_racy(self, index: int) -> None:
         # Workers broadcast their own racy finds; the parent repeats
         # the update for restored/reclassified outcomes it alone sees.
-        _lower_bound(self.best_racy, index)
         if self.stop_at is not None:
             _lower_bound(self.stop_at, index)
 
@@ -851,48 +800,38 @@ def _attach_first(
     model_factory: Callable[[], MemoryModel],
     config: HuntConfig,
 ) -> None:
-    """Fill in the first racy execution + verify its recording."""
-    result.seed = first.job.seed
-    result.policy = first.job.policy_name
-    result.recording = first.recording
-    if first.recording is None:  # pragma: no cover - the winner records
-        return
-    if first.execution is not None:
-        # In-process job: we hold the original execution; check the
-        # recording reproduces it exactly before advertising replay.
-        result.first_racy = first.execution
-        # A cache hit skipped the job-level report; build it now (once,
-        # for the one execution handed to the user).
-        result.first_report = (
-            first.report if first.report is not None
-            else _analyze(first.execution, config.detector)
-        )
-        result.recording_verified = verify_recording(
-            program,
-            model_factory(),
-            first.recording,
-            first.execution,
-            max_steps=config.max_steps,
-        )
-        return
-    # Cross-process (or checkpoint-restored) job: reconstruct the
-    # execution by replaying the recording; matching the original
-    # report digest verifies it.
-    try:
-        execution = replay_execution(
-            program,
-            model_factory(),
-            first.recording,
-            max_steps=config.max_steps,
-        )
-    except ReplayError:
-        result.recording_verified = False
-        return
+    """Re-simulate the winning try with recording on, and verify it.
+
+    The try ran unrecorded; the simulator is deterministic in
+    ``(program, model, seed, policy)``, so the same job re-run under
+    :func:`record_execution` reproduces it.  Two checks back
+    ``recording_verified``: the re-run's report equals the try's report
+    digest (it reproduced the hunted race), and the recording replays
+    to the re-run (it is a faithful debugging artifact)."""
+    job = first.job
+    result.seed = job.seed
+    result.policy = job.policy_name
+    _, factory = config.resolve(program).policies[job.policy_index]
+    execution, recording = record_execution(
+        program,
+        model_factory(),
+        seed=job.seed,
+        propagation=factory(),
+        max_steps=config.max_steps,
+    )
     report = _analyze(execution, config.detector)
     result.first_racy = execution
     result.first_report = report
+    result.recording = recording
     result.recording_verified = (
-        not report.race_free and report.format() == first.report_digest
+        report.format() == first.report_digest
+        and verify_recording(
+            program,
+            model_factory(),
+            recording,
+            execution,
+            max_steps=config.max_steps,
+        )
     )
 
 
@@ -1036,9 +975,8 @@ def run_hunt(
         restored = loaded.outcomes
         settled_indices = loaded.settled_indices
         job_plan = [j for j in job_plan if j.index not in settled_indices]
-        # The restored racy minimum seeds both shared bounds: with
-        # stop_at_first nothing beyond it is planned at all, and either
-        # way workers can skip shipping recordings that cannot beat it.
+        # The restored racy minimum seeds the early-stop bound: with
+        # stop_at_first nothing beyond it is planned at all.
         racy_floor = loaded.first_racy_index
         if config.stop_at_first and racy_floor is not None:
             job_plan = [j for j in job_plan if j.index <= racy_floor]

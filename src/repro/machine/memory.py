@@ -73,14 +73,15 @@ class MemorySystem:
         self.processor_count = processor_count
         self.model = model
         initial = initial or {}
-
-        def fresh_views() -> List[CellView]:
-            return [CellView(initial.get(a, 0), -1) for a in range(size)]
-
+        # One initial row, shared cell-for-cell by every row below: no
+        # code assigns a CellView field after construction — every
+        # update replaces the row's list slot with a new CellView — so
+        # rows may alias cells and only the lists must be distinct.
+        row = [CellView(initial.get(a, 0), -1) for a in range(size)]
         # committed = the globally latest write per location (by seq).
-        self._committed: List[CellView] = fresh_views()
+        self._committed: List[CellView] = list(row)
         self._views: List[List[CellView]] = [
-            fresh_views() for _ in range(processor_count)
+            list(row) for _ in range(processor_count)
         ]
         self._pending: List[PendingWrite] = []
         # FIFO discipline on voluntary deliveries (TSO/PSO); the model

@@ -45,8 +45,8 @@ class ExecutionRecording:
 
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
-        """The recording as plain JSON-able data (the on-disk schema,
-        also embedded verbatim in hunt checkpoints)."""
+        """The recording as plain JSON-able data (the on-disk
+        schema)."""
         return {
             "format": 1,
             "model": self.model_name,

@@ -33,7 +33,6 @@ from repro.analysis.parallel import (
 )
 from repro.faults import ENV_VAR, FaultPlan
 from repro.machine.models import make_model
-from repro.machine.replay import ExecutionRecording
 from repro.obs.metrics import MetricsRegistry
 from repro.programs.kernels import locked_counter_program, racy_counter_program
 from repro.programs.workqueue import buggy_workqueue_program
@@ -244,14 +243,11 @@ def test_plan_batches_rejects_nonpositive_size():
 
 def test_batch_outcome_pack_unfold_roundtrip():
     jobs = plan_jobs(4, ["a", "b"])
-    recording = ExecutionRecording(
-        model_name="WO", schedule=[0, 1], deliveries=[[(0, 1)], []],
-    )
     outcomes = [
         JobOutcome(job=jobs[0], status="clean", operations=5,
                    duration=0.25, fingerprint="fp0"),
         JobOutcome(job=jobs[1], status="racy", operations=9,
-                   recording=recording, report_digest="digest-1",
+                   report_digest="digest-1",
                    race_count=2, certified_races=1, cache_hit=True,
                    duration=0.5, fingerprint="fp1"),
         JobOutcome(job=jobs[2], status="error", error="Boom: x",
@@ -259,7 +255,6 @@ def test_batch_outcome_pack_unfold_roundtrip():
         JobOutcome(job=jobs[3], status="skipped"),
     ]
     packed = BatchOutcome.pack(outcomes)
-    assert set(packed.recordings) == {1}
     assert set(packed.digests) == {1}
     assert set(packed.errors) == {2}
     unfolded = packed.unfold({j.index: j for j in jobs})
@@ -270,8 +265,6 @@ def test_batch_outcome_pack_unfold_roundtrip():
                       "duration", "fingerprint", "race_count",
                       "certified_races"):
             assert getattr(rebuilt, field) == getattr(original, field)
-    assert unfolded[1].recording is recording
-    assert unfolded[0].recording is None
 
 
 # ----------------------------------------------------------------------

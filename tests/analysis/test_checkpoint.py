@@ -105,37 +105,49 @@ def test_outcome_from_payload_rejects_malformed():
         outcome_from_payload({"index": 0})
 
 
-def test_racy_outcome_carries_recording():
-    result = hunt_races(racy_counter_program(), _wo, tries=4, jobs=1,
-                        stop_at_first=True)
-    assert result.found and result.recording is not None
-    outcome = _outcome(0, status="racy", recording=result.recording,
-                       report_digest="digest")
-    back = outcome_from_payload(outcome_to_payload(outcome))
-    assert back.recording is not None
-    assert back.recording.schedule == result.recording.schedule
-    assert back.recording.deliveries == result.recording.deliveries
-
-
-def test_save_keeps_only_first_racy_recording(tmp_path):
-    """Checkpoints stay small: the merge only ever attaches the
-    lowest-index racy outcome's recording, so the others are
-    stripped at save time."""
-    result = hunt_races(racy_counter_program(), _wo, tries=4, jobs=1,
-                        stop_at_first=True)
-    assert result.recording is not None
-    outcomes = [
-        _outcome(1, status="racy", recording=result.recording),
-        _outcome(5, status="racy", recording=result.recording),
-        _outcome(3, status="clean"),
-    ]
+def test_format_2_checkpoint_stores_no_recording(tmp_path):
+    """The hunt records only its winning try, after the merge, so a
+    checkpoint has no recording to persist."""
     path = tmp_path / "hunt.ckpt"
-    save_checkpoint(path, _spec(), outcomes, complete=False)
-    loaded = load_checkpoint(path)
-    by_index = {o.job.index: o for o in loaded.outcomes}
-    assert by_index[1].recording is not None  # the one the merge uses
-    assert by_index[5].recording is None
-    assert by_index[1].recording.schedule == result.recording.schedule
+    result = hunt_races(racy_counter_program(), _wo, tries=6, jobs=1,
+                        checkpoint=path)
+    assert result.found and result.recording is not None
+    payload = json.loads(path.read_text())
+    assert payload["format"] == CHECKPOINT_FORMAT == 2
+    assert any(o["status"] == "racy" for o in payload["outcomes"])
+    assert all("recording" not in o for o in payload["outcomes"])
+
+
+def test_format_1_checkpoint_with_recording_resumes(tmp_path):
+    """A format-1 checkpoint still loads: its ``recording`` keys are
+    ignored, and resume re-derives the winner's recording."""
+    program = racy_counter_program()
+    full = hunt_races(program, _wo, tries=6, jobs=1)
+    assert full.found and full.recording_verified is True
+    path = tmp_path / "hunt.ckpt"
+    hunt_races(program, _wo, tries=6, jobs=1, checkpoint=path)
+    payload = json.loads(path.read_text())
+    # Rewrite as format 1 wrote it: every outcome has a recording key,
+    # the lowest-index racy one carrying the recording.  Drop the last
+    # outcomes so the resume has jobs left to run.
+    payload["format"] = 1
+    payload["complete"] = False
+    payload["outcomes"] = payload["outcomes"][:4]
+    first_racy = min(o["index"] for o in payload["outcomes"]
+                     if o["status"] == "racy")
+    for outcome in payload["outcomes"]:
+        outcome["recording"] = (
+            full.recording.to_payload()
+            if outcome["index"] == first_racy else None
+        )
+    path.write_text(json.dumps(payload))
+    assert len(load_checkpoint(path).outcomes) == 4
+    resumed = hunt_races(program, _wo, tries=6, jobs=1, checkpoint=path,
+                         resume=True)
+    assert resumed.resumed_jobs == 4
+    assert resumed.stats() == full.stats()
+    assert resumed.recording_verified is True
+    assert resumed.recording.to_payload() == full.recording.to_payload()
 
 
 # ----------------------------------------------------------------------

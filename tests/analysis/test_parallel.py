@@ -76,8 +76,9 @@ def test_parallel_stop_at_first_matches_serial():
 
 
 def test_parallel_reconstructs_first_racy_execution():
-    """Workers ship recordings, not executions; the parent must rebuild
-    the racy execution by replay and end up with the same report."""
+    """Workers ship neither recordings nor executions; the parent must
+    rebuild the racy execution by re-simulating the winning job and
+    end up with the same report."""
     serial = hunt_races(buggy_workqueue_program(), _wo, tries=9, jobs=1)
     parallel = hunt_races(buggy_workqueue_program(), _wo, tries=9, jobs=3)
     assert parallel.first_racy is not None

@@ -9,7 +9,9 @@ O(deliveries) log instead.  The change is only safe if
 * wrapping an execution in the recorder never perturbs it: a recorded
   run and a bare run with the same seed must produce identical
   operation streams (the recorder consumes no RNG and delivers
-  nothing itself), and
+  nothing itself) on every model.  This is also the premise of the
+  hunt's record on demand: tries run bare, and only the winning try
+  is re-simulated under the recorder; and
 * the recordings it produces are *byte-identical* to the old diff
   format — existing recording files must replay against the new code
   and vice versa, so the deliveries must come out in the exact order
@@ -26,7 +28,7 @@ from typing import List, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.models import make_model
+from repro.machine.models import ALL_MODEL_NAMES, make_model
 from repro.machine.memory import MemorySystem
 from repro.machine.propagation import (
     EagerPropagation,
@@ -34,6 +36,7 @@ from repro.machine.propagation import (
     HomeDirectoryPropagation,
     PropagationPolicy,
     RandomPropagation,
+    StoreBufferPropagation,
     StubbornPropagation,
 )
 from repro.machine.replay import (
@@ -104,6 +107,7 @@ POLICIES = [
     ("eager", EagerPropagation),
     ("holdback", lambda: HoldbackPropagation({0})),
     ("ring", lambda: HomeDirectoryPropagation.ring(2)),
+    ("store-buffer", lambda: StoreBufferPropagation(0.3)),
 ]
 
 
@@ -111,7 +115,7 @@ POLICIES = [
     seed=st.integers(0, 500),
     program_index=st.integers(0, len(PROGRAMS) - 1),
     policy_index=st.integers(0, len(POLICIES) - 1),
-    model=st.sampled_from(["SC", "WO", "RCsc"]),
+    model=st.sampled_from(ALL_MODEL_NAMES),
 )
 @settings(max_examples=60, deadline=None)
 def test_recording_wrapper_does_not_perturb_execution(
