@@ -189,39 +189,10 @@ class _MiniRecorder:
         self.ops.append(op)
 
 
-def _clone_processor(p: Processor) -> Processor:
-    out = Processor(p.pid, p.thread)
-    out.regs = dict(p.regs)
-    out.reg_taint = dict(p.reg_taint)
-    out.pc = p.pc
-    out.halted = p.halted
-    out.control_taint = p.control_taint
-    out.local_index = p.local_index
-    out.raw_scp_cut = p.raw_scp_cut
-    return out
-
-
-def _clone_memory(m: MemorySystem) -> MemorySystem:
-    out = MemorySystem.__new__(MemorySystem)
-    out.size = m.size
-    out.processor_count = m.processor_count
-    out.model = m.model
-    from ..machine.memory import CellView
-    out._committed = [CellView(c.value, c.seq, c.taint) for c in m._committed]
-    out._views = [
-        [CellView(c.value, c.seq, c.taint) for c in row] for row in m._views
-    ]
-    out._pending = []  # SC never buffers
-    out.flush_count = m.flush_count
-    out.propagated_writes = m.propagated_writes
-    out._delivery_log = None  # exploration never records deliveries
-    out.deliveries_logged = 0
-    return out
-
-
 def _machine_key(processors: List[Processor], memory: MemorySystem) -> Tuple:
     procs = tuple(
-        (p.pc, p.halted, tuple(sorted(p.regs.items()))) for p in processors
+        (p.pc, p.halted, tuple(sorted(p.registers().items())))
+        for p in processors
     )
     cells = tuple(c.value for c in memory._committed)
     return (procs, cells)
@@ -368,8 +339,8 @@ class ExhaustiveExplorer:
             return None
 
         for pid in runnable:
-            new_procs = [_clone_processor(p) for p in processors]
-            new_mem = _clone_memory(memory)
+            new_procs = [p.copy() for p in processors]
+            new_mem = memory.copy()
             new_race = race_state.clone()
             recorder = _MiniRecorder()
             new_procs[pid].step(new_mem, recorder)

@@ -29,11 +29,7 @@ from ..machine.memory import MemorySystem
 from ..machine.models.base import MemoryModel
 from ..machine.processor import Processor
 from ..machine.program import Program
-from .exhaustive import (
-    _MiniRecorder,
-    _clone_processor,
-    _is_blocked,
-)
+from .exhaustive import _MiniRecorder, _is_blocked
 
 
 class OutcomeLimit(RuntimeError):
@@ -63,32 +59,10 @@ class OutcomeSet:
         return len(self.outcomes)
 
 
-def _clone_weak_memory(m: MemorySystem) -> MemorySystem:
-    from ..machine.memory import CellView, PendingWrite
-    out = MemorySystem.__new__(MemorySystem)
-    out.size = m.size
-    out.processor_count = m.processor_count
-    out.model = m.model
-    out._committed = [CellView(c.value, c.seq, c.taint) for c in m._committed]
-    out._views = [
-        [CellView(c.value, c.seq, c.taint) for c in row] for row in m._views
-    ]
-    out._pending = [
-        PendingWrite(pw.writer, pw.addr, pw.value, pw.seq, pw.taint,
-                     set(pw.remaining))
-        for pw in m._pending
-    ]
-    out._store_order = m._store_order
-    out.flush_count = m.flush_count
-    out.propagated_writes = m.propagated_writes
-    out._delivery_log = None  # enumeration never records deliveries
-    out.deliveries_logged = 0
-    return out
-
-
 def _state_key(processors: List[Processor], memory: MemorySystem) -> Tuple:
     procs = tuple(
-        (p.pc, p.halted, tuple(sorted(p.regs.items()))) for p in processors
+        (p.pc, p.halted, tuple(sorted(p.registers().items())))
+        for p in processors
     )
     cells = tuple(c.value for c in memory._committed)
     views = tuple(
@@ -180,8 +154,8 @@ def enumerate_outcomes(
             continue
 
         for pid in runnable:
-            new_procs = [_clone_processor(p) for p in procs]
-            new_mem = _clone_weak_memory(mem)
+            new_procs = [p.copy() for p in procs]
+            new_mem = mem.copy()
             # Seq numbers stay globally monotone along each path so the
             # memory system's newer-write-wins guard behaves correctly.
             recorder = _MiniRecorder(start_seq=next_seq)
@@ -189,13 +163,13 @@ def enumerate_outcomes(
             work.append((new_procs, new_mem, recorder._seq))
 
         for seq, reader in deliveries:
-            new_mem = _clone_weak_memory(mem)
+            new_mem = mem.copy()
             for pw in new_mem.pending_writes():
                 if pw.seq == seq:
                     new_mem.propagate(pw, reader)
                     break
             work.append((
-                [_clone_processor(p) for p in procs], new_mem, next_seq
+                [p.copy() for p in procs], new_mem, next_seq
             ))
     return OutcomeSet(
         program=program,

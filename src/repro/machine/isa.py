@@ -88,7 +88,7 @@ class Instruction:
     """One static instruction.
 
     The operand tuple's meaning depends on the opcode; see
-    :class:`repro.machine.processor.Processor` for the dispatch table.
+    :func:`repro.machine.processor.decode` for the decoder.
     ``label`` is a symbolic jump target resolved by the thread program.
     """
 

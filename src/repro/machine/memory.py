@@ -19,7 +19,7 @@ Ground truth kept for verification (never exposed to the detector):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from .models.base import MemoryModel
@@ -84,8 +84,9 @@ class MemorySystem:
             list(row) for _ in range(processor_count)
         ]
         self._pending: List[PendingWrite] = []
-        # FIFO discipline on voluntary deliveries (TSO/PSO); the model
-        # is fixed for the system's lifetime, so resolve it once.
+        # The model is fixed for the system's lifetime: resolve its
+        # buffering and FIFO delivery discipline (TSO/PSO) once.
+        self._buffers = model.buffers_data_writes()
         self._store_order = model.store_order_granularity()
         # voluntary-delivery log: (seq, reader) per propagate() call,
         # drained by the recorder between steps.  None = logging off.
@@ -94,6 +95,20 @@ class MemorySystem:
         self.flush_count = 0
         self.propagated_writes = 0
         self.deliveries_logged = 0
+
+    def copy(self) -> "MemorySystem":
+        """An independent memory system in the same state.  Cells are
+        shared — no code mutates a CellView, it replaces it — so only
+        the rows and the pending writes are copied."""
+        out = MemorySystem.__new__(MemorySystem)
+        out.__dict__.update(self.__dict__)
+        out._committed = list(self._committed)
+        out._views = [list(row) for row in self._views]
+        out._pending = [replace(pw, remaining=set(pw.remaining))
+                        for pw in self._pending]
+        if self._delivery_log is not None:
+            out._delivery_log = list(self._delivery_log)
+        return out
 
     # ------------------------------------------------------------------
     # reads
@@ -105,31 +120,32 @@ class MemorySystem:
         (necessarily by another processor, since a processor's own
         writes update its own view at issue).
         """
-        self._check(proc, addr)
+        return ReadResult(*self.load_data(proc, addr))
+
+    def load_data(self, proc: int, addr: int) -> tuple:
+        """:meth:`read_data`'s fields as a tuple (the processor's path)."""
+        if not (0 <= addr < self.size and 0 <= proc < self.processor_count):
+            self._check(proc, addr)
         view = self._views[proc][addr]
-        committed = self._committed[addr]
-        stale = committed.seq != view.seq
-        return ReadResult(
-            value=view.value,
-            observed_write=view.seq if view.seq >= 0 else None,
-            stale=stale,
-            taint=view.taint or stale,
-        )
+        seq = view.seq
+        stale = self._committed[addr].seq != seq
+        return (view.value, seq if seq >= 0 else None, stale,
+                view.taint or stale)
 
     def read_sync(self, proc: int, addr: int) -> ReadResult:
         """A synchronization read: sequentially consistent, reads the
         committed state and refreshes the reader's view of the cell."""
-        self._check(proc, addr)
+        return ReadResult(*self.load_sync(proc, addr))
+
+    def load_sync(self, proc: int, addr: int) -> tuple:
+        """:meth:`read_sync`'s fields as a tuple (the processor's path)."""
+        if not (0 <= addr < self.size and 0 <= proc < self.processor_count):
+            self._check(proc, addr)
         committed = self._committed[addr]
-        self._views[proc][addr] = CellView(
-            committed.value, committed.seq, committed.taint
-        )
-        return ReadResult(
-            value=committed.value,
-            observed_write=committed.seq if committed.seq >= 0 else None,
-            stale=False,
-            taint=committed.taint,
-        )
+        self._views[proc][addr] = committed
+        seq = committed.seq
+        return (committed.value, seq if seq >= 0 else None, False,
+                committed.taint)
 
     # ------------------------------------------------------------------
     # writes
@@ -140,10 +156,11 @@ class MemorySystem:
         """A data write: own view and committed state update at issue;
         other views update when the write propagates (or never, until a
         flush, under the stubborn policy)."""
-        self._check(proc, addr)
-        self._committed[addr] = CellView(value, seq, taint)
-        self._views[proc][addr] = CellView(value, seq, taint)
-        if not self.model.buffers_data_writes():
+        if not (0 <= addr < self.size and 0 <= proc < self.processor_count):
+            self._check(proc, addr)
+        self._committed[addr] = self._views[proc][addr] = CellView(
+            value, seq, taint)
+        if not self._buffers:
             self._apply_everywhere(proc, addr, value, seq, taint)
             return
         remaining = {q for q in range(self.processor_count) if q != proc}
@@ -168,8 +185,8 @@ class MemorySystem:
         flushed = 0
         if self.model.flushes_at(role):
             flushed = self.flush(proc)
-        self._committed[addr] = CellView(value, seq, taint)
-        self._views[proc][addr] = CellView(value, seq, taint)
+        self._committed[addr] = self._views[proc][addr] = CellView(
+            value, seq, taint)
         self._apply_everywhere(proc, addr, value, seq, taint)
         return flushed
 
@@ -269,10 +286,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    def committed_value(self, addr: int) -> int:
-        self._check(0, addr)
-        return self._committed[addr].value
-
     def committed_memory(self) -> Dict[int, int]:
         return {addr: cell.value for addr, cell in enumerate(self._committed)}
 

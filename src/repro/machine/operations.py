@@ -117,3 +117,27 @@ class MemoryOperation:
             SyncRole.SYNC_ONLY: f"sync-{self.kind.value}",
         }[self.role]
         return f"P{self.proc} {tag}({name},{self.value})"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def new_operation(seq, proc, local_index, kind, role, addr, value,
+                  observed_write, stale, instr_index) -> MemoryOperation:
+    """``MemoryOperation(...)`` for the simulator's hot path: the frozen
+    ``__init__``'s ten ``object.__setattr__`` calls, in field order,
+    with the function bound once instead of looked up per field.  The
+    instance is the constructor's, layout included."""
+    op = _new(MemoryOperation)
+    _set(op, "seq", seq)
+    _set(op, "proc", proc)
+    _set(op, "local_index", local_index)
+    _set(op, "kind", kind)
+    _set(op, "role", role)
+    _set(op, "addr", addr)
+    _set(op, "value", value)
+    _set(op, "observed_write", observed_write)
+    _set(op, "stale", stale)
+    _set(op, "instr_index", instr_index)
+    return op

@@ -20,6 +20,7 @@ way to write the paper's example programs::
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -115,6 +116,18 @@ class ThreadProgram:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    @functools.cached_property
+    def decoded(self):
+        """This thread decoded for the processor, built on its first run
+        and cached: not a field, so out of eq, repr and hash, and
+        :meth:`__getstate__` keeps it out of pickles and copies."""
+        from .processor import decode
+
+        return decode(self)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "decoded"}
 
 
 @dataclass(frozen=True)

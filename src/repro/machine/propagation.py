@@ -43,6 +43,8 @@ class EagerPropagation(PropagationPolicy):
     """Deliver every pending write to every reader, every step."""
 
     def step(self, memory: MemorySystem, rng: random.Random) -> None:
+        if not memory.pending_writes():
+            return  # idle: nothing to deliver, no RNG draw
         for pw in list(memory.pending_writes()):
             for reader in list(pw.remaining):
                 memory.propagate(pw, reader)
@@ -64,6 +66,8 @@ class RandomPropagation(PropagationPolicy):
         self.probability = probability
 
     def step(self, memory: MemorySystem, rng: random.Random) -> None:
+        if not memory.pending_writes():
+            return  # idle: nothing to deliver, no RNG draw
         for pw in list(memory.pending_writes()):
             for reader in list(pw.remaining):
                 if rng.random() < self.probability:
@@ -78,6 +82,8 @@ class HoldbackPropagation(PropagationPolicy):
         self.held: Set[int] = set(held)
 
     def step(self, memory: MemorySystem, rng: random.Random) -> None:
+        if not memory.pending_writes():
+            return  # idle: nothing to deliver, no RNG draw
         for pw in list(memory.pending_writes()):
             if pw.addr in self.held:
                 continue
@@ -103,6 +109,8 @@ class StoreBufferPropagation(PropagationPolicy):
         self.probability = probability
 
     def step(self, memory: MemorySystem, rng: random.Random) -> None:
+        if not memory.pending_writes():
+            return  # idle: nothing to deliver, no RNG draw
         heads: dict = {}
         for pw in memory.pending_writes():
             # _pending is append-ordered by seq: first hit is the head.
@@ -167,6 +175,9 @@ class HomeDirectoryPropagation(PropagationPolicy):
 
     def step(self, memory: MemorySystem, rng: random.Random) -> None:
         self._now += 1
+        if not memory.pending_writes():
+            self._arrivals.clear()  # every schedule is stale
+            return
         live = set()
         for pw in list(memory.pending_writes()):
             live.add(pw.seq)

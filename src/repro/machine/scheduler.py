@@ -41,10 +41,15 @@ class RandomScheduler(Scheduler):
     """Uniformly random choice each step (fair with probability 1)."""
 
     def pick(self, runnable: Sequence[int], rng: random.Random) -> int:
-        # rng.choice indexes the sequence directly; copying it per pick
-        # (the old list(runnable)) only added hot-loop allocation and
-        # consumes the identical RNG draw either way.
-        return rng.choice(runnable)
+        # rng.choice(runnable) inlined: Random._randbelow's getrandbits
+        # rejection loop, so the very same draws (pinned by
+        # test_random_pick_matches_random_choice).
+        n = len(runnable)
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return runnable[r]
 
 
 class BurstScheduler(Scheduler):

@@ -7,6 +7,7 @@ counters) against which the paper's claims are tested.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -33,18 +34,15 @@ class _Recorder:
 
     def __init__(self, on_operation=None) -> None:
         self.ops: List[MemoryOperation] = []
-        self._seq = 0
         self._emit = on_operation
-
-    def next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
+        # Bound C methods: the processor calls both once per operation.
+        self.next_seq = itertools.count().__next__
+        if on_operation is None:
+            self.append = self.ops.append
 
     def append(self, op: MemoryOperation) -> None:
         self.ops.append(op)
-        if self._emit is not None:
-            self._emit(op)
+        self._emit(op)
 
 
 @dataclass
@@ -194,11 +192,12 @@ class Simulator:
         scheduler_pick = self.scheduler.pick
         while steps < max_steps and runnable:
             propagation_step(memory, rng)
-            pid = scheduler_pick(runnable, rng)
-            proc = processors[pid]
-            proc.step(memory, recorder)
+            proc = processors[scheduler_pick(runnable, rng)]
+            # Processor.step without the halted check: runnable
+            # processors never are.
+            proc.code[proc.pc](proc, memory, recorder)
             if proc.halted:
-                runnable.remove(pid)
+                runnable.remove(proc.pid)
             steps += 1
 
         completed = not runnable
@@ -220,7 +219,7 @@ class Simulator:
             final_memory=memory.committed_memory(),
             stats=stats,
             raw_scp_cuts=[p.raw_scp_cut for p in processors],
-            registers=[dict(p.regs) for p in processors],
+            registers=[p.registers() for p in processors],
             flush_count=memory.flush_count,
             propagated_writes=memory.propagated_writes,
             symbols=self.program.symbols,

@@ -162,3 +162,75 @@ class TestAgreementWithDynamic:
                 for run_seed in range(4):
                     result = run_program(prog, make_model("SC"), seed=run_seed)
                     assert det.analyze_execution(result).race_free, (seed, run_seed)
+
+
+# The exhaustive SC suite, and each program's exploration statistics as
+# recorded before the machine's state copies became Processor.copy() and
+# MemorySystem.copy(): (DRF, executions, states, deadlocks, witness).
+SC_SUITE = {
+    "figure1a": (figure1a_program, (False, 0, 4, 0, [0, 0, 0, 1])),
+    "figure1b": (figure1b_program, (True, 1, 15, 0, None)),
+    "single-race": (single_race_program, (False, 0, 3, 0, [0, 0, 1])),
+    "locked-counter": (lambda: locked_counter_program(2, 2),
+                       (True, 6, 702, 0, None)),
+    "racy-counter": (lambda: racy_counter_program(2, 1),
+                     (False, 0, 10, 0, [0] * 8 + [1, 1])),
+    "producer-consumer": (lambda: producer_consumer_program(2),
+                          (True, 2, 70, 0, None)),
+}
+
+
+def _machine_state(processors, memory):
+    procs = [
+        (p.pc, p.halted, p.registers(), p.taint, p.control_taint,
+         p.local_index, p.raw_scp_cut, p.cycles)
+        for p in processors
+    ]
+    views = [[memory.view_value(q, a) for a in range(memory.size)]
+             for q in range(memory.processor_count)]
+    return procs, memory.committed_memory(), views, memory.flush_count
+
+
+class TestMachineCopies:
+    @pytest.mark.parametrize("name", list(SC_SUITE))
+    def test_clone_steps_identically(self, name):
+        """At every step of a random SC schedule, a copy of the machine
+        steps exactly like the original, and stepping the copy leaves
+        the original untouched."""
+        import random
+
+        from repro.analysis.exhaustive import _MiniRecorder
+        from repro.machine.memory import MemorySystem
+        from repro.machine.models import make_model
+        from repro.machine.processor import Processor
+
+        program = SC_SUITE[name][0]()
+        memory = MemorySystem(program.memory_size, program.processor_count,
+                              make_model("SC"), program.initial_memory)
+        procs = [Processor(pid, t) for pid, t in enumerate(program.threads)]
+        rng = random.Random(name)
+        for _ in range(500):
+            runnable = [p.pid for p in procs if not p.halted]
+            if not runnable:
+                break
+            pid = rng.choice(runnable)
+            copies = [p.copy() for p in procs]
+            copy_memory = memory.copy()
+            before = _machine_state(procs, memory)
+            copy_ops = _MiniRecorder()
+            copies[pid].step(copy_memory, copy_ops)
+            assert _machine_state(procs, memory) == before
+            ops = _MiniRecorder()
+            procs[pid].step(memory, ops)
+            assert ops.ops == copy_ops.ops
+            assert (_machine_state(procs, memory)
+                    == _machine_state(copies, copy_memory))
+        assert all(p.halted for p in procs)
+
+    @pytest.mark.parametrize("name", list(SC_SUITE))
+    def test_exploration_unchanged(self, name):
+        make, expected = SC_SUITE[name]
+        r = explore_program(make())
+        assert (r.program_is_data_race_free, r.executions_explored,
+                r.states_visited, r.deadlocked_paths,
+                r.racing_schedule) == expected

@@ -203,3 +203,16 @@ class TestIRIWEnumeration:
         values = out.values_of("obs[0]", "obs[1]", "obs[2]", "obs[3]")
         assert (1, 0, 1, 0) not in values  # r0: x=1,y=0 ; r1: y=1,x=0
         assert (1, 1, 1, 1) in values      # both saw everything: fine
+
+
+class TestOutcomesUnchanged:
+    # (states visited, outcome count) per model, recorded before the
+    # enumerator's state copies became Processor.copy() and
+    # MemorySystem.copy().
+    @pytest.mark.parametrize("model,states,outcomes", [
+        ("SC", 59, 3), ("WO", 318, 4), ("TSO", 262, 4), ("PSO", 318, 4),
+    ])
+    def test_store_buffering_search_unchanged(self, model, states, outcomes):
+        out = enumerate_outcomes(store_buffering_program(), make_model(model))
+        assert (out.states_visited, out.deadlocked_paths,
+                len(out.outcomes)) == (states, 0, outcomes)

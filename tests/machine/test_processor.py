@@ -195,3 +195,61 @@ def test_instruction_and_cycle_counters():
     assert stats.operations == 2
     assert stats.cycles >= stats.instructions
     assert stats.stall_cycles == 2 * SequentialConsistency().data_write_stall()
+
+
+def test_new_operation_matches_the_constructor():
+    """The hot-path constructor builds the very instance the frozen
+    dataclass constructor does."""
+    import pickle
+
+    from repro.machine.operations import MemoryOperation, new_operation
+    fields = (3, 1, 2, OperationKind.WRITE, SyncRole.RELEASE, 7, 9, None,
+              False, 5)
+    fast, slow = new_operation(*fields), MemoryOperation(*fields)
+    assert fast == slow and hash(fast) == hash(slow)
+    assert list(vars(fast).items()) == list(vars(slow).items())
+    assert pickle.dumps(fast) == pickle.dumps(slow)
+
+
+def test_decode_cache_stays_out_of_program_identity():
+    """Decoding is lazy and cached on the thread, outside its eq, repr,
+    hash-relevant fields, pickles and the checkpoint fingerprint."""
+    import pickle
+
+    from repro.analysis.checkpoint import program_fingerprint
+    from repro.programs.workqueue import buggy_workqueue_program
+    program, twin = buggy_workqueue_program(), buggy_workqueue_program()
+    assert "decoded" not in vars(program.threads[0])
+    before = (repr(program), program_fingerprint(program),
+              pickle.dumps(program))
+    run_program(program, make_model("WO"))
+    assert "decoded" in vars(program.threads[0])
+    assert program == twin
+    assert (repr(program), program_fingerprint(program),
+            pickle.dumps(program)) == before
+    assert pickle.loads(pickle.dumps(program)) == program
+
+
+def test_decode_rejects_a_label_outside_the_thread():
+    from repro.machine.isa import Instruction, Opcode
+    from repro.machine.program import Program, SymbolError, SymbolTable, \
+        ThreadProgram
+    thread = ThreadProgram(
+        (Instruction(Opcode.JMP, label="far"), Instruction(Opcode.HALT)),
+        {"far": 7})
+    with pytest.raises(SymbolError, match="outside"):
+        run_program(Program((thread,), SymbolTable()), make_model("SC"))
+
+
+def test_registers_report_first_write_order():
+    def build(b):
+        with b.thread() as t:
+            t.jump("second")
+            t.label("first")
+            t.mov(1, dst=t.reg("a"))
+            t.halt()
+            t.label("second")
+            t.mov(2, dst=t.reg("b"))
+            t.jump("first")
+    res = _run(build)
+    assert list(res.registers[0].items()) == [("b", 2), ("a", 1)]

@@ -1,5 +1,7 @@
 """Record/replay tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.machine.models import make_model
@@ -117,6 +119,22 @@ def test_verify_recording_rejects_corrupted_recording():
         deliveries=recording.deliveries[: len(recording.deliveries) // 2],
     )
     assert not verify_recording(program, make_model("WO"), corrupted, original)
+
+
+@pytest.mark.parametrize("tamper", ["instr_index", "registers"])
+def test_verify_recording_rejects_a_different_execution(tamper):
+    """The winner check compares the whole execution, not only the
+    operations' values: a program point or a register that differs
+    from the replay fails it."""
+    program = buggy_workqueue_program()
+    original, recording = record_execution(program, make_model("WO"), seed=11)
+    if tamper == "instr_index":
+        op = original.operations[3]
+        original.operations[3] = dataclasses.replace(
+            op, instr_index=op.instr_index + 1)
+    else:
+        original.registers[1] = dict(original.registers[1], extra=1)
+    assert not verify_recording(program, make_model("WO"), recording, original)
 
 
 def test_verify_recording_rejects_wrong_model():

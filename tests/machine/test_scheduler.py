@@ -40,6 +40,24 @@ def test_random_scheduler_fair_ish():
     assert 50 < sum(picks) < 150
 
 
+def test_random_pick_matches_random_choice():
+    """RandomScheduler.pick inlines Random.choice's getrandbits
+    rejection loop, so it must consume exactly the draws rng.choice
+    would: the same pick and the same generator state after every
+    draw, as runnable lists of 1-8 processors shrink mid-stream."""
+    for seed in range(200):
+        rng, twin = random.Random(seed), random.Random(seed)
+        shape = random.Random(-1 - seed)  # list sizes and halts
+        runnable = list(range(shape.randint(1, 8)))
+        scheduler = RandomScheduler()
+        while runnable:
+            pick = scheduler.pick(runnable, rng)
+            assert pick == twin.choice(runnable), seed
+            assert rng.getstate() == twin.getstate(), seed
+            if shape.random() < 0.1:  # the picked processor halts
+                runnable.remove(pick)
+
+
 def test_burst_scheduler_runs_bursts():
     s = BurstScheduler(min_burst=3, max_burst=3)
     rng = random.Random(0)
