@@ -529,15 +529,7 @@ def main(argv=None) -> int:
             jobs=1,
             on_outcome=log.on_outcome,
         )
-        log.write_summary({
-            "tries": bench_run.tries,
-            "racy_runs": bench_run.racy_runs,
-            "elapsed_sec": round(bench_run.elapsed, 6),
-            "executions_per_sec": round(
-                bench_run.executions_per_second, 1
-            ),
-        })
-        log.close()
+        log.finish(bench_run)
         print(f"wrote {args.events_path} ({bench_run.tries} try records)")
 
     if committed is not None:

@@ -116,8 +116,9 @@ def make_hunt_id(spec: dict, nonce: Optional[str] = None) -> str:
 def peek_hunt_id(path: Union[str, Path]) -> Optional[str]:
     """Best-effort read of a checkpoint's hunt_id — ``None`` for
     missing/legacy/corrupt files (the real load reports those properly;
-    this is for callers that need the id *before* the hunt starts, like
-    the CLI wiring the event log and telemetry server on a resume)."""
+    this is for :meth:`~repro.analysis.hunting.HuntConfig.resolve_hunt_id`,
+    which decides the id *before* the hunt starts, so the CLI can wire
+    the event log and telemetry server on a resume)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         hunt_id = payload.get("hunt_id")

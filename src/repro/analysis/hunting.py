@@ -43,7 +43,7 @@ from ..machine.propagation import (
 )
 from ..machine.replay import ExecutionRecording
 from ..machine.simulator import ExecutionResult
-from .checkpoint import program_fingerprint
+from .checkpoint import make_hunt_id, peek_hunt_id, program_fingerprint
 
 PolicyFactory = Callable[[], PropagationPolicy]
 
@@ -376,8 +376,8 @@ class HuntConfig:
       it bypasses the trace cache.
     * ``batch_size`` — jobs per pool dispatch batch (``None`` = auto,
       a couple of batches per worker; the serial path ignores it).
-    * ``hunt_id`` — telemetry correlation id; minted when ``None``,
-      and a resumed checkpoint's stored id always wins.
+    * ``hunt_id`` — telemetry correlation id; see
+      :meth:`resolve_hunt_id`.
     * ``verify_robustness`` (identity) — attach a robustness verdict
       (:func:`repro.core.robustness.check_robustness`) to every try;
       any non-robust try downgrades :attr:`HuntResult.soundness`.
@@ -465,6 +465,16 @@ class HuntConfig:
             name for name, _ in self.resolve(program).policies
         ]
         return values
+
+    def resolve_hunt_id(self, program: Program, model_name: str) -> str:
+        """The hunt's telemetry id, decided here for every surface that
+        names it (events meta, ``/status``, profile meta, checkpoint,
+        result): on a resume the checkpoint's stored id, so the resumed
+        hunt joins the interrupted run; else ``hunt_id``; else a fresh
+        id minted from :meth:`spec`."""
+        stored = peek_hunt_id(self.checkpoint) if self.resume else None
+        return stored or self.hunt_id or make_hunt_id(
+            self.spec(program, model_name))
 
 
 def hunt_races(

@@ -131,7 +131,7 @@ from ..obs.profiler import AggregateRecord, merge_aggregate_maps
 from ..trace.build import build_trace
 from ..trace.fingerprint import trace_fingerprint
 from . import sharedcache
-from .checkpoint import CheckpointWriter, load_checkpoint, make_hunt_id
+from .checkpoint import CheckpointWriter, load_checkpoint
 from .hunting import HUNT_DETECTORS  # noqa: F401  (re-exported)
 from .hunting import HuntConfig, HuntResult, JobFailure
 
@@ -229,6 +229,8 @@ class JobOutcome:
     #: cache hit repeats a fingerprint already counted, so it cannot
     #: contribute a new distinct partition either
     partition_keys: Tuple[str, ...] = ()
+    #: settled by an earlier run and restored from its checkpoint
+    restored: bool = False
 
 
 #: The per-try fields every outcome has, shipped as BatchOutcome's
@@ -942,7 +944,8 @@ def run_hunt(
     checkpoint writer, *progress* (called as ``progress(done, total,
     racy_so_far)`` for every settled or skipped job) and *on_outcome*
     (every outcome, including ``status="retried"`` attempts a later
-    retry superseded — the event log's feed).  *cancel* is a
+    retry superseded — the event log's feed; on a resume it first
+    receives each restored outcome, marked ``restored``).  *cancel* is a
     cooperative stop that drains in-flight jobs and leaves
     ``result.interrupted`` set.
 
@@ -953,9 +956,9 @@ def run_hunt(
     profiler and ``HuntResult.stage_profile``.  Both checks happen once
     per hunt, so the disabled path stays free.
 
-    On a resume the checkpoint's stored hunt id always wins over
-    ``config.hunt_id``, so a resumed hunt's metrics, events, and
-    results join with the interrupted run's.
+    The hunt id is :meth:`HuntConfig.resolve_hunt_id`'s, so a resumed
+    hunt's metrics, events, and results join with the interrupted
+    run's.
     """
     config = config.resolve(program)
     job_plan = plan_jobs(config.tries, [name for name, _ in config.policies])
@@ -967,12 +970,12 @@ def run_hunt(
 
     model_name = model_factory().name
     spec = config.spec(program, model_name)
-    hunt_id = config.hunt_id
+    hunt_id = config.resolve_hunt_id(program, model_name)
     restored: List[JobOutcome] = []
     racy_floor: Optional[int] = None
     if config.resume:
         loaded = load_checkpoint(config.checkpoint, expected_spec=spec)
-        restored = loaded.outcomes
+        restored = [replace(o, restored=True) for o in loaded.outcomes]
         settled_indices = loaded.settled_indices
         job_plan = [j for j in job_plan if j.index not in settled_indices]
         # The restored racy minimum seeds the early-stop bound: with
@@ -980,12 +983,6 @@ def run_hunt(
         racy_floor = loaded.first_racy_index
         if config.stop_at_first and racy_floor is not None:
             job_plan = [j for j in job_plan if j.index <= racy_floor]
-        # The checkpoint's id wins: a resumed hunt is the same run for
-        # telemetry purposes (legacy checkpoints have none to keep).
-        if loaded.hunt_id:
-            hunt_id = loaded.hunt_id
-    if hunt_id is None:
-        hunt_id = make_hunt_id(spec)
 
     registry = metrics if metrics is not None else obs.metrics.active()
     profile_aggs: Optional[Dict[str, AggregateRecord]] = (
@@ -1017,6 +1014,8 @@ def run_hunt(
                       time.perf_counter() - start)
         subscribers.append(_metrics)
     if on_outcome is not None:
+        for outcome in restored:
+            on_outcome(outcome)
         subscribers.append(lambda outcome, done, racy: on_outcome(outcome))
     if progress is not None:
         def _progress(outcome: JobOutcome, done: int, racy: int) -> None:

@@ -80,7 +80,7 @@ from .trace.columnar import (
     open_columnar,
     to_columnar,
 )
-from .trace.tracefile import _parse_trace_lines, _read_trace, write_trace
+from .trace.tracefile import _parse_trace_text, _read_trace, write_trace
 
 DETECTOR_NAMES = ("postmortem", "naive", "onthefly", "streaming", "shb", "wcp")
 
@@ -164,16 +164,12 @@ def _trace_from_file_object(fh) -> Trace:
     """Resolve an open file object: sniff the leading bytes and parse
     whichever of the three formats they announce."""
     data = fh.read()
-    if isinstance(data, str):
-        lines = [line for line in data.splitlines() if line.strip()]
-        return _parse_trace_lines(lines, getattr(fh, "name", "<trace>"))
-    if data[:4] == COLUMNAR_MAGIC:
-        return _columnar_from_buffer(data)
-    if data[:4] == _BINARY_MAGIC:
-        return _read_binary_trace_stream(io.BytesIO(data))
-    text = data.decode("utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
-    return _parse_trace_lines(lines, getattr(fh, "name", "<trace>"))
+    if isinstance(data, bytes):
+        if data[:4] == COLUMNAR_MAGIC:
+            return _columnar_from_buffer(data)
+        if data[:4] == _BINARY_MAGIC:
+            return _read_binary_trace_stream(io.BytesIO(data))
+    return _parse_trace_text(data, getattr(fh, "name", "<trace>"))
 
 
 def _trace_from_operations(ops: List[MemoryOperation]) -> Trace:

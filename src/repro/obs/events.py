@@ -22,8 +22,11 @@ The schema (``EVENTS_FORMAT`` = 1) is JSON-lines:
   a later retry superseded).  Newer writers add, still optionally:
   ``detector`` (the analysis backend), ``certified`` (the report's
   certified race count), ``failure_kind`` (settled-error
-  classification), and ``partitions`` (first-race provenance coverage
-  keys, see :func:`repro.core.provenance.partition_coverage_keys`);
+  classification), ``partitions`` (first-race provenance coverage
+  keys, see :func:`repro.core.provenance.partition_coverage_keys`),
+  and ``restored`` (``true`` on the records a resumed hunt writes
+  first, one per job restored from its checkpoint; they count toward
+  progress and coverage, not toward the per-policy tries);
 
 * ``{"t": "stage", ...}`` — one record per detection stage, folded
   across all workers: ``path`` (span path, e.g.
@@ -31,7 +34,7 @@ The schema (``EVENTS_FORMAT`` = 1) is JSON-lines:
   ``total_sec``, ``min_sec``, ``max_sec``, ``counters``;
 
 * ``{"t": "summary", ...}`` — the run's closing totals (a subset of
-  ``HuntResult.to_json()``).
+  ``HuntResult.to_json()``, see :meth:`HuntEventLog.finish`).
 
 :func:`try_record` builds each ``try`` record, and the metrics fold
 (:class:`repro.obs.metrics.HuntMetrics`) reads the same records, so a
@@ -136,6 +139,8 @@ def try_record(outcome, detector: str = "") -> dict:
     robust = getattr(outcome, "robust", None)
     if robust is not None:
         record["robust"] = robust
+    if getattr(outcome, "restored", False):
+        record["restored"] = True
     return record
 
 
@@ -144,9 +149,17 @@ class HuntEventLog:
 
     ``on_outcome`` plugs straight into
     :func:`repro.analysis.hunting.hunt_races`'s hook of the same name;
-    stage aggregates and the closing summary are appended by the CLI
+    :meth:`finish` appends the stage aggregates and the closing summary
     once the merged :class:`~repro.analysis.hunting.HuntResult` exists.
     """
+
+    #: ``HuntResult.to_json()`` keys the summary record copies as is.
+    SUMMARY_KEYS = (
+        "tries", "racy_runs", "clean_runs", "elapsed_sec",
+        "executions_per_sec", "trace_cache_hits", "retried_runs",
+        "interrupted", "resumed_jobs", "detector", "certified_races",
+        "hunt_id",
+    )
 
     def __init__(self, path: Union[str, Path],
                  meta: Optional[dict] = None,
@@ -154,10 +167,6 @@ class HuntEventLog:
         self.writer = EventLogWriter(path, kind="hunt", meta=meta)
         self.detector = detector
         self.tries = 0
-
-    @property
-    def path(self) -> Path:
-        return self.writer.path
 
     def on_outcome(self, outcome) -> None:
         """Record one job outcome (see :func:`try_record`)."""
@@ -182,15 +191,27 @@ class HuntEventLog:
         record.update(payload)
         self.writer.write(record)
 
+    def finish(self, result) -> None:
+        """Append *result*'s stage records and summary record (its
+        :attr:`SUMMARY_KEYS`, the failure count and any robustness
+        totals), then close the log."""
+        payload = result.to_json()
+        summary = {key: payload[key] for key in self.SUMMARY_KEYS}
+        summary["failures"] = len(payload["failures"])
+        robustness = payload.get("robustness")
+        if robustness:
+            summary.update(
+                verified_tries=robustness["verified_tries"],
+                robust_tries=robustness["robust"],
+                non_robust_tries=robustness["non_robust"],
+                soundness=robustness["soundness"],
+            )
+        self.write_stages(result.stage_profile)
+        self.write_summary(summary)
+        self.close()
+
     def close(self) -> None:
         self.writer.close()
-
-    def __enter__(self) -> "HuntEventLog":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +287,8 @@ def check_events(
                 )
             if record["duration_sec"] < 0:
                 problems.append(f"line {i}: negative try duration")
+            if not isinstance(record.get("restored", False), bool):
+                problems.append(f"line {i}: try restored is not a boolean")
         elif kind == "stage":
             missing = _STAGE_KEYS - record.keys()
             if missing:

@@ -7,7 +7,7 @@ from .binfile import (
     write_binary_trace,
 )
 from .bitvector import BitVector
-from .build import Trace, TraceBuilder, build_trace, event_of_op
+from .build import Trace, TraceBuilder, TraceError, build_trace, event_of_op
 from .columnar import (
     ColumnarTrace,
     ColumnarTraceError,
@@ -43,6 +43,7 @@ __all__ = [
     "BitVector",
     "Trace",
     "TraceBuilder",
+    "TraceError",
     "build_trace",
     "event_of_op",
     "ComputationEvent",

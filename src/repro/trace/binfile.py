@@ -31,7 +31,7 @@ from typing import BinaryIO, Dict, List, Union
 
 from ..machine.operations import OperationKind, SyncRole
 from .bitvector import BitVector
-from .build import Trace
+from .build import Trace, TraceError
 from .events import ComputationEvent, Event, EventId, SyncEvent
 
 MAGIC = b"WRTR"
@@ -49,7 +49,7 @@ _ROLE_CODE = {
 _CODE_ROLE = {v: k for k, v in _ROLE_CODE.items()}
 
 
-class BinaryTraceError(ValueError):
+class BinaryTraceError(TraceError):
     """Malformed or wrong-version binary trace."""
 
 

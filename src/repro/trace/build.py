@@ -26,6 +26,12 @@ from ..machine.simulator import ExecutionResult
 from .events import ComputationEvent, Event, EventId, SyncEvent
 
 
+class TraceError(ValueError):
+    """A trace that cannot be analyzed: a malformed or wrong-version
+    file in any of the three formats, or a structurally invalid trace.
+    Every trace reader raises a subclass, never a raw decode error."""
+
+
 @dataclass
 class Trace:
     """A complete post-mortem trace of one execution."""

@@ -43,7 +43,7 @@ from typing import (
 from .. import obs
 from ..machine.operations import OperationKind, SyncRole
 from .bitvector import BitVector
-from .build import Trace
+from .build import Trace, TraceError
 from .events import ComputationEvent, Event, EventId, SyncEvent
 
 try:  # pragma: no cover - exercised via the fallback tests
@@ -87,7 +87,7 @@ _COLUMNS = (
 _NP_DTYPE = {"B": "<u1", "I": "<u4", "q": "<i8"}
 
 
-class ColumnarTraceError(ValueError):
+class ColumnarTraceError(TraceError):
     """Malformed or wrong-version columnar trace."""
 
 

@@ -11,19 +11,39 @@ compactness argument of section 4.1.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Iterable, Iterator, List, Union
 
 from ..machine.operations import OperationKind, SyncRole
 from .bitvector import BitVector
-from .build import Trace
+from .build import Trace, TraceError
 from .events import ComputationEvent, Event, EventId, SyncEvent
 
 FORMAT_VERSION = 1
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(TraceError):
     """Raised when a trace file is malformed or wrong-versioned."""
+
+
+#: What decoding a malformed record raises: bad UTF-8 or JSON, missing
+#: keys, wrong value types, processor ids out of range, unknown enums.
+_DECODE_ERRORS = (ValueError, KeyError, TypeError, IndexError, AttributeError)
+
+
+@contextmanager
+def _decoding(prefix: str = "") -> Iterator[None]:
+    """Re-raise any decode error of a malformed record as a
+    :class:`TraceFormatError` whose message starts with *prefix*."""
+    try:
+        yield
+    except TraceFormatError:
+        raise
+    except _DECODE_ERRORS as exc:
+        raise TraceFormatError(
+            f"{prefix}malformed trace ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def _event_record(event: Event) -> Dict:
@@ -96,33 +116,42 @@ def trace_to_json(trace: Trace) -> Dict:
 
 
 def trace_from_json(payload: Dict) -> Trace:
-    """Inverse of :func:`trace_to_json` (symbols are not serialized)."""
-    if payload.get("format") != FORMAT_VERSION:
+    """Inverse of :func:`trace_to_json` (symbols are not serialized);
+    any malformed payload raises :class:`TraceFormatError`."""
+    with _decoding():
+        return _assemble(payload, payload["events"],
+                         payload.get("sync_order", {}), "")
+
+
+def _assemble(header: Dict, records: Iterable[Dict],
+              sync_orders: Dict, prefix: str) -> Trace:
+    """A :class:`Trace` from its header fields, its event records in
+    per-processor order, and its ``{addr: [[proc, pos], ...]}`` sync
+    orders (read after *records* is exhausted)."""
+    if header.get("format") != FORMAT_VERSION:
         raise TraceFormatError(
-            f"unsupported trace format {payload.get('format')!r}"
+            f"{prefix}unsupported trace format {header.get('format')!r}"
         )
-    processor_count = payload["processor_count"]
-    events: List[List[Event]] = [[] for _ in range(processor_count)]
-    for record in payload["events"]:
+    events: List[List[Event]] = [[] for _ in range(header["processor_count"])]
+    for record in records:
         event = _event_from_record(record)
         proc_events = events[event.eid.proc]
         if event.eid.pos != len(proc_events):
             raise TraceFormatError(
-                f"event {event.eid} out of order "
+                f"{prefix}event {event.eid} out of order "
                 f"(expected pos {len(proc_events)})"
             )
         proc_events.append(event)
-    sync_order: Dict[int, List[EventId]] = {
-        int(addr_text): [EventId(p, i) for p, i in pairs]
-        for addr_text, pairs in payload.get("sync_order", {}).items()
-    }
     return Trace(
-        processor_count=processor_count,
-        memory_size=payload["memory_size"],
+        processor_count=header["processor_count"],
+        memory_size=header["memory_size"],
         events=events,
-        sync_order=sync_order,
+        sync_order={
+            int(addr_text): [EventId(p, i) for p, i in pairs]
+            for addr_text, pairs in sync_orders.items()
+        },
         symbols=None,
-        model_name=payload.get("model", "unknown"),
+        model_name=header.get("model", "unknown"),
     )
 
 
@@ -149,44 +178,35 @@ def write_trace(trace: Trace, path: Union[str, Path]) -> None:
 
 def _parse_trace_lines(lines: List[str], label: str) -> Trace:
     """Parse JSON-lines records (header, events, sync orders) into a
-    :class:`Trace`; *label* names the source in error messages."""
-    if not lines:
-        raise TraceFormatError(f"{label}: empty trace file")
-    header = json.loads(lines[0])
-    if header.get("format") != FORMAT_VERSION:
-        raise TraceFormatError(
-            f"{label}: unsupported trace format {header.get('format')!r}"
-        )
-    processor_count = header["processor_count"]
-    events: List[List[Event]] = [[] for _ in range(processor_count)]
-    sync_order: Dict[int, List[EventId]] = {}
-    for line in lines[1:]:
-        record = json.loads(line)
-        if record.get("t") == "sync_order":
-            for addr_text, pairs in record["orders"].items():
-                sync_order[int(addr_text)] = [EventId(p, i) for p, i in pairs]
-            continue
-        event = _event_from_record(record)
-        proc_events = events[event.eid.proc]
-        if event.eid.pos != len(proc_events):
-            raise TraceFormatError(
-                f"{label}: event {event.eid} out of order "
-                f"(expected pos {len(proc_events)})"
-            )
-        proc_events.append(event)
-    return Trace(
-        processor_count=processor_count,
-        memory_size=header["memory_size"],
-        events=events,
-        sync_order=sync_order,
-        symbols=None,
-        model_name=header.get("model", "unknown"),
-    )
+    :class:`Trace`; *label* names the source in error messages, and any
+    malformed record raises :class:`TraceFormatError`."""
+    with _decoding(f"{label}: "):
+        if not lines:
+            raise TraceFormatError(f"{label}: empty trace file")
+        sync_orders: Dict = {}
+
+        def event_records() -> Iterator[Dict]:
+            for line in lines[1:]:
+                record = json.loads(line)
+                if record.get("t") == "sync_order":
+                    sync_orders.update(record["orders"])
+                else:
+                    yield record
+        return _assemble(json.loads(lines[0]), event_records(), sync_orders,
+                         f"{label}: ")
+
+
+def _parse_trace_text(data: Union[str, bytes], label: str) -> Trace:
+    """Parse a JSON-lines trace held in memory (text, or UTF-8 bytes)."""
+    with _decoding(f"{label}: "):
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        lines = [line for line in text.splitlines() if line.strip()]
+    return _parse_trace_lines(lines, label)
 
 
 def _read_trace(path: Union[str, Path]) -> Trace:
     """Internal JSON-lines loader behind :func:`repro.load_trace`."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with _decoding(f"{path}: "), path.open("r", encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
     return _parse_trace_lines(lines, str(path))

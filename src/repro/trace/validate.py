@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from typing import List
 
-from .build import Trace
+from .build import Trace, TraceError
 from .events import ComputationEvent, SyncEvent
 
 
-class InvalidTraceError(ValueError):
+class InvalidTraceError(TraceError):
     """Raised by :func:`require_valid_trace` with all problems listed."""
 
 
