@@ -58,6 +58,7 @@ error, never a best-effort merge.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -132,20 +133,24 @@ def peek_hunt_id(path: Union[str, Path]) -> Optional[str]:
 # needs, in plain JSON
 # ----------------------------------------------------------------------
 
-#: JobOutcome fields a checkpoint stores verbatim; the first three must
-#: be present in every record, the rest fall back to their defaults.
-_OUTCOME_FIELDS = (
-    "status", "completed", "operations", "error", "traceback",
-    "report_digest", "cache_hit", "fingerprint", "race_count",
-    "certified_races", "retries", "failure_kind", "robust", "robustness",
-)
-_REQUIRED_FIELDS = _OUTCOME_FIELDS[:3]
+#: Fields every outcome record must carry; the rest fall back to their
+#: defaults.
+_REQUIRED_FIELDS = ("status", "completed", "operations")
+
+
+def _stored_fields(outcome_type) -> List[str]:
+    """The :class:`~repro.analysis.parallel.JobOutcome` fields a
+    checkpoint stores: all but ``job`` (stored as its own keys) and
+    ``restored`` (a mark of the run that loads the checkpoint)."""
+    return [f.name for f in dataclasses.fields(outcome_type)
+            if f.name not in ("job", "restored")]
 
 
 def outcome_to_payload(outcome) -> dict:
     """Serialize one settled :class:`~repro.analysis.parallel.JobOutcome`."""
     job = outcome.job
-    payload = {name: getattr(outcome, name) for name in _OUTCOME_FIELDS}
+    payload = {name: getattr(outcome, name)
+               for name in _stored_fields(outcome)}
     payload.update(
         index=job.index,
         seed=job.seed,
@@ -169,17 +174,14 @@ def outcome_from_payload(payload: dict):
             policy_name=payload["policy"],
             attempt=payload.get("attempt", 0),
         )
-        return JobOutcome(
-            job=job,
-            **{
-                name: payload[name] for name in _OUTCOME_FIELDS
-                if name in payload or name in _REQUIRED_FIELDS
-            },
-            duration=payload.get("duration", 0.0),
-            partition_keys=tuple(payload.get("partition_keys", ())),
-        )
+        outcome = JobOutcome(job=job, **{
+            name: payload[name] for name in _stored_fields(JobOutcome)
+            if name in payload or name in _REQUIRED_FIELDS
+        })
+        outcome.partition_keys = tuple(outcome.partition_keys)
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed outcome record: {exc}") from exc
+    return outcome
 
 
 # ----------------------------------------------------------------------

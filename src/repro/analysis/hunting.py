@@ -138,10 +138,11 @@ class HuntResult:
     jobs: int = 1
     elapsed: float = 0.0
     stage_profile: Optional[Dict[str, dict]] = None
-    # Analyses served from the per-worker trace cache.  Like jobs and
-    # elapsed, this depends on how jobs landed on workers (each worker
-    # caches independently), so it belongs to the run metadata in
-    # to_json(), never to the deterministic stats()/summary() contract.
+    # Analyses served from the hunt's trace cache.  Like jobs and
+    # elapsed, this depends on how jobs landed on workers (two workers
+    # may race to analyze one fingerprint), so it belongs to the run
+    # metadata in to_json(), never to the deterministic
+    # stats()/summary() contract.
     trace_cache_hits: int = 0
     # Recovery metadata.  retried_runs counts retry attempts that
     # preceded the settled outcomes; under real timeouts it is timing-

@@ -27,26 +27,27 @@ cost of detection is near-linear — Kini et al. 2017 — which leaves
 coordination as the scaling bottleneck):
 
 * **Batched jobs** — the job list is split into seed batches; a worker
-  runs a whole batch and ships one compact :class:`BatchOutcome`
-  (parallel arrays of status/duration/race-count/fingerprint fields
-  plus sparse maps for the rare payloads), which the parent unfolds
-  back into per-try :class:`JobOutcome` streams so the merge,
-  subscribers, event logs, retries, and checkpoints are byte-identical
-  to the unbatched protocol.
-* **Compact wire outcomes** — a try ships plain fields only (status,
-  counts, fingerprint, report digest); no execution or recording ever
-  crosses the pipe.  Per-try span lists never cross it either —
-  profile spans are pre-aggregated in the worker and folded once per
-  batch.
-* **Shared trace cache** — the per-worker analysis cache is backed by
-  a fork-safe shared structure (:mod:`repro.analysis.sharedcache`:
-  append-only file, lock-guarded writes, lock-free tail reads), so one
+  runs a whole batch and replies with one message: the batch's
+  :class:`JobOutcome` list plus its profile aggregates.  The parent
+  yields those outcomes as they arrive, so the merge, subscribers,
+  event logs, retries, and checkpoints consume one per-try stream
+  whatever the executor.
+* **Plain wire outcomes** — a :class:`JobOutcome` holds plain fields
+  only (status, counts, fingerprint, report digest); no execution or
+  recording ever crosses the pipe.  Per-try span lists never cross it
+  either — profile spans are pre-aggregated in the worker and folded
+  once per batch.
+* **Shared trace cache** — every try consults one
+  :class:`~repro.analysis.sharedcache.SharedTraceCache` over the
+  process's analysis dict.  In a pool it is backed by a fork-safe
+  append-only file (lock-guarded writes, lock-free tail reads), so one
   worker's analysis of a trace fingerprint serves every other worker
   and the serial cache hit rate survives ``--jobs``.
 * **In-batch early stop** — workers re-check the cancel flag and the
-  racy bound before every job *inside* a batch, so ``stop_at_first``
-  and SIGINT draining stay responsive without giving back the batching
-  win (the old protocol fell back to one-job tasks for this).
+  racy bound before every job *inside* a batch, and lower the bound
+  themselves the moment they produce a racy outcome, so
+  ``stop_at_first`` and SIGINT draining stay responsive while a batch
+  is the dispatch unit.
 
 On top of isolation sits **recovery** (a long hunt's value is what it
 has accumulated, so failures must cost one job, not the run):
@@ -79,7 +80,9 @@ Every fresh outcome — settled, skipped, or retried — reaches the
 parent's subscribers through one stream: the metrics fold (coverage
 included), the checkpoint writer, the progress callback, and the
 ``on_outcome`` observer.  Telemetry is therefore folded in the parent
-only, from the unfolded per-try outcomes, whatever the executor.
+only, from the per-try outcomes, whatever the executor.  A resumed
+hunt first hands its restored outcomes to the metrics fold and the
+observer, so its views count the same tries as its merged result.
 
 **Record on demand.**  Tries run unrecorded (plain
 :func:`~repro.machine.simulator.run_program`), and no executor keeps a
@@ -108,7 +111,7 @@ import threading
 import time
 import traceback as _tb
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
@@ -164,14 +167,14 @@ def _analyze(source, detector: str = "postmortem"):
 # function of the trace (see repro.trace.fingerprint), so seeds that
 # collapse to an identical trace need analyzing once; one hunt runs one
 # detector and the cache is cleared per hunt, so the key needs no
-# detector component.  In the fork pool this dict is the L1 of the
-# cross-worker shared cache (see _init_worker): misses fall through to
-# the hunt's append-only shared file, so one worker's analysis serves
-# the others and the hit rate matches the serial run.  Merged
-# *statistics* stay worker-count-independent because a cache hit
-# returns the exact result the analysis would have produced.
-_TRACE_CACHE: Dict[str, Tuple[bool, str, int, int]] = {}
-_TRACE_CACHE_MAX = 4096
+# detector component.  This dict is the L1 of the hunt's
+# SharedTraceCache: serially nothing backs it, and in the fork pool
+# misses fall through to the hunt's append-only shared file, so one
+# worker's analysis serves the others and the hit rate matches the
+# serial run.  Merged *statistics* stay worker-count-independent
+# because a cache hit returns the exact result the analysis would have
+# produced.
+_TRACE_CACHE: Dict[str, sharedcache.CacheValue] = {}
 
 
 @dataclass(frozen=True)
@@ -197,8 +200,10 @@ class HuntJob:
 @dataclass
 class JobOutcome:
     """What one job produced, in picklable form: plain fields only.
-    No outcome keeps its execution or a recording; the merge
-    re-simulates the winning job to record it (see
+    It is the one record of a try: pool workers ship it as is, and a
+    checkpoint stores every field but ``job`` (stored as its own keys)
+    and ``restored``.  No outcome keeps its execution or a recording;
+    the merge re-simulates the winning job to record it (see
     :func:`_attach_first`)."""
 
     job: HuntJob
@@ -231,93 +236,6 @@ class JobOutcome:
     partition_keys: Tuple[str, ...] = ()
     #: settled by an earlier run and restored from its checkpoint
     restored: bool = False
-
-
-#: The per-try fields every outcome has, shipped as BatchOutcome's
-#: parallel arrays: (array attribute, JobOutcome field).
-_BATCH_ARRAYS = (
-    ("statuses", "status"), ("completed", "completed"),
-    ("operations", "operations"), ("durations", "duration"),
-    ("cache_hits", "cache_hit"), ("fingerprints", "fingerprint"),
-    ("race_counts", "race_count"), ("certified", "certified_races"),
-)
-#: The rare payloads, shipped as position-keyed sparse maps holding only
-#: the tries whose value differs from the default: (map attribute,
-#: JobOutcome field, default).
-_BATCH_SPARSE = (
-    ("digests", "report_digest", ""), ("partitions", "partition_keys", ()),
-    ("robust", "robust", None), ("robustness", "robustness", None),
-)
-
-
-@dataclass
-class BatchOutcome:
-    """One batch of job outcomes in compact wire form.
-
-    Parallel arrays hold the per-try fields every outcome has; sparse
-    position-keyed maps hold the rare payloads (racy report digests,
-    error texts, robustness verdicts).  Profile spans are
-    pre-aggregated — the parent folds them once per batch instead of
-    once per try.
-
-    :meth:`pack`/:meth:`unfold` are exact inverses over everything a
-    worker can produce, so the parent-side per-try outcome stream is
-    byte-identical to the old one-pickle-per-job protocol.
-    """
-
-    indices: List[int] = field(default_factory=list)
-    statuses: List[str] = field(default_factory=list)
-    completed: List[bool] = field(default_factory=list)
-    operations: List[int] = field(default_factory=list)
-    durations: List[float] = field(default_factory=list)
-    cache_hits: List[bool] = field(default_factory=list)
-    fingerprints: List[str] = field(default_factory=list)
-    race_counts: List[int] = field(default_factory=list)
-    certified: List[int] = field(default_factory=list)
-    digests: Dict[int, str] = field(default_factory=dict)
-    errors: Dict[int, Tuple[str, str]] = field(default_factory=dict)
-    #: coverage partition keys, racy cache-misses only (sparse like the
-    #: other rare payloads)
-    partitions: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
-    #: robustness verdicts, verified tries only (sparse: absent when
-    #: the hunt did not verify robustness)
-    robust: Dict[int, bool] = field(default_factory=dict)
-    #: non-robust tries' RobustnessReport payloads (cycle + SC prefix)
-    robustness: Dict[int, dict] = field(default_factory=dict)
-    #: span path -> aggregate, pre-folded over the batch (profiling only)
-    profile_aggs: Optional[Dict[str, AggregateRecord]] = None
-
-    @classmethod
-    def pack(cls, outcomes: Sequence[JobOutcome]) -> "BatchOutcome":
-        batch = cls()
-        for pos, outcome in enumerate(outcomes):
-            batch.indices.append(outcome.job.index)
-            for array, name in _BATCH_ARRAYS:
-                getattr(batch, array).append(getattr(outcome, name))
-            for sparse, name, default in _BATCH_SPARSE:
-                value = getattr(outcome, name)
-                if value != default:
-                    getattr(batch, sparse)[pos] = value
-            if outcome.error or outcome.traceback:
-                batch.errors[pos] = (outcome.error, outcome.traceback)
-        return batch
-
-    def unfold(self, jobs_by_index: Dict[int, HuntJob]) -> List[JobOutcome]:
-        """Rebuild the per-try outcome stream the rest of the engine
-        (merge, subscribers, retries, checkpoints) consumes."""
-        outcomes = []
-        for pos, index in enumerate(self.indices):
-            error, tb = self.errors.get(pos, ("", ""))
-            outcomes.append(JobOutcome(
-                job=jobs_by_index[index],
-                **{name: getattr(self, array)[pos]
-                   for array, name in _BATCH_ARRAYS},
-                **{name: getattr(self, sparse).get(pos, default)
-                   for sparse, name, default in _BATCH_SPARSE},
-                error=error,
-                traceback=tb,
-            ))
-        return outcomes
 
 
 def plan_jobs(tries: int, policy_names: Sequence[str]) -> List[HuntJob]:
@@ -405,21 +323,24 @@ def _execute_job(
     config: HuntConfig,
     job: HuntJob,
     *,
+    cache: Optional[sharedcache.SharedTraceCache] = None,
     profile_aggs: Optional[Dict[str, AggregateRecord]] = None,
     coverage: bool = False,
 ) -> JobOutcome:
     """Run one job.  The engine binds *program*, *model_factory*,
-    *config* and *coverage* once per hunt (:func:`functools.partial`)
-    and hands the result to its executor; fork workers inherit it.
+    *config*, *cache* and *coverage* once per hunt
+    (:func:`functools.partial`) and hands the result to its executor;
+    fork workers inherit it.
 
-    With *profile_aggs* (a profiler is active), the job records into a
-    job-local profiler whose span records fold into that per-path
-    aggregate map.  *coverage* (a metrics registry collects) computes
-    racy first-analyses' partition keys."""
+    *cache* (``None`` = trace cache off) serves and stores analyses by
+    trace fingerprint.  With *profile_aggs* (a profiler is active), the
+    job records into a job-local profiler whose span records fold into
+    that per-path aggregate map.  *coverage* (a metrics registry
+    collects) computes racy first-analyses' partition keys."""
     if job.delay > 0:
         time.sleep(job.delay)  # retry backoff; not part of the timed body
     begin = time.perf_counter()
-    args = (program, model_factory, config, job, coverage)
+    args = (program, model_factory, config, job, cache, coverage)
     if profile_aggs is None:
         outcome = _execute_job_inner(*args)
         outcome.duration = time.perf_counter() - begin
@@ -437,27 +358,18 @@ def _execute_job(
     return outcome
 
 
-def _analyze_cacheable(source, detector: str):
-    """Analyze *source*: the report plus the cacheable value
-    ``(racy, report digest, race count, certified races)``."""
-    report = _analyze(source, detector)
-    racy = not report.race_free
-    return report, (
-        racy,
-        report.format() if racy else "",
-        len(report.races),
-        getattr(report, "certified_race_count", 0) if racy else 0,
-    )
-
-
 def _execute_job_inner(
     program: Program,
     model_factory: Callable[[], MemoryModel],
     config: HuntConfig,
     job: HuntJob,
+    cache: Optional[sharedcache.SharedTraceCache],
     coverage: bool,
 ) -> JobOutcome:
-    """Run one job with failure/timeout isolation."""
+    """Run one job with failure/timeout isolation, stage by stage:
+    simulate → trace → fingerprint/cache → analyze → optional
+    verdict.  Any stage that raises makes the try an ``error``
+    outcome."""
     _, factory = config.policies[job.policy_index]
     try:
         with _time_limit(config.job_timeout):
@@ -473,72 +385,59 @@ def _execute_job_inner(
                 propagation=factory(),
                 max_steps=config.max_steps,
             )
-            report = None
-            cache_hit = False
-            fingerprint = ""
-            if config.uses_trace_cache:
-                trace = build_trace(execution)
-                fingerprint = trace_fingerprint(trace)
-                shared = _SHARED_CACHE
+            outcome = JobOutcome(
+                job=job, status="clean", completed=execution.completed,
+                operations=len(execution.operations),
+            )
+            # With the cache on, the detector analyzes the trace, and a
+            # fingerprint seen before skips the analysis.
+            source, value = execution, None
+            if cache is not None:
+                source = build_trace(execution)
+                outcome.fingerprint = trace_fingerprint(source)
+                value = cache.get(outcome.fingerprint)
+                outcome.cache_hit = value is not None
+            if value is None:
+                report = _analyze(source, config.detector)
+                racy = not report.race_free
                 value = (
-                    shared.get(fingerprint) if shared is not None
-                    else _TRACE_CACHE.get(fingerprint)
+                    racy,
+                    report.format() if racy else "",
+                    len(report.races),
+                    getattr(report, "certified_race_count", 0) if racy
+                    else 0,
                 )
-                if value is None:
-                    report, value = _analyze_cacheable(trace, config.detector)
-                    if shared is not None:
-                        shared.put(fingerprint, value)
-                    else:
-                        if len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-                            _TRACE_CACHE.clear()
-                        _TRACE_CACHE[fingerprint] = value
-                else:
-                    cache_hit = True
-            else:
-                report, value = _analyze_cacheable(execution, config.detector)
-            racy, digest, race_count, certified = value
+                if cache is not None:
+                    cache.put(outcome.fingerprint, value)
+                # Coverage keys: only racy first-analyses can
+                # contribute — a cache hit repeats a fingerprint whose
+                # partitions were keyed when first analyzed — and only
+                # while a registry collects (the disabled path stays
+                # inside the profiling-overhead budget).
+                if racy and coverage:
+                    outcome.partition_keys = partition_coverage_keys(report)
+            (racy, outcome.report_digest, outcome.race_count,
+             outcome.certified_races) = value
+            if racy:
+                outcome.status = "racy"
             # The robustness verdict consumes the operation stream
             # (reads-from never reaches the trace — §4.1), so the
             # trace cache cannot serve it; it runs per execution,
             # inside the time limit like the rest of the job body.
-            robust: Optional[bool] = None
-            robustness_payload: Optional[dict] = None
             if config.verify_robustness:
-                from ..core.robustness import (
-                    check_robustness as _check_robust,
-                )
+                from ..core.robustness import check_robustness
 
-                verdict = _check_robust(execution)
-                robust = verdict.robust
+                verdict = check_robustness(execution)
+                outcome.robust = verdict.robust
                 if not verdict.robust:
-                    robustness_payload = verdict.to_json()
+                    outcome.robustness = verdict.to_json()
     except Exception as exc:  # isolated, recorded by the merge
         return JobOutcome(
             job=job, status="error",
             error=f"{type(exc).__name__}: {exc}",
             traceback=_tb.format_exc(),
         )
-    # Coverage keys: only racy first-analyses can contribute — a cache
-    # hit repeats a fingerprint whose partitions were keyed when first
-    # analyzed — and only while a registry collects (the disabled path
-    # stays inside the profiling-overhead budget).
-    partition_keys: Tuple[str, ...] = ()
-    if racy and report is not None and coverage:
-        partition_keys = partition_coverage_keys(report)
-    return JobOutcome(
-        job=job,
-        status="racy" if racy else "clean",
-        completed=execution.completed,
-        operations=len(execution.operations),
-        report_digest=digest if racy else "",
-        cache_hit=cache_hit,
-        fingerprint=fingerprint,
-        race_count=race_count,
-        certified_races=certified,
-        partition_keys=partition_keys,
-        robust=robust,
-        robustness=robustness_payload,
-    )
+    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -550,24 +449,14 @@ _WORKER_RUN_JOB: Optional[Callable[..., JobOutcome]] = None
 _WORKER_PROFILING = False  # fold job spans into per-batch aggregates
 _WORKER_STOP = None  # multiprocessing.Value: lowest racy index, -1 = none
 _WORKER_CANCEL = None  # multiprocessing.Value: 1 = drain, don't start work
-_SHARED_CACHE: Optional[sharedcache.SharedTraceCache] = None
 
 
-def _init_worker(run_job, profiling, stop_at, cancel_flag,
-                 cache_path, cache_lock) -> None:
-    global _WORKER_RUN_JOB, _WORKER_PROFILING
-    global _WORKER_STOP, _WORKER_CANCEL, _SHARED_CACHE
+def _init_worker(run_job, profiling, stop_at, cancel_flag) -> None:
+    global _WORKER_RUN_JOB, _WORKER_PROFILING, _WORKER_STOP, _WORKER_CANCEL
     _WORKER_RUN_JOB = run_job
     _WORKER_PROFILING = profiling
     _WORKER_STOP = stop_at
     _WORKER_CANCEL = cancel_flag
-    _SHARED_CACHE = (
-        sharedcache.SharedTraceCache(
-            cache_path, cache_lock, local=_TRACE_CACHE,
-            max_entries=_TRACE_CACHE_MAX,
-        )
-        if cache_path is not None else None
-    )
     # The parent orchestrates interrupts (drain + checkpoint); a
     # terminal Ctrl+C or a process-group SIGTERM reaches the workers
     # too, and workers dying mid-job would turn a graceful stop into
@@ -607,16 +496,16 @@ def _run_batch_job(job: HuntJob, profile_aggs) -> JobOutcome:
     return outcome
 
 
-def _worker_run_batch(batch: Sequence[HuntJob]) -> BatchOutcome:
-    """Run a whole batch and return one compact :class:`BatchOutcome`:
-    the per-try fields as parallel arrays, plus the batch's profile
-    aggregates."""
+def _worker_run_batch(
+    batch: Sequence[HuntJob],
+) -> Tuple[List[JobOutcome], Optional[Dict[str, AggregateRecord]]]:
+    """Run a whole batch: one reply carrying its outcomes and, while a
+    profiler is active, the batch's pre-folded profile aggregates."""
     aggs: Optional[Dict[str, AggregateRecord]] = (
         {} if _WORKER_PROFILING else None
     )
-    packed = BatchOutcome.pack([_run_batch_job(job, aggs) for job in batch])
-    packed.profile_aggs = aggs or None
-    return packed
+    outcomes = [_run_batch_job(job, aggs) for job in batch]
+    return outcomes, aggs or None
 
 
 # ----------------------------------------------------------------------
@@ -624,28 +513,21 @@ def _worker_run_batch(batch: Sequence[HuntJob]) -> BatchOutcome:
 # ----------------------------------------------------------------------
 
 class _SerialExecutor:
-    """In-process execution; the ``jobs=1`` path."""
+    """In-process execution; the ``jobs=1`` path.  The engine stops
+    consuming at the first racy try under ``stop_at_first``."""
 
     def __init__(self, run_job: Callable[..., JobOutcome],
                  profile_aggs: Optional[Dict[str, AggregateRecord]] = None,
                  ) -> None:
         self.run_job = run_job
         self.profile_aggs = profile_aggs
-        self.stop_index: Optional[int] = None
         self.cancelled = False
 
     def run(self, jobs: Sequence[HuntJob]) -> Iterator[JobOutcome]:
         for job in jobs:
             if self.cancelled:
                 return
-            if self.stop_index is not None and job.index > self.stop_index:
-                # serial early stop: never start past the racy prefix
-                return
             yield self.run_job(job, profile_aggs=self.profile_aggs)
-
-    def note_racy(self, index: int) -> None:
-        if self.stop_index is None or index < self.stop_index:
-            self.stop_index = index
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -657,10 +539,11 @@ class _SerialExecutor:
 class _PoolExecutor:
     """Fork-pool execution; one pool serves every retry round.
 
-    Jobs are dispatched as batches (:func:`plan_batches`) and each
-    worker reply is one :class:`BatchOutcome`; ``run`` unfolds them so
-    callers still consume a per-try outcome stream, and folds each
-    batch's profile aggregates into *profile_aggs*.
+    Jobs are dispatched as batches (:func:`plan_batches`); each worker
+    reply is a batch's outcome list, which ``run`` yields as it
+    arrives, folding the batch's profile aggregates into
+    *profile_aggs*.  With the trace cache on, the workers' cache is
+    backed by a shared file this executor creates and removes.
     """
 
     def __init__(self, run_job: Callable[..., JobOutcome],
@@ -677,16 +560,17 @@ class _PoolExecutor:
         )
         self.cancel_flag = ctx.Value("i", 0)
         self.cache_path = None
-        cache_lock = None
         if config.uses_trace_cache:
             self.cache_path = sharedcache.create_cache_file()
-            cache_lock = ctx.Lock()
+            run_job = functools.partial(run_job, cache=(
+                sharedcache.SharedTraceCache(
+                    self.cache_path, ctx.Lock(), local=_TRACE_CACHE)))
         before = set(multiprocessing.active_children())
         self.pool = ctx.Pool(
             processes=workers,
             initializer=_init_worker,
             initargs=(run_job, profile_aggs is not None, self.stop_at,
-                      self.cancel_flag, self.cache_path, cache_lock),
+                      self.cancel_flag),
         )
         # The pool's workers, found through the public child-process
         # list so close() need not read Pool's private worker list.
@@ -698,23 +582,15 @@ class _PoolExecutor:
         ]
 
     def run(self, jobs: Sequence[HuntJob]) -> Iterator[JobOutcome]:
-        jobs = list(jobs)
-        jobs_by_index = {job.index: job for job in jobs}
-        batches = plan_batches(jobs, self.workers, self.batch_size)
+        batches = plan_batches(list(jobs), self.workers, self.batch_size)
         # chunksize stays 1: the dispatch unit is already a batch, and
         # in-batch checks keep early stop and cancel drains responsive.
-        for batch in self.pool.imap_unordered(
+        for outcomes, aggs in self.pool.imap_unordered(
             _worker_run_batch, batches, chunksize=1
         ):
-            if batch.profile_aggs:
-                merge_aggregate_maps(self.profile_aggs, batch.profile_aggs)
-            yield from batch.unfold(jobs_by_index)
-
-    def note_racy(self, index: int) -> None:
-        # Workers broadcast their own racy finds; the parent repeats
-        # the update for restored/reclassified outcomes it alone sees.
-        if self.stop_at is not None:
-            _lower_bound(self.stop_at, index)
+            if aggs:
+                merge_aggregate_maps(self.profile_aggs, aggs)
+            yield from outcomes
 
     def cancel(self) -> None:
         with self.cancel_flag.get_lock():
@@ -944,10 +820,10 @@ def run_hunt(
     checkpoint writer, *progress* (called as ``progress(done, total,
     racy_so_far)`` for every settled or skipped job) and *on_outcome*
     (every outcome, including ``status="retried"`` attempts a later
-    retry superseded — the event log's feed; on a resume it first
-    receives each restored outcome, marked ``restored``).  *cancel* is a
-    cooperative stop that drains in-flight jobs and leaves
-    ``result.interrupted`` set.
+    retry superseded — the event log's feed).  On a resume, the metrics
+    fold and *on_outcome* first receive each restored outcome, marked
+    ``restored``.  *cancel* is a cooperative stop that drains in-flight
+    jobs and leaves ``result.interrupted`` set.
 
     When a :mod:`repro.obs` profiler is active, every job (in-process
     or forked) records per-stage spans into a job-local profiler; both
@@ -988,14 +864,16 @@ def run_hunt(
     profile_aggs: Optional[Dict[str, AggregateRecord]] = (
         {} if obs.enabled() else None
     )
-    run_job = functools.partial(
-        _execute_job, program, model_factory, config,
-        coverage=registry is not None,
-    )
     # Start every hunt cold so hit counts describe this hunt alone and
     # memory is bounded; workers inherit the empty L1 through fork and
     # share fresh analyses through the hunt's shared cache file.
     _TRACE_CACHE.clear()
+    run_job = functools.partial(
+        _execute_job, program, model_factory, config,
+        cache=(sharedcache.SharedTraceCache(local=_TRACE_CACHE)
+               if config.uses_trace_cache else None),
+        coverage=registry is not None,
+    )
     workers = min(config.jobs, max(len(job_plan), 1))
     if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         workers = 1  # factories may be closures; spawn cannot ship them
@@ -1007,16 +885,24 @@ def run_hunt(
         fold = obs.metrics.HuntMetrics(
             registry, total=config.tries, model=model_name,
             detector=config.detector, hunt_id=hunt_id)
-        fold.restore(try_record(o, config.detector) for o in restored)
 
         def _metrics(outcome: JobOutcome, done: int, racy: int) -> None:
+            # a restored try ran in the interrupted hunt: no rate sample
             fold.fold(try_record(outcome, config.detector),
-                      time.perf_counter() - start)
+                      0.0 if outcome.restored
+                      else time.perf_counter() - start)
         subscribers.append(_metrics)
     if on_outcome is not None:
-        for outcome in restored:
-            on_outcome(outcome)
         subscribers.append(lambda outcome, done, racy: on_outcome(outcome))
+    # Restored outcomes feed the metrics fold and the observer like
+    # fresh ones; the subscribers below never see them (they are
+    # already checkpointed, and progress starts past them).
+    done = racy_seen = 0
+    for outcome in restored:
+        done += 1
+        racy_seen += outcome.status == "racy"
+        for subscriber in subscribers:
+            subscriber(outcome, done, racy_seen)
     if progress is not None:
         def _progress(outcome: JobOutcome, done: int, racy: int) -> None:
             if outcome.status != "retried":
@@ -1044,8 +930,6 @@ def run_hunt(
         else _PoolExecutor(run_job, config, workers,
                            profile_aggs=profile_aggs, racy_floor=racy_floor)
     )
-    done = len(restored)
-    racy_seen = sum(1 for o in restored if o.status == "racy")
     interrupted = False
     last_error: Dict[int, str] = {}
     pending = job_plan
@@ -1074,10 +958,11 @@ def run_hunt(
                         racy_seen += outcome.status == "racy"
                     for subscriber in subscribers:
                         subscriber(outcome, done, racy_seen)
-                    if config.stop_at_first and outcome.status == "racy":
-                        executor.note_racy(outcome.job.index)
-                        if workers == 1:
-                            break
+                    # Serial early stop: never start past the racy
+                    # prefix (pool workers lower their shared bound).
+                    if (config.stop_at_first and outcome.status == "racy"
+                            and workers == 1):
+                        break
                 if interrupted:
                     break
                 if config.stop_at_first:

@@ -1,12 +1,14 @@
-"""A cross-worker trace-analysis cache for the fork-pool hunt engine.
+"""The hunt's trace-analysis cache, shared across fork-pool workers.
 
-The per-worker dict cache (:data:`repro.analysis.parallel._TRACE_CACHE`)
-fragments under ``--jobs``: every worker must pay one analysis per
-distinct trace fingerprint, so a workload whose serial hit rate is 0.90
-drops toward ``1 - workers * distinct / tries`` in a pool.  This module
-restores the serial hit rate by sharing *analysis digests* — never live
-reports — across workers through a structure every fork-safe process
-can use:
+Every hunt try consults one :class:`SharedTraceCache`, whose L1 is the
+process's analysis dict (:data:`repro.analysis.parallel._TRACE_CACHE`).
+A serial hunt's cache has no backing file: the dict is all of it.  A
+pool of dicts alone would fragment under ``--jobs``: every worker would
+pay one analysis per distinct trace fingerprint, so a workload whose
+serial hit rate is 0.90 would drop toward
+``1 - workers * distinct / tries``.  The pool's cache therefore shares
+*analysis digests* — never live reports — across workers through a
+structure every fork-safe process can use:
 
 * an **append-only JSONL file** of ``[fingerprint, racy, digest,
   race_count, certified_races]`` entries, created by the hunt parent
@@ -36,7 +38,7 @@ import os
 from typing import Dict, Optional, Tuple
 
 #: What one cached analysis is: (racy, report digest, race count,
-#: certified race count) — the tuple the per-worker cache already kept.
+#: certified race count).
 CacheValue = Tuple[bool, str, int, int]
 
 
@@ -44,16 +46,17 @@ class SharedTraceCache:
     """Fingerprint-keyed analysis digests shared across fork workers.
 
     *local* is the L1 dict (hits never touch the file); *path* is the
-    shared JSONL file; *lock* guards appends.  ``max_entries`` bounds
-    the L1 exactly like the per-worker cache it replaces: on overflow
-    the local dict is cleared (the file keeps serving refreshed
-    entries, so correctness never depends on the bound).
+    shared JSONL file (``None``: the L1 is the whole cache, as on the
+    serial path); *lock* guards appends.  ``max_entries`` bounds the
+    L1: on overflow the local dict is cleared (a backing file keeps
+    serving refreshed entries, so correctness never depends on the
+    bound).
     """
 
     def __init__(
         self,
-        path: str,
-        lock,
+        path: Optional[str] = None,
+        lock=None,
         local: Optional[Dict[str, CacheValue]] = None,
         max_entries: int = 4096,
     ) -> None:
@@ -68,7 +71,7 @@ class SharedTraceCache:
         """The cached analysis for *fingerprint*, consulting the local
         dict first and refreshing from the shared file on a miss."""
         value = self.local.get(fingerprint)
-        if value is not None:
+        if value is not None or self.path is None:
             return value
         self._refresh()
         return self.local.get(fingerprint)
@@ -104,8 +107,10 @@ class SharedTraceCache:
     # -- write path ----------------------------------------------------
     def put(self, fingerprint: str, value: CacheValue) -> None:
         """Record one fresh analysis locally and append it to the
-        shared file under the lock."""
+        shared file (if any) under the lock."""
         self._store_local(fingerprint, value)
+        if self.path is None:
+            return
         racy, digest, races, certified = value
         line = json.dumps(
             [fingerprint, bool(racy), digest, int(races), int(certified)],

@@ -136,7 +136,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command][0](args)
+    try:
+        return _COMMANDS[args.command][0](args)
+    except OSError as exc:  # an output file that cannot be written
+        return _fail(args.command, exc)
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,8 @@ The schema (``EVENTS_FORMAT`` = 1) is JSON-lines:
   classification), ``partitions`` (first-race provenance coverage
   keys, see :func:`repro.core.provenance.partition_coverage_keys`),
   and ``restored`` (``true`` on the records a resumed hunt writes
-  first, one per job restored from its checkpoint; they count toward
-  progress and coverage, not toward the per-policy tries);
+  first, one per job restored from its checkpoint; they count like any
+  other try, so the log's totals match the merged result);
 
 * ``{"t": "stage", ...}`` — one record per detection stage, folded
   across all workers: ``path`` (span path, e.g.

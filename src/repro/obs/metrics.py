@@ -599,14 +599,6 @@ class HuntMetrics:
                 self.info.set(1, hunt_id=hunt_id, detector=detector,
                               model=model)
 
-    def restore(self, records: Iterable[dict]) -> None:
-        """Seed progress and coverage from the records of jobs a resumed
-        hunt restored from its checkpoint (they add no tries)."""
-        with self.registry.hold():
-            for record in records:
-                self._count(record["status"])
-                self._cover(record, 0.0)
-
     def fold(self, record: dict, elapsed: float = 0.0) -> None:
         """Fold one try record; *elapsed* (seconds since the hunt began,
         0 when replaying a log) drives the rate and growth curves."""
@@ -628,18 +620,15 @@ class HuntMetrics:
             if robust is not None:
                 self.robust.inc(model=self.model,
                                 verdict="robust" if robust else "non-robust")
-            self._count(status)
+            if status != "retried":
+                self.done.add()
+            if status == "racy":
+                self.racy.add()
             self.elapsed.set(elapsed)
             if elapsed > 0:
                 self.throughput.record(elapsed, self.done.value() / elapsed)
             if status in ("racy", "clean"):
                 self._cover(record, elapsed)
-
-    def _count(self, status: str) -> None:
-        if status != "retried":
-            self.done.add()
-        if status == "racy":
-            self.racy.add()
 
     def _cover(self, record: dict, elapsed: float) -> None:
         fingerprint = record.get("fingerprint")

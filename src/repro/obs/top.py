@@ -198,9 +198,8 @@ class TopSnapshot:
         through a fresh fold.  A try's detector resolves from its own
         record, falling back to the meta record's; logs with neither
         leave ``per_detector`` empty.  Records marked ``restored`` (a
-        resumed hunt's restored jobs) go through
-        :meth:`~repro.obs.metrics.HuntMetrics.restore`, as on the live
-        registry."""
+        resumed hunt's restored jobs) fold like any other, as on the
+        live registry."""
         meta: dict = loaded.get("meta") or {}  # type: ignore[assignment]
         planned = meta.get("tries")
         registry = _metrics.MetricsRegistry()
@@ -208,11 +207,8 @@ class TopSnapshot:
             registry, total=planned if isinstance(planned, int) else 0,
             model=str(meta.get("model") or ""),
             detector=str(meta.get("detector") or ""))
-        tries: List[dict] = loaded.get("tries") or []  # type: ignore
-        fold.restore(r for r in tries if r.get("restored"))
-        for record in tries:
-            if not record.get("restored"):
-                fold.fold(record)
+        for record in loaded.get("tries") or []:  # type: ignore
+            fold.fold(record)
         info = {key: meta[key] for key in
                 ("hunt_id", "workload", "model", "detector", "jobs",
                  "policies") if key in meta}

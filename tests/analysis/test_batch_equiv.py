@@ -6,12 +6,14 @@ functions of the hunt spec — worker count, dispatch batching, wire
 compaction, retries, fault injection, and checkpoint/resume boundaries
 must all be invisible.  This suite drives the serial path and the
 batched pool across the product of those dimensions and asserts the
-serialized results are byte-identical, plus unit coverage for the
-batching primitives (:func:`plan_batches`, :class:`BatchOutcome`,
+serialized results are byte-identical, that the pool's per-try outcome
+stream carries every :class:`JobOutcome` field the serial one does,
+plus unit coverage for the batching primitives (:func:`plan_batches`,
 :class:`~repro.analysis.sharedcache.SharedTraceCache`) and the
 defensive pool shutdown.
 """
 
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -23,8 +25,6 @@ from repro import faults
 from repro.analysis import sharedcache
 from repro.analysis.hunting import HuntConfig, hunt_races
 from repro.analysis.parallel import (
-    BatchOutcome,
-    HuntJob,
     JobOutcome,
     _PoolExecutor,
     _execute_job,
@@ -35,6 +35,7 @@ from repro.faults import ENV_VAR, FaultPlan
 from repro.machine.models import make_model
 from repro.obs.metrics import MetricsRegistry
 from repro.programs.kernels import locked_counter_program, racy_counter_program
+from repro.programs.litmus import store_buffering_program
 from repro.programs.workqueue import buggy_workqueue_program
 
 
@@ -163,7 +164,7 @@ def test_batched_resume_with_stop_at_first(tmp_path):
 
 @pytest.mark.parametrize("stop_at_first", [False, True])
 def test_metric_totals_identical_serial_vs_batched(stop_at_first):
-    """Every instrument folds parent-side from the unfolded per-try
+    """Every instrument folds parent-side from the per-try
     stream; the registry a caller sees must not be able to tell the
     batched pool from the serial loop.  Under early stop, jobs the pool
     skipped never ran, so they add no duration sample."""
@@ -205,13 +206,60 @@ def test_metric_totals_identical_serial_vs_batched(stop_at_first):
 
 
 def test_event_stream_covers_every_job_under_batching():
-    """Unfolded batches must feed the observer one outcome per job,
-    exactly as the unbatched protocol did."""
+    """Pool batches must feed the observer one outcome per job, as the
+    serial loop does."""
     seen = []
     hunt_races(buggy_workqueue_program(), _wo, tries=10, jobs=3,
                batch_size=2, on_outcome=lambda o: seen.append(o))
     assert sorted(o.job.index for o in seen) == list(range(10))
     assert all(o.duration >= 0 for o in seen)
+    # trace fingerprints and cache hits cross the wire too: tries 0 and
+    # 1 share a fingerprint, so batch (0, 1)'s second try hits its
+    # worker's cache
+    serial = {}
+    hunt_races(buggy_workqueue_program(), _wo, tries=10, jobs=1,
+               on_outcome=lambda o: serial.setdefault(
+                   o.job.index, o.fingerprint))
+    assert {o.job.index: o.fingerprint for o in seen} == serial
+    assert any(o.cache_hit for o in seen if o.job.index == 1)
+
+
+def test_pool_wire_carries_every_outcome_field():
+    """A pool worker ships its JobOutcome list as is: every field but
+    the wall-clock duration must reach the observer exactly as the
+    serial loop produces it — verdicts and non-robust reports, coverage
+    keys, report digests, error texts, tracebacks and retry marks.  The
+    trace cache is off, since which worker analyses a fingerprint first
+    decides the pool's cache hits."""
+    streams = []
+    for jobs in (1, 2):
+        faults.install(FaultPlan(crash={2: 99}))  # fails deterministically
+        seen = {}
+        hunt_races(
+            store_buffering_program(), lambda: make_model("TSO"),
+            tries=12, jobs=jobs, batch_size=3 if jobs > 1 else None,
+            trace_cache=False, verify_robustness=True,
+            metrics=MetricsRegistry(), retry_backoff=0.001,
+            on_outcome=lambda o: seen.setdefault(
+                (o.job.index, o.job.attempt), o),
+        )
+        faults.clear()
+        streams.append(seen)
+    serial, pooled = streams
+    assert sorted(pooled) == sorted(serial)
+    names = [f.name for f in dataclasses.fields(JobOutcome)
+             if f.name != "duration"]
+    for key, outcome in serial.items():
+        for name in names:
+            assert getattr(pooled[key], name) == getattr(outcome, name), \
+                (key, name)
+    outcomes = list(serial.values())
+    assert {o.status for o in outcomes} >= {"racy", "error", "retried"}
+    assert any(o.robust is False and o.robustness for o in outcomes)
+    assert any(o.partition_keys for o in outcomes)
+    assert any(o.report_digest and o.certified_races for o in outcomes)
+    assert any(o.traceback and o.failure_kind == "deterministic"
+               for o in outcomes)
 
 
 # ----------------------------------------------------------------------
@@ -239,32 +287,6 @@ def test_plan_batches_auto_size_targets_batches_per_worker():
 def test_plan_batches_rejects_nonpositive_size():
     with pytest.raises(ValueError):
         plan_batches(plan_jobs(4, ["a"]), workers=2, batch_size=0)
-
-
-def test_batch_outcome_pack_unfold_roundtrip():
-    jobs = plan_jobs(4, ["a", "b"])
-    outcomes = [
-        JobOutcome(job=jobs[0], status="clean", operations=5,
-                   duration=0.25, fingerprint="fp0"),
-        JobOutcome(job=jobs[1], status="racy", operations=9,
-                   report_digest="digest-1",
-                   race_count=2, certified_races=1, cache_hit=True,
-                   duration=0.5, fingerprint="fp1"),
-        JobOutcome(job=jobs[2], status="error", error="Boom: x",
-                   traceback="tb...", completed=True),
-        JobOutcome(job=jobs[3], status="skipped"),
-    ]
-    packed = BatchOutcome.pack(outcomes)
-    assert set(packed.digests) == {1}
-    assert set(packed.errors) == {2}
-    unfolded = packed.unfold({j.index: j for j in jobs})
-    for original, rebuilt in zip(outcomes, unfolded):
-        assert rebuilt.job is original.job
-        for field in ("status", "completed", "operations", "error",
-                      "traceback", "report_digest", "cache_hit",
-                      "duration", "fingerprint", "race_count",
-                      "certified_races"):
-            assert getattr(rebuilt, field) == getattr(original, field)
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +385,7 @@ def test_pool_close_degrades_without_private_worker_list():
     executor = _pool(stop_at_first=False)
     # simulate a future stdlib that renames Pool._pool
     executor.pool._pool = None
-    executor.close()  # must fall back to terminate(), not raise
+    executor.close()  # joins the workers itself; must not raise
     assert executor.cache_path is None  # shared cache file cleaned up
 
 

@@ -2,6 +2,7 @@
 atomicity, and the load-time validation (torn files, version skew,
 spec mismatch)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -94,6 +95,41 @@ def test_outcome_payload_round_trip():
     assert back.error == "RuntimeError: x"
     assert back.retries == 2
     assert back.failure_kind == "exhausted"
+
+
+#: The format-2 outcome record's keys, as every earlier writer wrote them.
+_FORMAT_2_KEYS = {
+    "index", "seed", "policy_index", "policy", "attempt", "status",
+    "completed", "operations", "error", "traceback", "report_digest",
+    "cache_hit", "fingerprint", "race_count", "certified_races",
+    "retries", "failure_kind", "robust", "robustness", "duration",
+    "partition_keys",
+}
+
+
+def test_outcome_payload_keys_are_format_2():
+    assert set(outcome_to_payload(_outcome())) == _FORMAT_2_KEYS
+
+
+def test_outcome_payload_round_trips_every_field():
+    """Every stored JobOutcome field, each set off its default, comes
+    back intact; ``restored`` marks the loading run and is not stored."""
+    job = HuntJob(index=5, seed=2, policy_index=1, policy_name="ring",
+                  attempt=2)
+    outcome = JobOutcome(
+        job=job, status="racy", completed=False, operations=77,
+        error="RuntimeError: x", report_digest="digest", cache_hit=True,
+        duration=0.25, fingerprint="fp", race_count=3, certified_races=2,
+        traceback="tb", retries=2, failure_kind="exhausted", robust=False,
+        robustness={"kind": "robustness", "robust": False},
+        partition_keys=("p1", "p2"), restored=True,
+    )
+    for f in dataclasses.fields(JobOutcome):
+        if f.name != "job":
+            assert getattr(outcome, f.name) != f.default, f.name
+    back = outcome_from_payload(json.loads(json.dumps(
+        outcome_to_payload(outcome))))
+    assert back == dataclasses.replace(outcome, restored=False)
 
 
 def test_outcome_payload_is_json_safe():

@@ -21,7 +21,7 @@ from repro.analysis.checkpoint import (
     save_checkpoint,
 )
 from repro.analysis.hunting import HuntConfig, hunt_races
-from repro.analysis.parallel import BatchOutcome, HuntJob, JobOutcome
+from repro.analysis.parallel import HuntJob, JobOutcome
 from repro.core.robustness import RobustnessReport
 from repro.machine.models import make_model
 from repro.programs.kernels import locked_counter_program
@@ -120,7 +120,7 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# wire format: JobOutcome -> BatchOutcome -> checkpoint payload
+# wire format: JobOutcome -> checkpoint payload
 # ----------------------------------------------------------------------
 
 def _outcome(index=0, **overrides):
@@ -133,21 +133,6 @@ def _outcome(index=0, **overrides):
 
 
 class TestWireFormat:
-    def test_batch_round_trip_sparse(self):
-        outcomes = [
-            _outcome(0, robust=True),
-            _outcome(1),  # unverified: stays None
-            _outcome(2, robust=False,
-                     robustness={"kind": "robustness", "robust": False}),
-        ]
-        batch = BatchOutcome.pack(outcomes)
-        assert batch.robust == {0: True, 2: False}
-        assert set(batch.robustness) == {2}
-        back = batch.unfold({o.job.index: o.job for o in outcomes})
-        assert [o.robust for o in back] == [True, None, False]
-        assert back[1].robustness is None
-        assert back[2].robustness == outcomes[2].robustness
-
     def test_checkpoint_payload_round_trip(self):
         outcome = _outcome(
             3, robust=False,

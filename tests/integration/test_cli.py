@@ -419,6 +419,32 @@ def test_top_bad_source_exits_2(tmp_path, capsys):
     assert "top:" in capsys.readouterr().err
 
 
+_HUNT6 = ("hunt", "racy-counter", "--tries", "6")
+
+
+@pytest.mark.parametrize("argv", [
+    ("trace", "figure2", "{missing}/x.jsonl"),
+    ("run", "figure2", "--dot", "{missing}/x.dot"),
+    ("run", "figure2", "--profile", "{missing}/p"),
+    (*_HUNT6, "--events", "{missing}/e.jsonl"),
+    (*_HUNT6, "--save-recording", "{missing}/r.replay"),
+    (*_HUNT6, "--profile", "{missing}/p"),
+    (*_HUNT6, "--checkpoint", "{missing}/c.ckpt"),
+], ids=["trace", "run-dot", "run-profile", "hunt-events",
+        "hunt-save-recording", "hunt-profile", "hunt-checkpoint"])
+def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+    """An output file in a directory that does not exist is an input
+    error: one stderr line naming the command and status 2, never a
+    traceback with the "races found" status 1."""
+    missing = tmp_path / "no-such-dir"
+    code = main([arg.format(missing=missing) for arg in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: ")
+    assert "No such file or directory" in err
+    assert "Traceback" not in err
+
+
 def test_hunt_worker_failures_exit_3(monkeypatch, capsys):
     import json
     from repro.analysis import hunting

@@ -104,42 +104,30 @@ def test_duration_buckets_agree(views):
     assert live.duration_quantiles == offline.duration_quantiles
 
 
-def _restored_total(restored, status, key=None):
-    """How many restored records have *status*, or the sum of their
-    *key* values."""
-    return sum(record[key] if key else 1 for record in restored
-               if record["status"] == status)
-
-
 def test_progress_counts_skipped_jobs_and_cells_do_not(views):
-    # restored jobs count toward progress, but their tries ran in the
-    # interrupted hunt, so the per-policy cells leave them out
-    options, live, _, _, restored = views
+    # restored jobs fold like fresh ones, so a resumed hunt's cells
+    # count its restored tries too
+    options, live, _, _, _ = views
     skipped = live.tries_by_status.get("skipped", 0)
     assert (skipped > 0) == options.get("stop_at_first", False)
     assert live.done == live.total == options["tries"]
     assert live.ran == live.done - skipped
-    ran_here = live.ran - len(restored)
-    assert sum(c["tries"] for c in live.per_policy.values()) == ran_here
-    assert sum(c["racy"] for c in live.per_policy.values()) == \
-        live.racy - _restored_total(restored, "racy")
+    assert sum(c["tries"] for c in live.per_policy.values()) == live.ran
+    assert sum(c["racy"] for c in live.per_policy.values()) == live.racy
     status = live.to_json()
     assert status["seeds"]["settled"] == live.done
-    assert sum(status["tries_by_policy"].values()) == ran_here
+    assert sum(status["tries_by_policy"].values()) == live.ran
 
 
 def test_counts_match_the_result(views):
-    options, live, _, result, restored = views
+    options, live, _, result, _ = views
     if options.get("stop_at_first"):
         # the merged result keeps only jobs up to the first racy index
         assert live.ran >= result.tries
         return
     assert live.ran == result.tries
     assert live.racy == result.racy_runs
-    assert live.cache_hits == result.trace_cache_hits - sum(
-        record["cache_hit"] for record in restored)
+    assert live.cache_hits == result.trace_cache_hits
     (cell,) = live.per_detector.values()
-    assert cell["certified"] == result.certified_races - \
-        _restored_total(restored, "racy", "certified")
-    assert sum(live.robust_by_verdict.values()) == result.verified_tries - \
-        sum(record.get("robust") is not None for record in restored)
+    assert cell["certified"] == result.certified_races
+    assert sum(live.robust_by_verdict.values()) == result.verified_tries
