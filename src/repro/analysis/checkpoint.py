@@ -62,6 +62,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
@@ -317,7 +318,10 @@ class CheckpointWriter:
     Writes every *interval* settled outcomes (plus a final write at
     hunt end, marked ``complete`` when the sweep ran to completion).
     Each write persists the full settled set atomically, so the file
-    on disk is always a self-contained resume point.
+    on disk is always a self-contained resume point.  Construction
+    probes the directory with the same temp-file step the writes use,
+    so an unwritable path raises :class:`OSError` before the hunt runs
+    a single try.
     """
 
     def __init__(self, path: Union[str, Path], spec: dict,
@@ -325,6 +329,10 @@ class CheckpointWriter:
         if interval < 1:
             raise ValueError("checkpoint interval must be positive")
         self.path = Path(path)
+        fd, probe = tempfile.mkstemp(prefix=self.path.name + ".",
+                                     suffix=".tmp", dir=self.path.parent)
+        os.close(fd)
+        os.unlink(probe)
         self.spec = spec
         self.interval = interval
         self.hunt_id = hunt_id

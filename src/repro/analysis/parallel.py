@@ -859,6 +859,11 @@ def run_hunt(
         racy_floor = loaded.first_racy_index
         if config.stop_at_first and racy_floor is not None:
             job_plan = [j for j in job_plan if j.index <= racy_floor]
+    # Made before anything runs: it probes its directory, so an
+    # unwritable checkpoint path fails the hunt before its first try.
+    writer = (CheckpointWriter(config.checkpoint, spec,
+                               config.checkpoint_interval, hunt_id=hunt_id)
+              if config.checkpoint is not None else None)
 
     registry = metrics if metrics is not None else obs.metrics.active()
     profile_aggs: Optional[Dict[str, AggregateRecord]] = (
@@ -908,12 +913,7 @@ def run_hunt(
             if outcome.status != "retried":
                 progress(done, config.tries, racy)
         subscribers.append(_progress)
-    writer = None
-    if config.checkpoint is not None:
-        writer = CheckpointWriter(config.checkpoint, spec,
-                                  config.checkpoint_interval,
-                                  hunt_id=hunt_id)
-
+    if writer is not None:
         def _checkpoint(outcome: JobOutcome, done: int, racy: int) -> None:
             if outcome.status in _SETTLED:
                 writer.tick(settled)

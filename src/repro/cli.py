@@ -598,8 +598,9 @@ def _hunt_text(result, args: argparse.Namespace, saved: bool) -> str:
          help="write a JSONL pipeline profile with per-stage timings "
               "aggregated across all hunt jobs (see repro.obs)"),
     _arg("--no-cache", action="store_false", dest="trace_cache",
-         help="disable the per-worker trace-fingerprint analysis cache "
-              "(every execution runs the full detection pipeline)"),
+         help="disable the trace-fingerprint analysis cache that all of "
+              "the hunt's tries share (every execution runs the full "
+              "detection pipeline)"),
     _arg("--live", action="store_true",
          help="render a rolling status line (throughput, cache hit "
               "rate, racy fraction, ETA) fed by the metrics registry"),

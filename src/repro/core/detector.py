@@ -7,7 +7,8 @@ Given a trace (from a file or straight from a simulated execution):
 2. find every conflicting, hb1-unordered event pair (the races),
 3. build the augmented graph G', partition races by SCC, order
    partitions by reachability, and mark the first partitions
-   (section 4.2),
+   (section 4.2) -- only when some race is a data race, or when the
+   report's partitions are read (:class:`~repro.core.report.RaceReport`),
 4. report only the first partitions containing data races.
 
 On hardware obeying Condition 3.4 the report is meaningful even when
@@ -24,7 +25,6 @@ from ..machine.simulator import ExecutionResult
 from ..trace.build import Trace, build_trace
 from .hb1 import HappensBefore1
 from .hb1_vc import CyclicHB1Error, VectorClockHB1
-from .partitions import partition_races
 from .races import find_races
 from .report import RaceReport
 
@@ -52,8 +52,7 @@ class PostMortemDetector:
                 # stage instead of nesting it under races.find.
                 hb.closure
             races = find_races(trace, ordering)
-            analysis = partition_races(trace, hb, races)
-        return RaceReport(trace=trace, hb=hb, races=races, analysis=analysis)
+            return RaceReport(trace=trace, hb=hb, races=races)
 
     def analyze_execution(self, result: ExecutionResult) -> RaceReport:
         """Instrument a simulated execution and analyze it."""

@@ -50,7 +50,6 @@ from ..machine.operations import SyncRole
 from ..trace.events import EventId, SyncEvent
 from .hb1 import HappensBefore1
 from .hb1_vc import CyclicHB1Error, VectorClockHB1
-from .partitions import partition_races
 from .races import EventRace, find_races
 from .report import RaceReport
 
@@ -244,13 +243,12 @@ class SHBReport(RaceReport):
         return payload
 
     @classmethod
-    def from_json(cls, payload: Dict) -> "SHBReport":
-        report = super().from_json(payload)
-        report.sound_races = [
-            report.races[i] for i in payload.get("sound_races", [])
-        ]
-        report.rf_edge_count = payload.get("rf_edges", 0)
-        return report
+    def _fields_from_json(cls, payload: Dict,
+                          races: List[EventRace]) -> Dict:
+        return {
+            "sound_races": [races[i] for i in payload.get("sound_races", [])],
+            "rf_edge_count": payload.get("rf_edges", 0),
+        }
 
 
 @dataclass
@@ -336,13 +334,14 @@ class WCPReport(RaceReport):
         return payload
 
     @classmethod
-    def from_json(cls, payload: Dict) -> "WCPReport":
-        report = super().from_json(payload)
-        report.predicted_races = [
-            report.races[i] for i in payload.get("predicted_races", [])
-        ]
-        report.dropped_so1 = payload.get("dropped_so1", 0)
-        return report
+    def _fields_from_json(cls, payload: Dict,
+                          races: List[EventRace]) -> Dict:
+        return {
+            "predicted_races": [
+                races[i] for i in payload.get("predicted_races", [])
+            ],
+            "dropped_so1": payload.get("dropped_so1", 0),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -350,18 +349,16 @@ class WCPReport(RaceReport):
 # ----------------------------------------------------------------------
 
 def _baseline(trace: Trace):
-    """The postmortem pipeline's hb1 + races + partitions (shared by
-    both predictive detectors so their observed layer is bit-identical
-    to the baseline)."""
+    """The postmortem pipeline's hb1 + races (shared by both predictive
+    detectors so their observed layer, and with it the partition
+    analysis their reports derive, is bit-identical to the baseline)."""
     hb = HappensBefore1(trace)
     try:
         ordering = VectorClockHB1(trace, base=hb)
     except CyclicHB1Error:
         ordering = hb
         hb.closure  # eager: profiles attribute the closure to its stage
-    races = find_races(trace, ordering)
-    analysis = partition_races(trace, hb, races)
-    return hb, races, analysis
+    return hb, find_races(trace, ordering)
 
 
 class SHBDetector:
@@ -369,7 +366,7 @@ class SHBDetector:
 
     def analyze(self, trace: Trace) -> SHBReport:
         with obs.span("detect.shb") as sp:
-            hb, races, analysis = _baseline(trace)
+            hb, races = _baseline(trace)
             shb = ScheduleHappensBefore(trace)
             sound: List[EventRace] = []
             try:
@@ -393,14 +390,13 @@ class SHBDetector:
             if sp.enabled:
                 sp.add("rf_edges", len(shb.rf_edges))
                 sp.add("sound_races", len(sound))
-        return SHBReport(
-            trace=trace,
-            hb=hb,
-            races=races,
-            analysis=analysis,
-            sound_races=sound,
-            rf_edge_count=len(shb.rf_edges),
-        )
+            return SHBReport(
+                trace=trace,
+                hb=hb,
+                races=races,
+                sound_races=sound,
+                rf_edge_count=len(shb.rf_edges),
+            )
 
 
 class WCPDetector:
@@ -408,7 +404,7 @@ class WCPDetector:
 
     def analyze(self, trace: Trace) -> WCPReport:
         with obs.span("detect.wcp") as sp:
-            hb, observed, analysis = _baseline(trace)
+            hb, observed = _baseline(trace)
             wcp = WeakCausallyPrecedes(trace)
             predicted: List[EventRace] = []
             combined = observed
@@ -431,11 +427,10 @@ class WCPDetector:
             if sp.enabled:
                 sp.add("so1_dropped", len(wcp.dropped_so1_edges))
                 sp.add("predicted_races", len(predicted))
-        return WCPReport(
-            trace=trace,
-            hb=hb,
-            races=combined,
-            analysis=analysis,
-            predicted_races=predicted,
-            dropped_so1=len(wcp.dropped_so1_edges),
-        )
+            return WCPReport(
+                trace=trace,
+                hb=hb,
+                races=combined,
+                predicted_races=predicted,
+                dropped_so1=len(wcp.dropped_so1_edges),
+            )

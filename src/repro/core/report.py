@@ -17,7 +17,8 @@ from ..graph import to_dot
 from ..trace.build import Trace
 from ..trace.events import ComputationEvent, EventId, SyncEvent
 from .hb1 import HappensBefore1
-from .partitions import PartitionAnalysis, RacePartition
+from .lazy import LazyField
+from .partitions import PartitionAnalysis, RacePartition, partition_races
 from .races import EventRace
 
 REPORT_FORMAT = 1
@@ -43,7 +44,15 @@ def _race_from_record(record: Dict) -> EventRace:
 
 @dataclass
 class RaceReport:
-    """The full outcome of post-mortem analysis of one trace."""
+    """The full outcome of post-mortem analysis of one trace.
+
+    ``analysis`` (G' and its race partitions, section 4.2) is built from
+    ``(trace, hb, observed_races)`` on first read unless passed in.  A
+    racy report builds it at construction, since everything that reads
+    a racy report reads its first partitions; a race-free report builds
+    it only if something asks (the verdict, ``format()`` and
+    ``certified_race_count`` never do, by Theorem 4.1).
+    """
 
     #: Serialized report ``kind``; subclasses (the predictive SHB/WCP
     #: reports) override it and inherit the to_json/from_json plumbing.
@@ -52,9 +61,24 @@ class RaceReport:
     trace: Trace
     hb: HappensBefore1
     races: List[EventRace]
-    analysis: PartitionAnalysis
+    analysis: PartitionAnalysis = LazyField("_partition")
+
+    def __post_init__(self) -> None:
+        if not self.race_free:
+            # Every reader of a racy report reads G'; build it now, in
+            # the detector's span.
+            self.analysis
+
+    def _partition(self) -> PartitionAnalysis:
+        return partition_races(self.trace, self.hb, self.observed_races)
 
     # ------------------------------------------------------------------
+    @property
+    def observed_races(self) -> List[EventRace]:
+        """The races G' partitions: every race of the execution (the
+        WCP report leaves out the races it predicts)."""
+        return self.races
+
     @property
     def data_races(self) -> List[EventRace]:
         return [race for race in self.races if race.is_data_race]
@@ -77,7 +101,10 @@ class RaceReport:
     @property
     def first_partitions(self) -> List[RacePartition]:
         """The partitions to report to the programmer (section 4.2) —
-        only those containing data races are actionable."""
+        only those containing data races are actionable.  A race-free
+        report has none (Theorem 4.1), so this reads G' only when racy."""
+        if self.race_free:
+            return []
         return [p for p in self.analysis.first_partitions if p.has_data_race]
 
     @property
@@ -187,15 +214,14 @@ class RaceReport:
     def from_json(cls, payload: Dict) -> "RaceReport":
         """Rebuild a report from :meth:`to_json` output.
 
-        The trace, races, and partition structure are restored from the
-        payload verbatim; the derived graphs (hb1, G', condensation)
-        are recomputed from the restored trace, so the returned report
-        supports the same queries as the original.  Symbol names are
-        not serialized — a restored report labels locations ``@addr``.
+        The trace and races are restored from the payload verbatim;
+        hb1 is recomputed from the restored trace, and the partition
+        analysis is derived from them like any report's, so the
+        returned report supports the same queries as the original.
+        Symbol names are not serialized — a restored report labels
+        locations ``@addr``.
         """
-        from ..graph import condensation
         from ..trace.tracefile import trace_from_json
-        from .augmented import build_augmented_graph
 
         if payload.get("kind") != cls.kind:
             raise ValueError(
@@ -204,23 +230,14 @@ class RaceReport:
             )
         trace = trace_from_json(payload["trace"])
         races = [_race_from_record(r) for r in payload["races"]]
-        hb = HappensBefore1(trace)
-        gprime = build_augmented_graph(hb, races)
-        partitions = [
-            RacePartition(
-                component_index=record["component_index"],
-                races=[races[i] for i in record["races"]],
-                events={EventId(p, pos) for p, pos in record["events"]},
-                is_first=record["is_first"],
-            )
-            for record in payload["partitions"]
-        ]
-        analysis = PartitionAnalysis(
-            gprime=gprime,
-            cond=condensation(gprime),
-            partitions=partitions,
-        )
-        return cls(trace=trace, hb=hb, races=races, analysis=analysis)
+        return cls(trace=trace, hb=HappensBefore1(trace), races=races,
+                   **cls._fields_from_json(payload, races))
+
+    @classmethod
+    def _fields_from_json(cls, payload: Dict,
+                          races: List[EventRace]) -> Dict:
+        """The subclass fields :meth:`from_json` restores (none here)."""
+        return {}
 
     # ------------------------------------------------------------------
     def to_dot(self, include_partitions: bool = True,

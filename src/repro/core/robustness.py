@@ -24,6 +24,14 @@ that replays every read against the same write.  Cyclic ⇒ the cycle
 itself is the minimal certificate that no SC justification exists for
 the observed (po, rf, co).
 
+Most executions need no graph at all: when every read observes the
+latest same-location write issued before it, every po, rf, co and fr
+edge points forward in issue order, so issue order already is an SC
+witness (:func:`issue_order_is_witness`).  The verdict is then robust
+at the cost of one linear pass, and the reported witness (the graph's
+topological order, as the graph path reports it) is computed only if
+it is read.
+
 The verdict is packaged as a :class:`RobustnessReport` carrying the
 witness order or the violating cycle plus the SC-prefix boundary
 (:mod:`repro.core.scp`), and serializes through the shared
@@ -32,6 +40,7 @@ witness order or the violating cycle plus the SC-prefix boundary
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -42,8 +51,9 @@ from ..graph import (
     strongly_connected_components,
     topological_sort,
 )
-from ..machine.operations import MemoryOperation
+from ..machine.operations import MemoryOperation, OperationKind
 from ..machine.simulator import ExecutionResult
+from .lazy import LazyField
 from .scp import SCPrefix, close_scp
 
 ROBUSTNESS_FORMAT = 1
@@ -74,6 +84,9 @@ class RobustnessReport:
     up to which the execution is, per processor, still a prefix of some
     SC execution (exact taint ground truth for simulator executions, a
     first-stale-read under-approximation for bare operation streams).
+    When ``witness`` is not passed it is the topological order of
+    ``operations``' execution graph, computed on first read (empty
+    without ``operations``).
     """
 
     kind = "robustness"
@@ -82,7 +95,7 @@ class RobustnessReport:
     model_name: str
     operation_count: int
     stale_reads: int
-    witness: List[int] = field(default_factory=list)
+    witness: List[int] = LazyField("_order_witness")
     cycle: List[OrderEdge] = field(default_factory=list)
     scp_cuts: List[Optional[int]] = field(default_factory=list)
     scp_size: int = 0
@@ -90,6 +103,15 @@ class RobustnessReport:
     #: op seq -> human description, for cycle rendering (not serialized
     #: beyond the cycle's own endpoints).
     descriptions: Dict[int, str] = field(default_factory=dict)
+    #: the operation stream a deferred witness is sorted from (not
+    #: serialized)
+    operations: Optional[List[MemoryOperation]] = field(
+        default=None, repr=False, compare=False)
+
+    def _order_witness(self) -> List[int]:
+        if self.operations is None:
+            return []
+        return list(topological_sort(build_order_graph(self.operations)[0]))
 
     # ------------------------------------------------------------------
     @property
@@ -257,6 +279,32 @@ def build_order_graph(
     return graph, labels
 
 
+def issue_order_is_witness(operations: List[MemoryOperation]) -> bool:
+    """Whether issue order itself is an SC witness for *operations*.
+
+    It is when seqs strictly increase and every read observes the
+    latest same-location write issued before it (``None`` when there is
+    none): then po and co follow issue order, rf comes from an earlier
+    write, and fr leads to the observed write's co-successor, which is
+    issued after the read.  The property is tested on ``observed_write``
+    itself, not trusted from ``stale``, so hand-built streams stay
+    sound; a stream that fails it goes to the order graph.
+    """
+    write = OperationKind.WRITE
+    latest: Dict[int, int] = {}
+    previous = None
+    for op in operations:
+        seq = op.seq
+        if previous is not None and seq <= previous:
+            return False
+        previous = seq
+        if op.kind is write:
+            latest[op.addr] = seq
+        elif op.observed_write != latest.get(op.addr):
+            return False
+    return True
+
+
 def _minimal_cycle(
     graph: DiGraph, labels: Dict[Tuple[int, int], str]
 ) -> List[OrderEdge]:
@@ -305,7 +353,9 @@ def check_robustness(source) -> RobustnessReport:
 
     Searches for an SC justification of the observed (po, rf, co) and
     returns a :class:`RobustnessReport` with the witness order or the
-    minimal violating cycle, plus the SC-prefix boundary.
+    minimal violating cycle, plus the SC-prefix boundary.  When issue
+    order is a witness (:func:`issue_order_is_witness`) no graph is
+    built unless the report's ``witness`` is read.
     """
     if isinstance(source, ExecutionResult):
         result: Optional[ExecutionResult] = source
@@ -325,14 +375,25 @@ def check_robustness(source) -> RobustnessReport:
         raw_cuts = _stale_seeded_cuts(operations)
         describe = lambda op: op.describe()  # noqa: E731
 
-    graph, labels = build_order_graph(operations)
     scp: SCPrefix = close_scp(operations, raw_cuts)
     stale = sum(1 for op in operations if op.stale)
-    by_seq = {op.seq: op for op in operations}
+    verdict = functools.partial(
+        RobustnessReport,
+        model_name=model_name,
+        operation_count=len(operations),
+        stale_reads=stale,
+        scp_cuts=list(scp.cuts),
+        scp_size=scp.size,
+        scp_whole=scp.is_whole_execution,
+    )
+    if issue_order_is_witness(operations):
+        return verdict(robust=True, operations=operations)
 
+    graph, labels = build_order_graph(operations)
     try:
         witness = topological_sort(graph)
     except CycleError:
+        by_seq = {op.seq: op for op in operations}
         cycle = _minimal_cycle(graph, labels)
         descriptions = {
             seq: describe(by_seq[seq])
@@ -340,24 +401,5 @@ def check_robustness(source) -> RobustnessReport:
             for seq in (edge.src, edge.dst)
             if seq in by_seq
         }
-        return RobustnessReport(
-            robust=False,
-            model_name=model_name,
-            operation_count=len(operations),
-            stale_reads=stale,
-            cycle=cycle,
-            scp_cuts=list(scp.cuts),
-            scp_size=scp.size,
-            scp_whole=scp.is_whole_execution,
-            descriptions=descriptions,
-        )
-    return RobustnessReport(
-        robust=True,
-        model_name=model_name,
-        operation_count=len(operations),
-        stale_reads=stale,
-        witness=list(witness),
-        scp_cuts=list(scp.cuts),
-        scp_size=scp.size,
-        scp_whole=scp.is_whole_execution,
-    )
+        return verdict(robust=False, cycle=cycle, descriptions=descriptions)
+    return verdict(robust=True, witness=list(witness))

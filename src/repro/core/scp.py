@@ -68,9 +68,14 @@ def close_scp(
     The cut list is padded with ``None`` to cover every processor that
     appears in *operations*, so a short (or empty) list is safe.
     """
-    hb = hb or OpHappensBefore(list(operations))
     cuts: List[Optional[int]] = list(raw_cuts)
-    ops = hb.operations
+    if hb is None and all(cut is None for cut in cuts):
+        # Nothing is cut, so no included operation can have an excluded
+        # predecessor: the closure is the whole execution, no hb1 needed.
+        ops = list(operations)
+    else:
+        hb = hb or OpHappensBefore(list(operations))
+        ops = hb.operations
     procs = max((op.proc for op in ops), default=-1) + 1
     if len(cuts) < procs:
         cuts.extend([None] * (procs - len(cuts)))
@@ -84,7 +89,7 @@ def close_scp(
         return out
 
     included = included_seqs()
-    changed = True
+    changed = hb is not None
     while changed:
         changed = False
         for src, dst in hb.graph.edges():

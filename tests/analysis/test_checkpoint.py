@@ -319,6 +319,23 @@ def test_writer_rejects_nonpositive_interval(tmp_path):
         CheckpointWriter(tmp_path / "x", _spec(), interval=0)
 
 
+def test_writer_probes_its_directory_when_made(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        CheckpointWriter(tmp_path / "missing" / "hunt.ckpt", _spec(),
+                         interval=3)
+    CheckpointWriter(tmp_path / "hunt.ckpt", _spec(), interval=3)
+    assert list(tmp_path.iterdir()) == []  # the probe cleans up
+
+
+def test_unwritable_checkpoint_fails_before_any_try(tmp_path):
+    seen = []
+    config = HuntConfig(tries=6, checkpoint=str(tmp_path / "missing" / "c"))
+    with pytest.raises(FileNotFoundError):
+        hunt_races(racy_counter_program(), _wo, config,
+                   on_outcome=seen.append)
+    assert seen == []
+
+
 def test_checkpoint_write_leaves_no_temp_files(tmp_path):
     path = tmp_path / "hunt.ckpt"
     save_checkpoint(path, _spec(), [_outcome(0)], complete=True)

@@ -13,14 +13,17 @@ import pytest
 import repro
 from repro.api import check_robustness as api_check_robustness
 from repro.api import report_from_json
+from repro.core import robustness
 from repro.core.robustness import (
     EDGE_KINDS,
     OrderEdge,
     RobustnessReport,
     build_order_graph,
     check_robustness,
+    issue_order_is_witness,
 )
 from repro.machine.models import ALL_MODEL_NAMES, make_model
+from repro.machine.operations import MemoryOperation, OperationKind, SyncRole
 from repro.machine.simulator import run_program
 from repro.programs.figure1 import figure1a_program
 from repro.programs.kernels import (
@@ -160,6 +163,84 @@ class TestOrderGraph:
         for src in graph:
             for dst in graph.successors(src):
                 assert (src, dst) in labels
+
+
+# ----------------------------------------------------------------------
+# the issue-order fast path on hand-built streams
+# ----------------------------------------------------------------------
+
+def _op(seq, proc, local_index, kind, addr, observed_write=None):
+    """A data operation with ``stale=False``, whatever it observed."""
+    return MemoryOperation(
+        seq=seq, proc=proc, local_index=local_index,
+        kind=OperationKind.WRITE if kind == "w" else OperationKind.READ,
+        role=SyncRole.NONE, addr=addr, value=0,
+        observed_write=observed_write,
+    )
+
+
+class TestIssueOrderFastPath:
+    @pytest.fixture
+    def graphs(self, monkeypatch):
+        built = []
+        real = robustness.build_order_graph
+
+        def counting(operations):
+            built.append(len(operations))
+            return real(operations)
+
+        monkeypatch.setattr(robustness, "build_order_graph", counting)
+        return built
+
+    def test_unmarked_out_of_date_read_takes_the_graph_path(self, graphs):
+        """Store buffering with both reads seeing the initial value,
+        though each location's write was issued first, and neither read
+        marked stale: the check must not trust the marker."""
+        ops = [
+            _op(0, 0, 0, "w", 10),
+            _op(1, 1, 0, "w", 11),
+            _op(2, 0, 1, "r", 11),
+            _op(3, 1, 1, "r", 10),
+        ]
+        assert not any(op.stale for op in ops)
+        assert not issue_order_is_witness(ops)
+        report = check_robustness(ops)
+        assert graphs == [4]
+        assert not report.robust
+        assert sorted(e.kind for e in report.cycle) == \
+            ["fr", "fr", "po", "po"]
+        assert report.witness == []
+
+    def test_out_of_date_but_robust_stream_sorts_eagerly(self, graphs):
+        ops = [
+            _op(0, 0, 0, "w", 10),
+            _op(1, 1, 0, "w", 10),
+            _op(2, 0, 1, "r", 10, observed_write=0),
+        ]
+        assert not issue_order_is_witness(ops)
+        report = check_robustness(ops)
+        assert graphs == [3]
+        assert report.robust
+        assert report.witness == [0, 2, 1]
+
+    def test_seqs_must_strictly_increase(self):
+        first = _op(1, 0, 0, "w", 10)
+        assert issue_order_is_witness([first, _op(2, 1, 0, "r", 10, 1)])
+        assert not issue_order_is_witness([first, _op(1, 1, 0, "r", 10, 1)])
+        assert not issue_order_is_witness([first, _op(0, 1, 0, "w", 11)])
+
+    def test_fast_path_defers_the_witness(self, graphs):
+        ops = [
+            _op(0, 0, 0, "w", 10),
+            _op(1, 1, 0, "r", 10, observed_write=0),
+            _op(2, 1, 1, "r", 11),
+        ]
+        report = check_robustness(ops)
+        assert report.robust and graphs == []
+        assert report.witness == [0, 1, 2]
+        assert graphs == [3]
+        assert RobustnessReport.from_json(report.to_json()).witness == \
+            [0, 1, 2]
 
 
 # ----------------------------------------------------------------------

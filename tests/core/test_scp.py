@@ -169,6 +169,11 @@ class TestDegenerateInputs:
         empty = close_scp(result.operations, [])
         assert nones.cuts == empty.cuts
         assert nones.included == empty.included
+        # with no cut there is nothing to close: the hb1 sweep agrees
+        swept = close_scp(result.operations, [],
+                          hb=OpHappensBefore(list(result.operations)))
+        assert swept.cuts == empty.cuts
+        assert swept.included == empty.included
 
     def test_zero_op_execution_condition_34(self):
         b = ProgramBuilder()

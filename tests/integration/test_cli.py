@@ -445,6 +445,19 @@ def test_unwritable_output_exits_2(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_unwritable_checkpoint_fails_before_any_try(tmp_path, capsys):
+    """The checkpoint directory is probed when the hunt starts, so the
+    event log records the hunt but not one try."""
+    import json
+    events = tmp_path / "events.jsonl"
+    code = main([*_HUNT6, "--checkpoint", str(tmp_path / "no-such-dir/c"),
+                 "--events", str(events)])
+    assert code == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    records = [json.loads(line) for line in events.read_text().splitlines()]
+    assert [r["t"] for r in records] == ["meta"]
+
+
 def test_hunt_worker_failures_exit_3(monkeypatch, capsys):
     import json
     from repro.analysis import hunting

@@ -95,7 +95,10 @@ class TestTheorem41:
         for i, prog in enumerate(programs):
             result = run_program(prog, make_model(model), seed=100 + i)
             report = DET.analyze_execution(result)
-            has_first_with_data = bool(report.first_partitions)
+            # G' itself, not report.first_partitions, which answers []
+            # for a race-free report by this very theorem
+            has_first_with_data = any(
+                p.has_data_race for p in report.analysis.first_partitions)
             has_data_races = bool(report.data_races)
             assert has_first_with_data == has_data_races, (model, i)
 
