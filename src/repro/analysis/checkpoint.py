@@ -19,10 +19,10 @@ Checkpoints store no recordings: the hunt records only its winning try,
 by re-simulating it after the merge, so a resumed hunt re-derives the
 recording exactly as an uninterrupted one does.
 
-Format (``CHECKPOINT_FORMAT`` = 2) — one JSON document::
+Format (``CHECKPOINT_FORMAT`` = 3) — one JSON document::
 
     {
-      "format": 2,
+      "format": 3,
       "complete": false,                # True once the sweep finished
       "hunt_id": "a1b2...",             # telemetry correlation id
                                         # (absent in legacy checkpoints;
@@ -43,8 +43,12 @@ Format (``CHECKPOINT_FORMAT`` = 2) — one JSON document::
       "outcomes": [ {...}, ... ]        # settled jobs, by index
     }
 
-Format 1 differs only in that the lowest-index racy outcome carried a
-``recording`` key; format-1 files still load, and the key is ignored.
+An outcome's ``race_count`` counts its data races.  Formats 1 and 2
+counted every race, sync races included, and still load: a clean
+outcome has no data race, so it restores 0, which is exact; a racy
+outcome keeps its stored count, an upper bound on its data races.
+Format 1 also differs in that the lowest-index racy outcome carried a
+``recording`` key, which is ignored.
 
 Checkpoints are always written atomically (write-tmp + fsync +
 rename, :func:`repro.ioutil.atomic_write_text`), so a crash mid-write
@@ -70,9 +74,9 @@ from typing import List, Optional, Sequence, Union
 from ..ioutil import atomic_write_text
 from ..machine.program import Program
 
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 #: Formats :func:`load_checkpoint` reads.
-_READABLE_FORMATS = (1, CHECKPOINT_FORMAT)
+_READABLE_FORMATS = (1, 2, CHECKPOINT_FORMAT)
 
 
 class CheckpointError(ValueError):
@@ -296,6 +300,12 @@ def load_checkpoint(
     if not isinstance(raw_outcomes, list):
         raise CheckpointError(f"{path}: checkpoint has no outcome list")
     outcomes = [outcome_from_payload(record) for record in raw_outcomes]
+    if version < 3:
+        # these formats counted sync races too; a clean try has no
+        # data race
+        for outcome in outcomes:
+            if outcome.status == "clean":
+                outcome.race_count = 0
     seen = set()
     for outcome in outcomes:
         if outcome.job.index in seen:

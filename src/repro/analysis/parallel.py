@@ -215,7 +215,7 @@ class JobOutcome:
     cache_hit: bool = False  # analysis served from the trace cache
     duration: float = 0.0  # wall-clock seconds spent on this job
     fingerprint: str = ""  # canonical trace fingerprint ("" = cache off)
-    race_count: int = 0  # races the analysis reported
+    race_count: int = 0  # data races the analysis reported
     certified_races: int = 0  # report.certified_race_count (see report.py)
     traceback: str = ""  # full traceback when status == "error"
     retries: int = 0  # retry attempts that preceded this settled outcome
@@ -403,7 +403,9 @@ def _execute_job_inner(
                 value = (
                     racy,
                     report.format() if racy else "",
-                    len(report.races),
+                    # data races: a race-free report never sweeps the
+                    # sync half, which report.races would add
+                    len(report.data_races),
                     getattr(report, "certified_race_count", 0) if racy
                     else 0,
                 )

@@ -4,7 +4,10 @@ Given a trace (from a file or straight from a simulated execution):
 
 1. build the happens-before-1 graph from per-processor event order and
    per-location sync order (section 4.1),
-2. find every conflicting, hb1-unordered event pair (the races),
+2. find every conflicting, hb1-unordered event pair on a data
+   location -- every data race lies there, so this decides the
+   verdict; the races on the other (sync-only) locations are swept
+   when G' or ``report.races`` is first read,
 3. build the augmented graph G', partition races by SCC, order
    partitions by reachability, and mark the first partitions
    (section 4.2) -- only when some race is a data race, or when the
@@ -51,8 +54,11 @@ class PostMortemDetector:
                 # sweep, so profiles attribute hb1.closure to its own
                 # stage instead of nesting it under races.find.
                 hb.closure
-            races = find_races(trace, ordering)
-            return RaceReport(trace=trace, hb=hb, races=races)
+            # The data half decides the verdict; a racy report sweeps
+            # the sync half here too, when it builds G' (RaceReport).
+            data_half = find_races(trace, ordering, half="data")
+            return RaceReport(trace=trace, hb=hb, data_half=data_half,
+                              ordering=ordering)
 
     def analyze_execution(self, result: ExecutionResult) -> RaceReport:
         """Instrument a simulated execution and analyze it."""

@@ -11,6 +11,15 @@ tested only against the per-location accesses some other processor has
 not yet seen, not against every earlier conflicting access.  The online
 detector drives the same kernel.  A cyclic hb1 (section 3.1) has no such order and falls back to
 closure queries over every conflicting cross-processor pair.
+
+Either sweep can run over one *half* of the locations: the data half
+(every location some computation event reads or writes) or the sync
+half (every other location).  A race with a computation event conflicts
+only on data locations, and a synchronization event touches exactly one
+location, so no race spans the halves: their race sets are disjoint,
+their sorted union is the full sweep's, and their tested-pair counts
+add up to its count.  Every data race lies in the data half, so a
+race-free verdict needs only that half (Definition 2.4, Theorem 4.1).
 """
 
 from __future__ import annotations
@@ -203,7 +212,13 @@ class FrontierSweep:
         return races
 
 
-def find_races(trace: Trace, hb: Optional[HappensBefore1] = None) -> List[EventRace]:
+#: The location halves a race sweep can be restricted to (see the
+#: module docstring).
+HALVES = ("data", "sync")
+
+
+def find_races(trace: Trace, hb: Optional[HappensBefore1] = None,
+               half: Optional[str] = None) -> List[EventRace]:
     """All races of *trace*: conflicting, hb1-unordered event pairs.
 
     Returns races sorted by (a, b) for determinism.  Pass a prebuilt
@@ -212,14 +227,17 @@ def find_races(trace: Trace, hb: Optional[HappensBefore1] = None) -> List[EventR
     hb1); pass a :class:`~repro.core.hb1_vc.VectorClockHB1` to run the
     :class:`FrontierSweep` over its topological order and clocks
     instead.  The two are differentially tested to report identical
-    races.
+    races.  With *half* (``"data"`` or ``"sync"``) only the races on
+    that half's locations are swept.
     """
+    if half is not None and half not in HALVES:
+        raise ValueError(f"unknown location half {half!r}")
     hb = hb or HappensBefore1(trace)
     with obs.span("races.find") as _sp:
         if isinstance(hb, VectorClockHB1):
-            races, tested = _find_races_frontier(trace, hb)
+            races, tested = _find_races_frontier(trace, hb, half)
         else:
-            races, tested = _find_races(trace, hb)
+            races, tested = _find_races(trace, hb, half)
         if _sp.enabled:
             # pairs_tested counts the ordering queries actually made
             _sp.add("pairs_tested", tested)
@@ -229,28 +247,46 @@ def find_races(trace: Trace, hb: Optional[HappensBefore1] = None) -> List[EventR
 
 
 def _find_races_frontier(
-    trace: Trace, vc: VectorClockHB1
+    trace: Trace, vc: VectorClockHB1, half: Optional[str] = None
 ) -> Tuple[List[EventRace], int]:
+    data = trace.data_locations() if half else frozenset()
+    want_data = half == "data"
     sweep = FrontierSweep(trace.processor_count)
     latest = sweep.clock
+    joined = False
     for eid, clock in vc.clocks():
         proc = eid.proc
         prev = latest[proc]
         latest[proc] = clock
         if prev[:proc] != clock[:proc] or prev[proc + 1:] != clock[proc + 1:]:
-            sweep.recompute_min()  # a join brought in foreign components
+            joined = True  # a join brought in foreign components
         is_comp, reads, writes = trace.accesses(eid)
+        # A computation event touches only data locations and a sync
+        # event exactly one location, so each event lies in one half.
+        if half and want_data != (is_comp or (writes or reads)[0] in data):
+            continue
+        if joined:
+            # The frontier bound is settled only where a scan reads it;
+            # its value there, and so every pruning and test, is the
+            # full sweep's.
+            sweep.recompute_min()
+            joined = False
         sweep.access(proc, eid.pos, is_comp, reads, writes, clock)
     return sweep.finish(), sweep.tested
 
 
 def _find_races(
-    trace: Trace, hb: HappensBefore1
+    trace: Trace, hb: HappensBefore1, half: Optional[str] = None
 ) -> Tuple[List[EventRace], int]:
     """Closure-query sweep over every conflicting cross-processor pair:
     the fallback for a cyclic hb1 (section 3.1), where no topological
     order, and so no frontier sweep, exists."""
     readers, writers = _accesses_by_location(trace)
+    if half:
+        data = trace.data_locations()
+        want_data = half == "data"
+        writers = {addr: events for addr, events in writers.items()
+                   if (addr in data) == want_data}
 
     # Hot path: for each location, every writer x (writer or reader)
     # pair is a conflict; a pair is a race iff hb1-unordered.  Ordered

@@ -10,16 +10,18 @@ program (Theorem 4.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+import heapq
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Union
 
 from ..graph import to_dot
 from ..trace.build import Trace
 from ..trace.events import ComputationEvent, EventId, SyncEvent
 from .hb1 import HappensBefore1
+from .hb1_vc import VectorClockHB1
 from .lazy import LazyField
 from .partitions import PartitionAnalysis, RacePartition, partition_races
-from .races import EventRace
+from .races import EventRace, find_races
 
 REPORT_FORMAT = 1
 
@@ -46,12 +48,19 @@ def _race_from_record(record: Dict) -> EventRace:
 class RaceReport:
     """The full outcome of post-mortem analysis of one trace.
 
+    ``races`` is every race of the trace.  The post-mortem detector
+    passes only ``data_half``, the races on data locations (the data
+    half of :func:`~repro.core.races.find_races`), which hold every
+    data race and so decide the verdict; ``races`` then adds the sync
+    half, swept with ``ordering`` on first read.
+
     ``analysis`` (G' and its race partitions, section 4.2) is built from
     ``(trace, hb, observed_races)`` on first read unless passed in.  A
-    racy report builds it at construction, since everything that reads
-    a racy report reads its first partitions; a race-free report builds
-    it only if something asks (the verdict, ``format()`` and
-    ``certified_race_count`` never do, by Theorem 4.1).
+    racy report builds it, and so sweeps ``races``, at construction,
+    since everything that reads a racy report reads its first
+    partitions; a race-free report does neither unless something asks
+    (the verdict, ``format()`` and ``certified_race_count`` never do,
+    by Theorem 4.1).
     """
 
     #: Serialized report ``kind``; subclasses (the predictive SHB/WCP
@@ -60,14 +69,29 @@ class RaceReport:
 
     trace: Trace
     hb: HappensBefore1
-    races: List[EventRace]
+    races: List[EventRace] = LazyField("_all_races")
     analysis: PartitionAnalysis = LazyField("_partition")
+    #: the data half's races when ``races`` is not passed
+    data_half: Optional[List[EventRace]] = field(
+        default=None, repr=False, compare=False)
+    #: the ordering backend the sync half is swept with (``hb`` when
+    #: not passed)
+    ordering: Optional[Union[HappensBefore1, VectorClockHB1]] = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.race_free:
             # Every reader of a racy report reads G'; build it now, in
             # the detector's span.
             self.analysis
+
+    def _all_races(self) -> List[EventRace]:
+        ordering = self.hb if self.ordering is None else self.ordering
+        if self.data_half is None:
+            return find_races(self.trace, ordering)
+        sync = find_races(self.trace, ordering, half="sync")
+        return list(heapq.merge(self.data_half, sync,
+                                key=lambda race: (race.a, race.b)))
 
     def _partition(self) -> PartitionAnalysis:
         return partition_races(self.trace, self.hb, self.observed_races)
@@ -81,7 +105,8 @@ class RaceReport:
 
     @property
     def data_races(self) -> List[EventRace]:
-        return [race for race in self.races if race.is_data_race]
+        swept = self.races if self.data_half is None else self.data_half
+        return [race for race in swept if race.is_data_race]
 
     @property
     def sync_races(self) -> List[EventRace]:

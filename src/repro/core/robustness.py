@@ -113,6 +113,13 @@ class RobustnessReport:
             return []
         return list(topological_sort(build_order_graph(self.operations)[0]))
 
+    def _witness_length(self) -> int:
+        """``len(self.witness)`` without sorting a deferred witness: the
+        order graph has one node per distinct operation seq."""
+        if self.operations is None:
+            return len(self.witness)
+        return len({op.seq for op in self.operations})
+
     # ------------------------------------------------------------------
     @property
     def verdict(self) -> str:
@@ -143,7 +150,7 @@ class RobustnessReport:
                 "justification."
             )
             lines.append(
-                f"  witness: issue order of {len(self.witness)} "
+                f"  witness: issue order of {self._witness_length()} "
                 f"operation(s) consistent with po+rf+co+fr"
             )
             return "\n".join(lines)

@@ -6,18 +6,18 @@ happened*: one wide JSONL record per unit of work, written as it
 completes, so a long-running hunt leaves an auditable, tail-able
 history instead of only a final summary.
 
-The schema (``EVENTS_FORMAT`` = 1) is JSON-lines:
+The schema (``EVENTS_FORMAT`` = 2) is JSON-lines:
 
 * line 1 — a meta record::
 
-      {"t": "meta", "schema": 1, "kind": "hunt", "workload": ..., ...}
+      {"t": "meta", "schema": 2, "kind": "hunt", "workload": ..., ...}
 
 * ``{"t": "try", ...}`` — one record per hunt try: ``index``,
   ``seed``, ``policy``, ``status`` (racy | clean | error | retried |
   skipped), ``duration_sec``, ``cache_hit``, ``fingerprint``
   (canonical trace fingerprint, "" when the cache is off), ``races``
-  (count found), ``operations``, ``completed`` (False = step bound
-  hit), plus retry provenance ``attempt``/``retries`` (optional for
+  (data races found), ``operations``, ``completed`` (False = step
+  bound hit), plus retry provenance ``attempt``/``retries`` (optional for
   backward compatibility; ``status="retried"`` marks an attempt that
   a later retry superseded).  Newer writers add, still optionally:
   ``detector`` (the analysis backend), ``certified`` (the report's
@@ -40,8 +40,11 @@ The schema (``EVENTS_FORMAT`` = 1) is JSON-lines:
 (:class:`repro.obs.metrics.HuntMetrics`) reads the same records, so a
 log replays into the counts a live registry shows.
 
-:func:`check_events` checks a file against this schema — including
-rejecting unknown ``schema`` versions — and ``weakraces events FILE``
+Schema 1 differs only in that ``races`` counted every race, sync
+races included; a race-free report no longer sweeps those (see
+:class:`repro.core.report.RaceReport`), so schema 2 counts data races.
+:func:`check_events` checks a file against either schema — and
+rejects unknown ``schema`` versions — and ``weakraces events FILE``
 validates, summarizes, or tails a log.  Records are flushed per line,
 so ``weakraces events --tail`` (or plain ``tail -f``) works while the
 hunt is still running.  Because the stream is append-only (an atomic
@@ -63,7 +66,9 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..ioutil import read_jsonl_tolerant
 
-EVENTS_FORMAT = 1
+EVENTS_FORMAT = 2
+#: Schemas :func:`check_events` reads.
+READABLE_SCHEMAS = (1, EVENTS_FORMAT)
 
 TRY_STATUSES = ("racy", "clean", "error", "retried", "skipped")
 
@@ -269,10 +274,10 @@ def check_events(
         schema = meta.get("schema")
         if not isinstance(schema, int) or isinstance(schema, bool):
             problems.append(f"meta.schema is not an integer: {schema!r}")
-        elif schema != EVENTS_FORMAT:
+        elif schema not in READABLE_SCHEMAS:
             problems.append(
-                f"unknown schema version {schema!r} "
-                f"(this reader understands {EVENTS_FORMAT})"
+                f"unknown schema version {schema!r} (this reader "
+                f"understands {', '.join(map(str, READABLE_SCHEMAS))})"
             )
     for i, record in enumerate(records[1:], start=2):
         kind = record.get("t")

@@ -14,6 +14,15 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
+def iter_bits(value: int) -> Iterator[int]:
+    """Set-bit indices of a big-int bitset, ascending: one step per set
+    bit, not per bit position."""
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1
+        value &= value - 1
+
+
 class BitVector:
     """A growable set of non-negative integers stored as one big int."""
 
@@ -46,13 +55,7 @@ class BitVector:
         return bin(self._bits).count("1")
 
     def __iter__(self) -> Iterator[int]:
-        bits = self._bits
-        index = 0
-        while bits:
-            if bits & 1:
-                yield index
-            bits >>= 1
-            index += 1
+        return iter_bits(self._bits)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BitVector):
@@ -66,6 +69,16 @@ class BitVector:
     def union(self, other: "BitVector") -> "BitVector":
         out = BitVector()
         out._bits = self._bits | other._bits
+        return out
+
+    @classmethod
+    def union_of(cls, vectors: Iterable["BitVector"]) -> "BitVector":
+        """The union of many vectors, with no intermediate objects."""
+        bits = 0
+        for vector in vectors:
+            bits |= vector._bits
+        out = cls()
+        out._bits = bits
         return out
 
     def intersection(self, other: "BitVector") -> "BitVector":

@@ -17,12 +17,13 @@ only what the paper's detector sees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..machine.operations import MemoryOperation
 from ..machine.program import SymbolTable
 from ..machine.simulator import ExecutionResult
+from .bitvector import BitVector
 from .events import ComputationEvent, Event, EventId, SyncEvent
 
 
@@ -57,6 +58,17 @@ class Trace:
             addr = (event.addr,)
             return (False, (), addr) if event.writes_addr else (False, addr, ())
         return True, event.reads, event.writes
+
+    def data_locations(self) -> FrozenSet[int]:
+        """Every location some computation event reads or writes: the
+        data half of a race sweep (:func:`repro.core.races.find_races`)."""
+        return frozenset(BitVector.union_of(
+            vector
+            for proc_events in self.events
+            for event in proc_events
+            if isinstance(event, ComputationEvent)
+            for vector in (event.reads, event.writes)
+        ))
 
     def all_events(self) -> List[Event]:
         return [event for proc_events in self.events for event in proc_events]

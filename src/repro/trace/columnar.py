@@ -37,12 +37,13 @@ import mmap
 import struct
 from pathlib import Path
 from typing import (
-    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 from .. import obs
 from ..machine.operations import OperationKind, SyncRole
-from .bitvector import BitVector
+from .bitvector import BitVector, iter_bits
 from .build import Trace, TraceError
 from .events import ComputationEvent, Event, EventId, SyncEvent
 
@@ -89,14 +90,6 @@ _NP_DTYPE = {"B": "<u1", "I": "<u4", "q": "<i8"}
 
 class ColumnarTraceError(TraceError):
     """Malformed or wrong-version columnar trace."""
-
-
-def _iter_bits(value: int) -> Iterator[int]:
-    """Set-bit indices of a big-int bitset, ascending."""
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1
-        value &= value - 1
 
 
 def _bitvector_bytes(bv: BitVector) -> bytes:
@@ -250,10 +243,10 @@ class TraceColumns:
         )
 
     def event_reads(self, row: int) -> Iterator[int]:
-        return _iter_bits(self.reads_int(row))
+        return iter_bits(self.reads_int(row))
 
     def event_writes(self, row: int) -> Iterator[int]:
-        return _iter_bits(self.writes_int(row))
+        return iter_bits(self.writes_int(row))
 
     # ------------------------------------------------------------------
     def materialize(self, proc: int, pos: int) -> Event:
@@ -371,6 +364,14 @@ class ColumnarTrace(Trace):
             return True, columns.event_reads(row), columns.event_writes(row)
         addr = (int(columns.addr[row]),)
         return (False, (), addr) if columns.kind[row] else (False, addr, ())
+
+    def data_locations(self) -> FrozenSet[int]:
+        columns = self.columns
+        bits = 0
+        for row in range(columns.event_total):
+            if columns.is_comp(row):
+                bits |= columns.reads_int(row) | columns.writes_int(row)
+        return frozenset(iter_bits(bits))
 
     def close(self) -> None:
         """Release the mmap (views created from it become invalid)."""

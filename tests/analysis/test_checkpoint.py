@@ -149,7 +149,7 @@ def test_format_2_checkpoint_stores_no_recording(tmp_path):
                         checkpoint=path)
     assert result.found and result.recording is not None
     payload = json.loads(path.read_text())
-    assert payload["format"] == CHECKPOINT_FORMAT == 2
+    assert payload["format"] == CHECKPOINT_FORMAT == 3
     assert any(o["status"] == "racy" for o in payload["outcomes"])
     assert all("recording" not in o for o in payload["outcomes"])
 
@@ -184,6 +184,26 @@ def test_format_1_checkpoint_with_recording_resumes(tmp_path):
     assert resumed.stats() == full.stats()
     assert resumed.recording_verified is True
     assert resumed.recording.to_payload() == full.recording.to_payload()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_earlier_formats_restore_data_race_counts(tmp_path, version):
+    """Formats 1 and 2 counted sync races in ``race_count``: a clean
+    outcome restores 0 (it has no data race), a racy one keeps its
+    stored count (an upper bound)."""
+    path = tmp_path / "hunt.ckpt"
+    clean = _outcome(0, race_count=7)
+    racy = _outcome(1, status="racy", race_count=9)
+    save_checkpoint(path, _spec(), [clean, racy], complete=False)
+    payload = json.loads(path.read_text())
+    payload["format"] = version
+    path.write_text(json.dumps(payload))
+    counts = [o.race_count for o in load_checkpoint(path).outcomes]
+    assert counts == [0, 9]
+    payload["format"] = CHECKPOINT_FORMAT
+    path.write_text(json.dumps(payload))
+    counts = [o.race_count for o in load_checkpoint(path).outcomes]
+    assert counts == [7, 9]
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.programs.figure1 import figure1a_program
 from repro.programs.kernels import (
     independent_work_program,
     locked_counter_program,
+    producer_consumer_program,
     racy_counter_program,
     single_race_program,
 )
@@ -241,6 +242,23 @@ class TestIssueOrderFastPath:
         assert graphs == [3]
         assert RobustnessReport.from_json(report.to_json()).witness == \
             [0, 1, 2]
+
+    def test_text_verdict_builds_no_graph(self, graphs, capsys):
+        from repro.cli import main
+
+        assert main(["check", "producer-consumer", "--model", "TSO",
+                     "--robustness"]) == 0
+        assert "ROBUST" in capsys.readouterr().out
+        assert graphs == []
+
+    @pytest.mark.parametrize("model", ALL_MODEL_NAMES)
+    def test_deferred_witness_text_equals_sorted(self, model):
+        execution = run_program(producer_consumer_program(),
+                                make_model(model), seed=2)
+        report = check_robustness(execution)
+        text = report.format()
+        report.witness  # sorted now, if it was deferred
+        assert report.format() == text
 
 
 # ----------------------------------------------------------------------

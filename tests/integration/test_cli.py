@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.obs.events import EVENTS_FORMAT
 
 
 def test_models_lists_all(capsys):
@@ -303,7 +304,7 @@ def test_events_tail_and_json(tmp_path, capsys):
     code = main(["events", str(log), "--json"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["meta"]["schema"] == 1
+    assert doc["meta"]["schema"] == EVENTS_FORMAT
     assert len(doc["tries"]) == 5
     assert doc["summary"]["tries"] == 5
 

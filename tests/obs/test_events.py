@@ -103,6 +103,16 @@ def test_validate_accepts_current_schema(tmp_path):
     assert validate_events(path) == []
 
 
+def test_validate_accepts_schema_1(tmp_path):
+    # schema 1 differs only in that a try's ``races`` counted sync races
+    path = tmp_path / "log.jsonl"
+    _write_lines(path, [
+        {"t": "meta", "schema": 1, "kind": "hunt"},
+        _try_record(),
+    ])
+    assert validate_events(path) == []
+
+
 @pytest.mark.parametrize("schema,fragment", [
     (EVENTS_FORMAT + 1, "unknown schema version"),
     (0, "unknown schema version"),

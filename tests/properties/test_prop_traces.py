@@ -32,7 +32,11 @@ N_DATA = 4
 
 
 @st.composite
-def traces(draw):
+def traces(draw, mixed=False):
+    """A structurally valid trace.  With *mixed*, computation events may
+    also touch the lock locations, so a location can carry both sync
+    and data accesses."""
+    n_comp = N_DATA + N_LOCKS if mixed else N_DATA
     nproc = draw(st.integers(2, 4))
     # Per processor: a list of event descriptors.
     proc_plans = []
@@ -42,8 +46,8 @@ def traces(draw):
         for _ in range(n_events):
             kind = draw(st.sampled_from(["comp", "acq", "rel", "tsw"]))
             if kind == "comp":
-                reads = draw(st.sets(st.integers(0, N_DATA - 1), max_size=3))
-                writes = draw(st.sets(st.integers(0, N_DATA - 1), max_size=3))
+                reads = draw(st.sets(st.integers(0, n_comp - 1), max_size=3))
+                writes = draw(st.sets(st.integers(0, n_comp - 1), max_size=3))
                 plan.append(("comp", reads, writes))
             else:
                 addr = N_DATA + draw(st.integers(0, N_LOCKS - 1))

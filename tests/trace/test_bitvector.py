@@ -96,3 +96,9 @@ def test_iteration_sorted(xs):
 def test_hex_roundtrip_property(xs):
     bv = BitVector(xs)
     assert BitVector.from_hex(bv.to_hex()) == bv
+
+
+@given(st.lists(small_sets, max_size=5))
+def test_union_of_matches_set_union(sets):
+    assert set(BitVector.union_of(BitVector(xs) for xs in sets)) == \
+        set().union(*sets)
