@@ -841,9 +841,6 @@ def run_hunt(
     config = config.resolve(program)
     job_plan = plan_jobs(config.tries, [name for name, _ in config.policies])
 
-    # Process-wide injected faults (e.g. no_numpy) apply before any
-    # analysis runs; fork workers inherit the patched state.
-    _faults.apply_process_faults()
     fault_plan = _faults.active_plan()
 
     model_name = model_factory().name

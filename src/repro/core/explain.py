@@ -12,7 +12,7 @@ turning the formalism into a readable causal story.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..graph import shortest_path
 from ..trace.events import EventId
@@ -72,15 +72,14 @@ class RaceExplanation:
         return "\n".join(lines)
 
 
-def _classify_edge(report: RaceReport, src: EventId, dst: EventId) -> str:
-    if (src, dst) in report.hb.po_edges:
-        return "po"
-    if (src, dst) in report.hb.so1_edges:
-        return "so1"
-    # Transitive po (consecutive events were compressed by shortest
-    # path only if the edge exists; same-proc edges are po).
+def _classify_edge(so1: Set[Tuple[EventId, EventId]], src: EventId,
+                   dst: EventId) -> str:
+    # G' links events of one processor only by po; so1 and race edges
+    # cross processors.
     if src.proc == dst.proc:
         return "po"
+    if (src, dst) in so1:
+        return "so1"
     return "race"
 
 
@@ -113,8 +112,9 @@ def explain_race(report: RaceReport, race: EventRace) -> RaceExplanation:
             race=race, is_first=False, root_race=None, steps=[]
         )
     root, path = best
+    so1 = set(report.hb.so1_edges)
     steps = [
-        ExplanationStep(a, b, _classify_edge(report, a, b))
+        ExplanationStep(a, b, _classify_edge(so1, a, b))
         for a, b in zip(path, path[1:])
     ]
     return RaceExplanation(

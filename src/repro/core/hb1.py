@@ -9,6 +9,10 @@ read of the same location when the acquire is the next sync read and
 returns the release's value (Definition 2.1(3): "s2 returns the value
 written by s1").
 
+po is implicit in ``(proc, pos)``, so construction pairs only so1; the
+event graph and its closure are built on first read (G', DOT export,
+explanations, the cyclic fallback), never by the vector-clock sweep.
+
 On a weak execution the synchronization operations themselves need not
 be sequentially consistent, so hb1 may contain cycles (section 3.1);
 everything downstream (race detection, partitioning) tolerates that.
@@ -30,39 +34,31 @@ _COL_RELEASE = _COLUMN_ROLE_CODE[SyncRole.RELEASE]
 
 
 class HappensBefore1:
-    """The hb1 graph of a trace, with cached reachability.
+    """The hb1 relation of a trace, with cached reachability.
 
-    Nodes are :class:`EventId`; edges are po (consecutive events of one
-    processor) and so1 (paired release -> acquire).  ``ordered(a, b)``
-    answers "a hb1 b" via a bitset transitive closure.
+    Edges are po (consecutive events of one processor, implicit) and
+    so1 (paired release -> acquire, listed in :attr:`so1_edges`).
+    ``ordered(a, b)`` answers "a hb1 b" via a bitset transitive closure
+    over :attr:`graph`; both are built on first read.
     """
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
-        self.graph = DiGraph()
-        self.po_edges: List[Tuple[EventId, EventId]] = []
         self.so1_edges: List[Tuple[EventId, EventId]] = []
+        self._graph: Optional[DiGraph] = None
         self._closure: Optional[TransitiveClosure] = None
         with obs.span("hb1.build") as sp:
             self._build()
+            #: one po edge per event but each processor's first
+            self.po_edges = trace.event_count - sum(
+                1 for proc_events in trace.events if len(proc_events))
             if sp.enabled:
-                sp.add("events", self.trace.event_count)
-                sp.add("po_edges", len(self.po_edges))
+                sp.add("events", trace.event_count)
+                sp.add("po_edges", self.po_edges)
                 sp.add("so1_edges", len(self.so1_edges))
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        # po needs only processor/position, never the event payloads:
-        # build it positionally so a columnar trace stays unmaterialized.
-        for proc, proc_events in enumerate(self.trace.events):
-            previous: Optional[EventId] = None
-            for pos in range(len(proc_events)):
-                eid = EventId(proc, pos)
-                self.graph.add_node(eid)
-                if previous is not None:
-                    self.graph.add_edge(previous, eid)
-                    self.po_edges.append((previous, eid))
-                previous = eid
         # so1 pairing reads sync payloads.  On a columnar trace the base
         # pairing rule runs straight off the role/kind/value columns —
         # but only when ``_pair_location`` is not overridden, so
@@ -97,7 +93,6 @@ class HappensBefore1:
                 and last_sync_write.value == event.value
                 and last_sync_write.eid.proc != event.eid.proc
             ):
-                self.graph.add_edge(last_sync_write.eid, event.eid)
                 self.so1_edges.append((last_sync_write.eid, event.eid))
 
     def _pair_location_columnar(self, order: List[EventId], columns) -> None:
@@ -119,10 +114,28 @@ class HappensBefore1:
                 and value[last_write_row] == value[row]
                 and last_write.proc != eid.proc
             ):
-                self.graph.add_edge(last_write, eid)
                 self.so1_edges.append((last_write, eid))
 
+    def cross_edges(self) -> List[Tuple[EventId, EventId]]:
+        """The edges beyond po: so1 here; subclasses add or drop some."""
+        return self.so1_edges
+
     # ------------------------------------------------------------------
+    @property
+    def graph(self) -> DiGraph:
+        """The relation as an event graph: each processor's events
+        chained by po, then :meth:`cross_edges`."""
+        if self._graph is None:
+            with obs.span("hb1.graph"):
+                self._graph = graph = DiGraph()
+                for proc, proc_events in enumerate(self.trace.events):
+                    chain = [EventId(proc, pos)
+                             for pos in range(len(proc_events))]
+                    graph.add_nodes(chain)
+                    graph.add_edges(zip(chain, chain[1:]))
+                graph.add_edges(self.cross_edges())
+        return self._graph
+
     @property
     def closure(self) -> TransitiveClosure:
         if self._closure is None:

@@ -3,22 +3,23 @@
 The default :class:`~repro.core.hb1.HappensBefore1` answers ordering
 queries with a transitive closure over the event graph.  Real
 post-mortem tools more often assign each event a vector clock in one
-topological sweep: ``a hb1 b`` iff ``clock(a) <= clock(b)`` pointwise
-with ``a != b`` (per-processor components count events issued).  That
-is O(V·P) space instead of O(V²/64) and answers queries in O(P).
+linear pass: ``a hb1 b`` iff ``clock(a) <= clock(b)`` pointwise with
+``a != b`` (per-processor components count events issued).  That is
+O(V·P) space instead of O(V²/64) and answers queries in O(P).
 
-The clocks live in a V×P ``int64`` numpy matrix (one row per event in
-topological order) when numpy is available: each event's row is the
-``np.maximum`` join of its predecessors' rows — one vectorized call per
-edge instead of a Python component loop.  Without numpy the clocks are
-plain per-event lists.  Either way :meth:`VectorClockHB1.clocks` hands
-the events and their clocks, in that topological order, to the
-frontier race sweep of :mod:`repro.core.races`.
+The pass builds no graph.  Events are numbered by processor-major
+*row* (``offset[proc] + pos``), po is implicit, and a FIFO Kahn merge
+over rows, releasing each event's successors in row order, linearizes
+po ∪ the relation's cross-processor edges exactly as
+:func:`~repro.graph.topological_sort` orders the event graph.  Each
+clock, a plain list, joins the event's predecessors' and sets its own
+component to ``pos + 1``; :meth:`VectorClockHB1.positions` hands both,
+in that order, to the frontier race sweep of :mod:`repro.core.races`.
 
 Vector clocks require an *acyclic* hb1 — true for every execution our
 simulator produces (its sync operations are sequentially consistent)
 but not guaranteed by the paper for arbitrary weak machines (§3.1).
-``VectorClockHB1`` therefore refuses cyclic inputs with
+When the merge stalls on a cycle ``VectorClockHB1`` raises
 :class:`CyclicHB1Error`; callers that must handle arbitrary traces use
 the closure backend.  The two backends are differentially tested for
 equality on every acyclic trace.
@@ -26,18 +27,16 @@ equality on every acyclic trace.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import obs
-from ..graph import CycleError, topological_sort
 from ..trace.build import Trace
 from ..trace.events import EventId
 from .hb1 import HappensBefore1
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+#: canonical cross-processor event pairs -> their conflict locations
+_Pairs = Dict[Tuple[EventId, EventId], Tuple[int, ...]]
 
 
 class CyclicHB1Error(ValueError):
@@ -45,12 +44,12 @@ class CyclicHB1Error(ValueError):
 
 
 class VectorClockHB1:
-    """Event vector clocks computed in one topological sweep.
+    """Event vector clocks computed in one positional sweep.
 
     Exposes the same ``ordered`` / ``unordered`` query interface as
     :class:`HappensBefore1` so the two are interchangeable for race
     detection on acyclic traces.  Pass a prebuilt ``base`` relation to
-    reuse its graph instead of rebuilding po/so1 edges — including a
+    reuse its edges instead of re-pairing so1 — including a
     *subclassed* relation (the predictive SHB/WCP backends pass their
     modified edge sets through here to reuse the same sweep).
 
@@ -74,85 +73,76 @@ class VectorClockHB1:
         self.trace = trace
         if base is None:
             base = HappensBefore1(trace)
-        self.graph = base.graph
-        self.po_edges = base.po_edges
-        self.so1_edges = base.so1_edges
-
-        nproc = trace.processor_count
-        self._clocks: Dict[EventId, List[int]] = {}
-        self._matrix = None
-        self._row_of: Dict[EventId, int] = {}
-        self._adjacent: Optional[
-            Dict[Tuple[EventId, EventId], Tuple[int, ...]]
-        ] = None
+        self._adjacent: Optional[_Pairs] = None
         with obs.span("hb1.vc_sweep") as sp:
-            try:
-                order = topological_sort(self.graph)
-            except CycleError as exc:
-                raise CyclicHB1Error(
-                    "hb1 contains a cycle (weak sync ordering, section "
-                    "3.1); use the transitive-closure backend"
-                ) from exc
-            #: every event, in the topological order the clocks were
-            #: swept in (a linearization of hb1)
-            self.order: List[EventId] = order
-            if _np is not None:
-                joins = self._sweep_matrix(order, nproc)
-            else:  # pragma: no cover - exercised via forced fallback tests
-                joins = self._sweep_python(order, nproc)
+            joins = self._sweep(base.cross_edges())
             if track_variables:
-                self._adjacent = self._sweep_variables(order)
+                self._adjacent = self._sweep_variables(self.order)
             if sp.enabled:
-                sp.add("events", len(order))
+                sp.add("events", len(self._rows))
                 sp.add("clock_joins", joins)
                 if track_variables:
                     sp.add("adjacent_pairs", len(self._adjacent))
 
-    def _sweep_matrix(self, order: List[EventId], nproc: int) -> int:
-        """Clock matrix sweep: row i is event order[i]'s vector clock."""
-        row_of = self._row_of
-        for i, eid in enumerate(order):
-            row_of[eid] = i
-        matrix = _np.zeros((max(len(order), 1), nproc), dtype=_np.int64)
-        if order:
-            # Own components set vectorized up front: a same-processor
-            # predecessor's own component is always smaller (pos' < pos),
-            # so the maximum joins below can never overwrite them.
-            procs = _np.fromiter(
-                (e.proc for e in order), dtype=_np.intp, count=len(order)
+    def _sweep(self, edges: List[Tuple[EventId, EventId]]) -> int:
+        """Kahn merge over rows, clocking each event as it is released;
+        returns the clock joins made (one per predecessor)."""
+        counts = [len(proc_events) for proc_events in self.trace.events]
+        nproc, total = len(counts), sum(counts)
+        #: row of each processor's first event
+        self._offsets = offsets = [0, *accumulate(counts)][:-1]
+        proc_of = [proc for proc, count in enumerate(counts)
+                   for _ in range(count)]
+        pos_of = [pos for count in counts for pos in range(count)]
+        # one past each processor's last row: no po successor there
+        ends = {offset + count
+                for offset, count in zip(offsets, counts) if count}
+        in_deg = [int(pos > 0) for pos in pos_of]
+        succ: Dict[int, List[int]] = {}
+        pred: Dict[int, List[int]] = {}
+        for src, dst in edges:
+            s = offsets[src.proc] + src.pos
+            d = offsets[dst.proc] + dst.pos
+            succ.setdefault(s, []).append(d)
+            pred.setdefault(d, []).append(s)
+            in_deg[d] += 1
+        for row, released in succ.items():  # with po's, in row order
+            if row + 1 not in ends:
+                released.append(row + 1)
+            released.sort()
+        # The release order is the FIFO queue itself: rows are appended
+        # as their last predecessor is released and read back in turn.
+        rows = [row for row in range(total) if not in_deg[row]]
+        clocks: List[List[int]] = [[]] * total
+        joins = total - len(ends)  # every po predecessor
+        for row in rows:
+            pos = pos_of[row]
+            clock = clocks[row - 1][:] if pos else [0] * nproc
+            joined = pred.get(row, ())
+            for other in joined:
+                clock = list(map(max, clock, clocks[other]))
+            joins += len(joined)
+            clock[proc_of[row]] = pos + 1
+            clocks[row] = clock
+            released = succ.get(row)
+            if released is None:
+                if row + 1 in ends:
+                    continue
+                released = (row + 1,)
+            for nxt in released:
+                in_deg[nxt] -= 1
+                if not in_deg[nxt]:
+                    rows.append(nxt)
+        if len(rows) != total:
+            raise CyclicHB1Error(
+                "hb1 contains a cycle (weak sync ordering, section "
+                "3.1); use the transitive-closure backend"
             )
-            poss = _np.fromiter(
-                (e.pos for e in order), dtype=_np.int64, count=len(order)
-            )
-            matrix[_np.arange(len(order)), procs] = poss + 1
-        predecessors = self.graph.predecessors
-        maximum = _np.maximum
-        joins = 0
-        for i, eid in enumerate(order):
-            row = matrix[i]
-            for pred in predecessors(eid):
-                maximum(row, matrix[row_of[pred]], out=row)
-                joins += 1
-        self._matrix = matrix
+        self._rows, self._clocks = rows, clocks
+        self._proc_of, self._pos_of = proc_of, pos_of
         return joins
 
-    def _sweep_python(self, order: List[EventId], nproc: int) -> int:
-        joins = 0
-        for eid in order:
-            clock = [0] * nproc
-            for pred in self.graph.predecessors(eid):
-                pred_clock = self._clocks[pred]
-                for i in range(nproc):
-                    if pred_clock[i] > clock[i]:
-                        clock[i] = pred_clock[i]
-                joins += 1
-            clock[eid.proc] = eid.pos + 1  # this event's own position
-            self._clocks[eid] = clock
-        return joins
-
-    def _sweep_variables(
-        self, order: List[EventId]
-    ) -> Dict[Tuple[EventId, EventId], Tuple[int, ...]]:
+    def _sweep_variables(self, order: List[EventId]) -> _Pairs:
         """Per-variable last-write/last-read epoch tracking.
 
         One pass over the same topological order the clocks were swept
@@ -194,33 +184,35 @@ class VectorClockHB1:
 
     # ------------------------------------------------------------------
     @property
-    def clock_matrix(self):
-        """The V×P int64 clock matrix, row i the clock of
-        ``order[i]`` (None when numpy is unavailable)."""
-        return self._matrix
-
-    @property
-    def adjacent_conflicts(
-        self,
-    ) -> Optional[Dict[Tuple[EventId, EventId], Tuple[int, ...]]]:
+    def adjacent_conflicts(self) -> Optional[_Pairs]:
         """Adjacent conflicting cross-processor pairs from the
         per-variable last-write/last-read sweep (canonical ``(a, b)``
         with ``a < b`` mapped to conflict locations), or ``None`` when
         the sweep ran without ``track_variables``."""
         return self._adjacent
 
+    def positions(self) -> Iterator[Tuple[int, int, int, List[int]]]:
+        """``(row, proc, pos, clock)`` of every event, in the order the
+        clocks were swept in (a linearization of hb1; do not mutate the
+        clocks)."""
+        proc_of, pos_of, clocks = self._proc_of, self._pos_of, self._clocks
+        for row in self._rows:
+            yield row, proc_of[row], pos_of[row], clocks[row]
+
+    @property
+    def order(self) -> List[EventId]:
+        """Every event, in the order the clocks were swept in."""
+        return [EventId(proc, pos) for _, proc, pos, _ in self.positions()]
+
     def clocks(self) -> Iterator[Tuple[EventId, List[int]]]:
         """Every event with its vector clock, in :attr:`order` (do not
         mutate the clocks)."""
-        if self._matrix is not None:
-            return zip(self.order, map(_np.ndarray.tolist, self._matrix))
-        return ((eid, self._clocks[eid]) for eid in self.order)
+        return ((EventId(proc, pos), clock)
+                for _, proc, pos, clock in self.positions())
 
     def clock_of(self, eid: EventId) -> List[int]:
         """The event's vector clock (do not mutate)."""
-        if self._matrix is not None:
-            return self._matrix[self._row_of[eid]].tolist()
-        return self._clocks[eid]
+        return self._clocks[self._offsets[eid.proc] + eid.pos]
 
     def ordered(self, a: EventId, b: EventId) -> bool:
         """True iff ``a hb1 b`` — the O(1) epoch test: b has seen a's
@@ -228,12 +220,7 @@ class VectorClockHB1:
         full comparison is redundant)."""
         if a == b:
             return False
-        if self._matrix is not None:
-            return bool(self._matrix[self._row_of[b], a.proc] >= a.pos + 1)
-        return self._clocks[b][a.proc] >= self._clocks[a][a.proc]
+        return self.clock_of(b)[a.proc] >= a.pos + 1
 
     def unordered(self, a: EventId, b: EventId) -> bool:
         return not self.ordered(a, b) and not self.ordered(b, a)
-
-    def is_partial_order(self) -> bool:
-        return True  # construction rejected cyclic inputs

@@ -73,7 +73,9 @@ class ScheduleHappensBefore(HappensBefore1):
         super().__init__(trace)
 
     def _pair_location(self, addr: int, order: List[EventId]) -> None:
+        paired = len(self.so1_edges)
         super()._pair_location(addr, order)
+        so1 = set(self.so1_edges[paired:])
         writes: List[SyncEvent] = []
         for eid in order:
             event = self.trace.event(eid)
@@ -86,11 +88,13 @@ class ScheduleHappensBefore(HappensBefore1):
                     continue
                 if (
                     w.eid.proc != event.eid.proc
-                    and not self.graph.has_edge(w.eid, event.eid)
+                    and (w.eid, event.eid) not in so1
                 ):
-                    self.graph.add_edge(w.eid, event.eid)
                     self.rf_edges.append((w.eid, event.eid))
                 break
+
+    def cross_edges(self) -> List[Tuple[EventId, EventId]]:
+        return self.so1_edges + self.rf_edges
 
 
 class WeakCausallyPrecedes(HappensBefore1):
@@ -117,7 +121,6 @@ class WeakCausallyPrecedes(HappensBefore1):
                 if self._sections_conflict(rel, acq):
                     kept.append((rel, acq))
                 else:
-                    self.graph.remove_edge(rel, acq)
                     self.dropped_so1_edges.append((rel, acq))
             self.so1_edges = kept
             if sp.enabled:

@@ -25,11 +25,12 @@ race-free verdict needs only that half (Definition 2.4, Theorem 4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import obs
 from ..trace.build import Trace
-from ..trace.events import EventId
+from ..trace.columnar import _TAG_COMP
+from ..trace.events import ComputationEvent, EventId
 from .hb1 import HappensBefore1
 from .hb1_vc import VectorClockHB1
 
@@ -180,9 +181,11 @@ class FrontierSweep:
         """Race-scan one event against the frontier, then remember it.
         Writer×writer and writer×reader pairs only."""
         # both sets are walked twice (scan, then remember) — a one-shot
-        # iterator (e.g. a columnar bitset decoder) must be materialized
-        reads = tuple(reads)
-        writes = tuple(writes)
+        # iterator (e.g. a columnar bitset decoder) must be materialized,
+        # and through its iterator: tuple() of a BitVector would first
+        # count its bits for a length hint
+        reads = tuple(iter(reads))
+        writes = tuple(iter(writes))
         for addr in writes:
             self._scan_list(self.writers, addr, proc, pos, is_comp, clock)
             self._scan_list(self.readers, addr, proc, pos, is_comp, clock)
@@ -246,32 +249,49 @@ def find_races(trace: Trace, hb: Optional[HappensBefore1] = None,
     return races
 
 
+def _in_half(trace: Trace, half: str) -> Callable[[int, int, int], bool]:
+    """``in_half(row, proc, pos)``: whether the event lies in *half*,
+    read from the columns or the event object, with no access sets
+    decoded.  A computation event touches only data locations and a
+    sync event exactly one location, so each event lies in one half."""
+    data = trace.data_locations()
+    want_data = half == "data"
+    columns = getattr(trace, "columns", None)
+    if columns is not None:
+        tags, addrs = bytes(columns.tag), columns.addr
+        return lambda row, proc, pos: want_data == (
+            tags[row] == _TAG_COMP or int(addrs[row]) in data)
+    events = trace.events
+
+    def in_half(row: int, proc: int, pos: int) -> bool:
+        event = events[proc][pos]
+        return want_data == (isinstance(event, ComputationEvent)
+                             or event.addr in data)
+    return in_half
+
+
 def _find_races_frontier(
     trace: Trace, vc: VectorClockHB1, half: Optional[str] = None
 ) -> Tuple[List[EventRace], int]:
-    data = trace.data_locations() if half else frozenset()
-    want_data = half == "data"
+    in_half = _in_half(trace, half) if half else None
     sweep = FrontierSweep(trace.processor_count)
     latest = sweep.clock
     joined = False
-    for eid, clock in vc.clocks():
-        proc = eid.proc
+    for row, proc, pos, clock in vc.positions():
         prev = latest[proc]
         latest[proc] = clock
         if prev[:proc] != clock[:proc] or prev[proc + 1:] != clock[proc + 1:]:
             joined = True  # a join brought in foreign components
-        is_comp, reads, writes = trace.accesses(eid)
-        # A computation event touches only data locations and a sync
-        # event exactly one location, so each event lies in one half.
-        if half and want_data != (is_comp or (writes or reads)[0] in data):
+        if in_half is not None and not in_half(row, proc, pos):
             continue
+        is_comp, reads, writes = trace.accesses(EventId(proc, pos))
         if joined:
             # The frontier bound is settled only where a scan reads it;
             # its value there, and so every pruning and test, is the
             # full sweep's.
             sweep.recompute_min()
             joined = False
-        sweep.access(proc, eid.pos, is_comp, reads, writes, clock)
+        sweep.access(proc, pos, is_comp, reads, writes, clock)
     return sweep.finish(), sweep.tested
 
 

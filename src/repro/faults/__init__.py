@@ -2,8 +2,8 @@
 
 Crash-recovery code that is only ever exercised by hand-written stubs
 is unproven.  This package injects *real* failures — worker crashes,
-hangs past the job timeout, the parent dying mid-hunt, torn artifact
-files, and a numpy-less detector — at deterministic points, so the
+hangs past the job timeout, the parent dying mid-hunt and torn
+artifact files — at deterministic points, so the
 integration suite can kill and resume actual hunts and assert result
 equivalence.
 
@@ -21,7 +21,6 @@ from .plan import (
     InjectedCrash,
     active_plan,
     append_garbage,
-    apply_process_faults,
     clear,
     install,
     tear_file,
@@ -34,7 +33,6 @@ __all__ = [
     "InjectedCrash",
     "active_plan",
     "append_garbage",
-    "apply_process_faults",
     "clear",
     "install",
     "tear_file",

@@ -25,11 +25,6 @@ Injection points (all optional):
     settled — the "power cord" fault the checkpoint/resume layer
     exists for.
 
-``no_numpy``
-    Simulate numpy failing to import, forcing the vector-clock layer
-    onto its pure-Python epoch-sweep fallback
-    (:mod:`repro.core.hb1_vc` keeps working with ``_np = None``).
-
 Activation: set ``REPRO_FAULTS`` to inline JSON (``{"crash": ...}``)
 or to the path of a JSON file — the fork-pool workers inherit the
 environment, so one variable arms every process of a hunt.  Tests
@@ -61,9 +56,7 @@ class InjectedCrash(RuntimeError):
     """A worker crash injected by the active fault plan."""
 
 
-_KNOWN_KEYS = {
-    "crash", "hang", "hang_seconds", "kill_parent_after", "no_numpy",
-}
+_KNOWN_KEYS = {"crash", "hang", "hang_seconds", "kill_parent_after"}
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,6 @@ class FaultPlan:
     hang: Dict[int, int] = field(default_factory=dict)
     hang_seconds: float = 30.0
     kill_parent_after: Optional[int] = None
-    no_numpy: bool = False
 
     # ------------------------------------------------------------------
     @classmethod
@@ -109,7 +101,6 @@ class FaultPlan:
             hang=index_map("hang"),
             hang_seconds=float(payload.get("hang_seconds", 30.0)),
             kill_parent_after=kill_after,
-            no_numpy=bool(payload.get("no_numpy", False)),
         )
 
     # ------------------------------------------------------------------
@@ -182,18 +173,6 @@ def active_plan() -> Optional[FaultPlan]:
         raise FaultPlanError(f"{ENV_VAR}: invalid JSON: {exc}") from exc
     _ENV_CACHE = (raw, plan)
     return plan
-
-
-def apply_process_faults() -> None:
-    """Apply process-wide faults of the active plan (currently
-    ``no_numpy``).  Called once at hunt start in the parent; fork
-    workers inherit the patched state.  Idempotent; a no-op with no
-    plan armed."""
-    plan = active_plan()
-    if plan is None or not plan.no_numpy:
-        return
-    from ..core import hb1_vc
-    hb1_vc._np = None  # the layer's declared numpy-missing mode
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Topological ordering and cycle detection.
 
-Used to linearize the happens-before-1 graph of a sequentially consistent
-execution (where hb1 is a partial order, Definition 2.3) and to verify
-acyclicity of condensation DAGs in tests.
+Used to linearize the robustness order graph (an SC witness), to test
+whether an hb1 graph is a partial order (Definition 2.3), and as the
+reference the positional vector-clock sweep is tested against.
 """
 
 from __future__ import annotations

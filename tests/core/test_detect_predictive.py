@@ -18,7 +18,6 @@ from hypothesis import given, settings
 
 import repro
 from repro import obs
-from repro.core import hb1_vc
 from repro.core.hb1 import HappensBefore1
 from repro.core.hb1_vc import CyclicHB1Error, VectorClockHB1
 from repro.core.predictive import (
@@ -222,20 +221,25 @@ def test_wcp_contains_baseline_on_generated_traces(trace):
 # degraded modes: no numpy, cyclic hb1
 # ----------------------------------------------------------------------
 
-def test_predictive_backends_survive_missing_numpy():
-    """Without numpy the epoch fallback answers every ordering query;
-    both backends must report the same races either way."""
+def test_predictive_backends_survive_missing_numpy(tmp_path):
+    """Without numpy a columnar trace's columns are plain tuples; both
+    backends must report the same races either way."""
+    from repro.trace import columnar
+
     for build, model in ((lambda: racy_counter_program(3, 3), "WO"),
                          (lock_shadow_program, "WO")):
         trace = _trace_for(build(), model, seed=2)
+        path = tmp_path / "t.wrct"
+        columnar.to_columnar(trace, path)
         with_np = {
             d: _race_keys(repro.detect(trace, detector=d).races)
             for d in ("shb", "wcp")
         }
-        with mock.patch.object(hb1_vc, "_np", None):
-            for d in ("shb", "wcp"):
-                report = repro.detect(trace, detector=d)
-                assert _race_keys(report.races) == with_np[d]
+        with mock.patch.object(columnar, "_np", None):
+            with columnar.open_columnar(path) as lazy:
+                for d in ("shb", "wcp"):
+                    report = repro.detect(lazy, detector=d)
+                    assert _race_keys(report.races) == with_np[d]
 
 
 def test_predictive_backends_survive_cyclic_hb1():

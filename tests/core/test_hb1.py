@@ -33,7 +33,7 @@ def test_po_edges_chain_each_processor():
     trace = _trace(build)
     hb = HappensBefore1(trace)
     events = trace.events[0]
-    assert len(hb.po_edges) == 2
+    assert hb.po_edges == 2
     assert hb.ordered(events[0].eid, events[2].eid)  # transitive po
     assert not hb.ordered(events[2].eid, events[0].eid)
 

@@ -1,22 +1,16 @@
-"""Differential tests: batched clock-matrix race sweep vs. closure.
+"""Differential tests: vector-clock frontier race sweep vs. closure.
 
-`find_races` now dispatches on the ordering backend: a
-`VectorClockHB1` with a clock matrix routes to the batched numpy sweep
-(whole candidate-pair arrays tested at once), a closure-bearing backend
-to the per-pair query path, and a matrix-less vector-clock backend to
-the per-pair epoch test.  The acceptance bar for the optimization is
-that all of them report *identical* races — same pairs, same conflict
+`find_races` dispatches on the ordering backend: a `VectorClockHB1`
+routes to the frontier sweep over its clocks, a closure-bearing backend
+to the per-pair query path.  The acceptance bar is that both report
+*identical* races — same pairs, same conflict
 locations, same data-race flags — on every acyclic trace, and that the
 cyclic fallback still engages where vector clocks cannot go (§3.1).
 """
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import hb1_vc
 from repro.core.detector import PostMortemDetector
 from repro.core.hb1 import HappensBefore1
 from repro.core.hb1_vc import CyclicHB1Error, VectorClockHB1
@@ -49,7 +43,6 @@ def _assert_same_races(trace):
     hb = HappensBefore1(trace)
     closure_races = find_races(trace, hb)
     vc = VectorClockHB1(trace, base=hb)
-    assert vc.clock_matrix is not None  # numpy is a declared dependency
     batched_races = find_races(trace, vc)
     assert batched_races == closure_races
     return closure_races
@@ -92,22 +85,6 @@ def test_batched_sweep_matches_closure_on_generated_traces(trace):
     assert find_races(trace, vc) == find_races(trace, hb)
 
 
-@given(trace=traces())
-@settings(max_examples=60, deadline=None)
-def test_epoch_fallback_matches_closure_without_numpy(trace):
-    """With numpy unavailable the VC backend keeps dict clocks and the
-    per-pair epoch sweep; results must not change."""
-    with mock.patch.object(hb1_vc, "_np", None):
-        try:
-            vc = VectorClockHB1(trace)
-        except CyclicHB1Error:
-            return
-        assert vc.clock_matrix is None
-        races_epoch = find_races(trace, vc)
-    hb = HappensBefore1(trace)
-    assert races_epoch == find_races(trace, hb)
-
-
 def test_detector_falls_back_to_closure_on_cyclic_trace():
     """The end-to-end pipeline survives a cyclic hb1 (hand-crafted
     weak-sync trace) by switching to the closure backend, and reports
@@ -125,7 +102,7 @@ def test_detector_falls_back_to_closure_on_cyclic_trace():
 
 def test_detector_uses_vector_clocks_on_acyclic_traces():
     """On acyclic traces the pipeline never builds the closure: the
-    batched sweep answers every ordering query from the clock matrix."""
+    frontier sweep answers every ordering query from the clocks."""
     trace = _trace_for(racy_counter_program(2, 2))
     detector = PostMortemDetector()
     report = detector.analyze(trace)

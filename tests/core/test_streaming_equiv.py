@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 
 import repro
-from repro.core import hb1_vc
 from repro.core.hb1 import HappensBefore1
 from repro.core.races import find_races
 from repro.core.streaming import StreamingDetector, StreamingReport
@@ -134,8 +133,7 @@ def test_streaming_without_numpy(tmp_path):
     path = tmp_path / "t.wrct"
     to_columnar(trace, path)
     base = _race_keys(repro.detect(trace).races)
-    with mock.patch.object(hb1_vc, "_np", None), \
-            mock.patch.object(columnar, "_np", None):
+    with mock.patch.object(columnar, "_np", None):
         with open_columnar(path) as lazy:
             assert _race_keys(
                 repro.detect(lazy, detector="streaming").races

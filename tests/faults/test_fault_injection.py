@@ -1,7 +1,6 @@
 """Fault plans driven through the real hunt engine, in-process:
-crashes and hangs in serial and forked-pool workers, env-var
-activation crossing the fork boundary, and the no-numpy degradation
-path."""
+crashes and hangs in serial and forked-pool workers, and env-var
+activation crossing the fork boundary."""
 
 import json
 
@@ -90,27 +89,6 @@ def test_env_plan_file_reaches_forked_workers(monkeypatch, tmp_path):
                         retry_backoff=0.001)
     assert len(result.failures) == 1
     assert result.failures[0].kind == "deterministic"
-
-
-# ----------------------------------------------------------------------
-# degraded-dependency path: hunting without numpy
-# ----------------------------------------------------------------------
-
-def test_no_numpy_hunt_still_finds_races():
-    from repro.core import hb1_vc
-
-    original = hb1_vc._np
-    try:
-        faults.install(FaultPlan(no_numpy=True))
-        degraded = hunt_races(racy_counter_program(), _wo, tries=6,
-                              jobs=1)
-        assert hb1_vc._np is None  # the fault actually applied
-    finally:
-        hb1_vc._np = original
-    faults.clear()
-    normal = hunt_races(racy_counter_program(), _wo, tries=6, jobs=1)
-    # the pure-python fallback is slower but must agree on the physics
-    assert degraded.stats() == normal.stats()
 
 
 def test_fault_free_plan_changes_nothing():

@@ -32,13 +32,12 @@ def _clean_faults(monkeypatch):
 def test_from_json_full_plan():
     plan = FaultPlan.from_json({
         "crash": {"3": 1}, "hang": {"5": 2}, "hang_seconds": 0.5,
-        "kill_parent_after": 7, "no_numpy": True,
+        "kill_parent_after": 7,
     })
     assert plan.crash == {3: 1}
     assert plan.hang == {5: 2}
     assert plan.hang_seconds == 0.5
     assert plan.kill_parent_after == 7
-    assert plan.no_numpy is True
 
 
 def test_from_json_rejects_unknown_keys():
@@ -130,24 +129,6 @@ def test_crash_message_is_attempt_independent():
             plan.on_job_start(4, attempt)
         messages.add(str(exc_info.value))
     assert len(messages) == 1
-
-
-def test_no_numpy_patches_vector_clock_layer():
-    from repro.core import hb1_vc
-    original = hb1_vc._np
-    try:
-        faults.install(FaultPlan(no_numpy=True))
-        faults.apply_process_faults()
-        assert hb1_vc._np is None
-    finally:
-        hb1_vc._np = original
-
-
-def test_apply_process_faults_noop_without_plan():
-    from repro.core import hb1_vc
-    original = hb1_vc._np
-    faults.apply_process_faults()
-    assert hb1_vc._np is original
 
 
 # ----------------------------------------------------------------------

@@ -139,15 +139,16 @@ def test_merge_is_componentwise_max_over_predecessors(trace):
     """Each clock is the pointwise max of its predecessors' clocks,
     with the event's own component set to its position + 1 — checked
     directly on events with multiple predecessors (the merges)."""
+    hb = HappensBefore1(trace)
     try:
-        vc = VectorClockHB1(trace)
+        vc = VectorClockHB1(trace, base=hb)
     except CyclicHB1Error:
         return
     nproc = trace.processor_count
     for event in trace.all_events():
         eid = event.eid
         clock = vc.clock_of(eid)
-        preds = list(vc.graph.predecessors(eid))
+        preds = list(hb.graph.predecessors(eid))
         for i in range(nproc):
             expected = max(
                 (vc.clock_of(p)[i] for p in preds), default=0
