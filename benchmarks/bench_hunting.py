@@ -201,7 +201,7 @@ def test_workqueue_hunt_throughput(benchmark, cache):
 # ``parallel_scaling`` table at 1/2/4/8 workers, the trace-cache hit
 # rate, and the speedup over the recorded baseline.  Every rate is the
 # median of N repeats after one discarded warmup hunt (the warmup pays
-# numpy import + fork start-up), reported with its spread so noisy
+# module imports + fork start-up), reported with its spread so noisy
 # readings are visible instead of silently flattering; derived overhead
 # fractions are clamped at zero (a *negative* overhead is measurement
 # noise by definition).  CI runs this on every push (``--quick
@@ -234,7 +234,7 @@ def _rate_stats(jobs: int, tries: int, repeats: int,
         )
         elapsed = time.perf_counter() - start
         if i == 0:
-            continue  # warmup: numpy import, fork start-up, page cache
+            continue  # warmup: module imports, fork start-up, page cache
         samples.append(tries / elapsed if elapsed > 0 else float("inf"))
     rate = statistics.median(samples)
     spread = (max(samples) - min(samples)) / rate if rate else 0.0

@@ -122,8 +122,8 @@ def load_trace(source: Union[str, os.PathLike]) -> Trace:
     magic bytes.
 
     Columnar files open *lazily*: the returned
-    :class:`~repro.trace.columnar.ColumnarTrace` exposes numpy views
-    over an mmap and materializes event objects only on demand.  Binary
+    :class:`~repro.trace.columnar.ColumnarTrace` exposes ``memoryview``
+    columns over an mmap and materializes event objects only on demand.  Binary
     and JSON-lines files are fully decoded.
     """
     fmt = sniff_trace_format(source)

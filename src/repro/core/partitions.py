@@ -70,6 +70,11 @@ class PartitionAnalysis:
             for partition in self.partitions
             for race in partition.races
         }
+        #: partitions containing at least one data race — the only ones
+        #: the Definition 4.1 ordering ever consults
+        self.data_partitions: List[RacePartition] = [
+            p for p in self.partitions if p.has_data_race
+        ]
 
     @property
     def first_partitions(self) -> List[RacePartition]:
@@ -88,12 +93,6 @@ class PartitionAnalysis:
         if partition is None:
             raise KeyError(f"race {race} not in any partition")
         return partition
-
-    @property
-    def data_partitions(self) -> List[RacePartition]:
-        """Partitions containing at least one data race — the only ones
-        the Definition 4.1 ordering ever consults."""
-        return [p for p in self.partitions if p.has_data_race]
 
     def preceding_data_partitions(
         self, partition: RacePartition
@@ -180,11 +179,10 @@ def _partition_races(
 
     # A partition is first iff no *other* partition containing at least
     # one data race precedes it (Definition 4.1 and the paragraph after).
-    data_partitions = [p for p in partitions if p.has_data_race]
     for partition in partitions:
         preceded = any(
             other is not partition and analysis.precedes(other, partition)
-            for other in data_partitions
+            for other in analysis.data_partitions
         )
         partition.is_first = not preceded
     return analysis

@@ -306,6 +306,9 @@ def explain_races(report: RaceReport,
     }
     closure = hb.closure
     analysis = report.analysis
+    # Definition 4.1 neighbours by component: one partition may hold
+    # thousands of races, and its neighbours are the same for each
+    neighbours: Dict[int, Tuple[List[int], List[int]]] = {}
     provenances: List[RaceProvenance] = []
     races = report.races if include_sync else report.data_races
     for race in races:
@@ -334,6 +337,15 @@ def explain_races(report: RaceReport,
                 f"hb1-ordered — the report is inconsistent"
             )
         partition = analysis.partition_of(race)
+        ci = partition.component_index
+        if ci not in neighbours:
+            neighbours[ci] = (
+                [p.component_index
+                 for p in analysis.preceding_data_partitions(partition)],
+                [p.component_index
+                 for p in analysis.following_data_partitions(partition)],
+            )
+        preceding, following = neighbours[ci]
         provenances.append(
             RaceProvenance(
                 race=race,
@@ -343,14 +355,8 @@ def explain_races(report: RaceReport,
                 partition_races=len(partition.races),
                 is_first=partition.is_first,
                 reported=partition.is_first and race.is_data_race,
-                preceding=[
-                    p.component_index
-                    for p in analysis.preceding_data_partitions(partition)
-                ],
-                following=[
-                    p.component_index
-                    for p in analysis.following_data_partitions(partition)
-                ],
+                preceding=list(preceding),
+                following=list(following),
             )
         )
     return ProvenanceReport(report=report, provenances=provenances)

@@ -258,9 +258,9 @@ def _in_half(trace: Trace, half: str) -> Callable[[int, int, int], bool]:
     want_data = half == "data"
     columns = getattr(trace, "columns", None)
     if columns is not None:
-        tags, addrs = bytes(columns.tag), columns.addr
+        tags, addrs = columns.tag, columns.addr
         return lambda row, proc, pos: want_data == (
-            tags[row] == _TAG_COMP or int(addrs[row]) in data)
+            tags[row] == _TAG_COMP or addrs[row] in data)
     events = trace.events
 
     def in_half(row: int, proc: int, pos: int) -> bool:

@@ -130,7 +130,7 @@ class RaceReport:
         report has none (Theorem 4.1), so this reads G' only when racy."""
         if self.race_free:
             return []
-        return [p for p in self.analysis.first_partitions if p.has_data_race]
+        return [p for p in self.analysis.data_partitions if p.is_first]
 
     @property
     def reported_races(self) -> List[EventRace]:
@@ -182,7 +182,7 @@ class RaceReport:
             return "\n".join(lines)
         lines.append(
             f"{len(self.data_races)} data race(s) in "
-            f"{len([p for p in self.analysis.partitions if p.has_data_race])} "
+            f"{len(self.analysis.data_partitions)} "
             f"partition(s); reporting {len(self.first_partitions)} first "
             f"partition(s)."
         )

@@ -329,7 +329,7 @@ class StreamingDetector:
                     row = columns.row_of(proc, pos)
                     if columns.is_comp(row):
                         return None
-                    return int(columns.addr[row])
+                    return columns.addr[row]
                 event = trace.events[proc][pos]
                 return event.addr if isinstance(event, SyncEvent) else None
 
@@ -348,9 +348,9 @@ class StreamingDetector:
                         if columns is not None:
                             row = columns.row_of(p, pos)
                             engine.process_sync(
-                                p, pos, addr, bool(columns.kind[row]),
-                                _CODE_ROLE[int(columns.role[row])],
-                                int(columns.value[row]),
+                                p, pos, addr, columns.kind[row],
+                                _CODE_ROLE[columns.role[row]],
+                                columns.value[row],
                             )
                         else:
                             event = trace.events[p][pos]

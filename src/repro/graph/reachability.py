@@ -46,19 +46,15 @@ def is_reachable(graph: DiGraph, source: Hashable, target: Hashable) -> bool:
 
 
 class TransitiveClosure:
-    """Packed-bitset transitive closure with O(1) ordered-pair queries.
+    """Bitset transitive closure with O(1) ordered-pair queries.
 
-    Nodes are assigned dense indices; each node's descendant set is a
-    row of 64-bit words (numpy), so construction is a single
-    reverse-topological sweep of vectorized ORs — Tarjan emits SCCs so
+    Nodes are assigned dense indices; each node's descendant set is one
+    Python int used as a bitset, so construction is a single
+    reverse-topological sweep of whole-row ORs — Tarjan emits SCCs so
     that every edge leaving a component points at an already-finished
     one.  Cyclic graphs are handled per-SCC (weak executions can
     produce cyclic hb1 relations, see section 3.1 of the paper).
     """
-
-    #: below this node count, whole-row Python ints beat numpy (query
-    #: shifts stay cheap and construction avoids per-edge numpy calls)
-    SMALL = 1024
 
     def __init__(self, graph: DiGraph) -> None:
         from .scc import strongly_connected_components
@@ -69,53 +65,25 @@ class TransitiveClosure:
             self._index[node] = len(self._nodes)
             self._nodes.append(node)
 
-        n = len(self._nodes)
-        self._small = n <= self.SMALL
         index = self._index
-        components = strongly_connected_components(graph)
-
-        if self._small:
-            closure_int: List[int] = [0] * n
-            for component in components:
-                members = [index[m] for m in component]
-                cycle = (
-                    len(members) > 1
-                    or graph.has_edge(component[0], component[0])
-                )
-                bits = 0
-                for name in component:
-                    for succ in graph.successors(name):
-                        j = index[succ]
-                        bits |= closure_int[j] | (1 << j)
-                if cycle:
-                    for member in members:
-                        bits |= 1 << member
-                for member in members:
-                    closure_int[member] = bits
-            self._rows_int = closure_int
-            return
-
-        import numpy as np
-        words = max((n + 63) >> 6, 1)
-        closure = np.zeros((max(n, 1), words), dtype=np.uint64)
-        for component in components:
+        rows: List[int] = [0] * len(self._nodes)
+        for component in strongly_connected_components(graph):
             members = [index[m] for m in component]
             cycle = (
                 len(members) > 1
                 or graph.has_edge(component[0], component[0])
             )
-            bits = np.zeros(words, dtype=np.uint64)
+            bits = 0
             for name in component:
                 for succ in graph.successors(name):
                     j = index[succ]
-                    bits |= closure[j]
-                    bits[j >> 6] |= np.uint64(1 << (j & 63))
+                    bits |= rows[j] | (1 << j)
             if cycle:
                 for member in members:
-                    bits[member >> 6] |= np.uint64(1 << (member & 63))
+                    bits |= 1 << member
             for member in members:
-                closure[member] = bits
-        self._rows_np = closure
+                rows[member] = bits
+        self._rows = rows
 
     def ordered(self, src: Hashable, dst: Hashable) -> bool:
         """True iff ``src`` can reach ``dst`` by a non-empty path."""
@@ -124,9 +92,7 @@ class TransitiveClosure:
     def ordered_index(self, i: int, j: int) -> bool:
         """`ordered` by dense index (see :meth:`index_of`); the hot path
         for bulk queries such as race detection."""
-        if self._small:
-            return bool(self._rows_int[i] >> j & 1)
-        return bool(int(self._rows_np[i, j >> 6]) >> (j & 63) & 1)
+        return bool(self._rows[i] >> j & 1)
 
     def index_of(self, node: Hashable) -> int:
         """The dense index assigned to *node*."""
@@ -134,24 +100,13 @@ class TransitiveClosure:
 
     def descendants(self, node: Hashable) -> Set[Hashable]:
         """All nodes reachable from *node* by a non-empty path."""
-        i = self._index[node]
+        bits = self._rows[self._index[node]]
+        nodes = self._nodes
         out: Set[Hashable] = set()
-        if self._small:
-            bits = self._rows_int[i]
-            nodes = self._nodes
-            while bits:
-                low = bits & -bits
-                out.add(nodes[low.bit_length() - 1])
-                bits ^= low
-            return out
-        row = self._rows_np[i]
-        for word_index, word in enumerate(row):
-            bits = int(word)
-            base = word_index << 6
-            while bits:
-                low = bits & -bits
-                out.add(self._nodes[base + low.bit_length() - 1])
-                bits ^= low
+        while bits:
+            low = bits & -bits
+            out.add(nodes[low.bit_length() - 1])
+            bits ^= low
         return out
 
     def comparable(self, a: Hashable, b: Hashable) -> bool:

@@ -6,12 +6,13 @@ Python objects.  This module stores the same :class:`Trace` as
 schema-versioned, struct-packed fixed-width **columns** — one contiguous
 array per field (tag/proc/pos/kind/role/addr/value/...), plus a
 length-prefixed bit-vector pool for computation READ/WRITE sets — so a
-reader can ``mmap`` the file and expose each column as a numpy view
-without copying or materializing a single event object.  The vectorized
-clock sweep (:mod:`..core.hb1_vc`) and the frontier race sweep
-(:mod:`..core.races`) operate on these columns directly; everything else
-sees a lazy :class:`EventView` that materializes (and caches) ordinary
-:class:`SyncEvent`/:class:`ComputationEvent` objects on demand.
+reader can ``mmap`` the file and expose each column as a ``memoryview``
+without copying or materializing a single event object.  The positional
+clock sweep (:mod:`..core.hb1_vc`), the frontier race sweep
+(:mod:`..core.races`) and the streaming engine read these columns
+directly; everything else sees a lazy :class:`EventView` that
+materializes (and caches) ordinary :class:`SyncEvent` /
+:class:`ComputationEvent` objects on demand.
 
 Layout (all integers little-endian)::
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import mmap
 import struct
+import sys
 from pathlib import Path
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -46,11 +48,6 @@ from ..machine.operations import OperationKind, SyncRole
 from .bitvector import BitVector, iter_bits
 from .build import Trace, TraceError
 from .events import ComputationEvent, Event, EventId, SyncEvent
-
-try:  # pragma: no cover - exercised via the fallback tests
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
 
 COLUMNAR_MAGIC = b"WRCT"
 COLUMNAR_FORMAT = 1
@@ -84,8 +81,6 @@ _COLUMNS = (
     ("writes_off", "I", 4),
     ("writes_len", "I", 4),
 )
-
-_NP_DTYPE = {"B": "<u1", "I": "<u4", "q": "<i8"}
 
 
 class ColumnarTraceError(TraceError):
@@ -184,10 +179,12 @@ def to_columnar(trace: Trace, path: Union[str, Path]) -> None:
 class TraceColumns:
     """The decoded column arrays of one columnar trace.
 
-    With numpy present every per-event column is an ``np.frombuffer``
-    view straight over the mmap — no copy.  Without numpy the columns
-    are plain tuples decoded once (memory O(N), still object-free).
-    The bit-vector ``pool`` stays a memoryview either way.
+    On a little-endian host (the file's byte order) every per-event
+    column is a ``memoryview`` cast straight over the mmap — no copy.
+    ``cast`` reads native byte order, so on a big-endian host the
+    columns are plain tuples decoded once (memory O(N), still
+    object-free).  Either way indexing a column yields a plain ``int``,
+    and the bit-vector ``pool`` is a memoryview.
     """
 
     __slots__ = tuple(name for name, _, _ in _COLUMNS) + (
@@ -204,27 +201,27 @@ class TraceColumns:
             offsets.append(base)
             base += count
         self.proc_offsets = tuple(offsets)
+        view = memoryview(buf)
+        zero_copy = sys.byteorder == "little"
         for name, fmt, width in _COLUMNS:
-            if _np is not None:
-                column = _np.frombuffer(
-                    buf, dtype=_NP_DTYPE[fmt], count=event_total,
-                    offset=offset,
-                )
+            end = offset + event_total * width
+            if zero_copy:
+                column = view[offset:end].cast(fmt)
             else:
                 column = struct.unpack_from(
                     f"<{event_total}{fmt}", buf, offset
                 )
             setattr(self, name, column)
-            offset += event_total * width
+            offset = end
         (pool_len,) = struct.unpack_from("<I", buf, offset)
         offset += 4
-        self.pool = memoryview(buf)[offset:offset + pool_len]
+        self.pool = view[offset:offset + pool_len]
 
     def row_of(self, proc: int, pos: int) -> int:
         return self.proc_offsets[proc] + pos
 
     def is_comp(self, row: int) -> bool:
-        return bool(self.tag[row] == _TAG_COMP)
+        return self.tag[row] == _TAG_COMP
 
     def _pool_int(self, off: int, length: int) -> int:
         if not length:
@@ -233,14 +230,10 @@ class TraceColumns:
 
     def reads_int(self, row: int) -> int:
         """Computation READ set as a raw big-int bitset (no objects)."""
-        return self._pool_int(
-            int(self.reads_off[row]), int(self.reads_len[row])
-        )
+        return self._pool_int(self.reads_off[row], self.reads_len[row])
 
     def writes_int(self, row: int) -> int:
-        return self._pool_int(
-            int(self.writes_off[row]), int(self.writes_len[row])
-        )
+        return self._pool_int(self.writes_off[row], self.writes_len[row])
 
     def event_reads(self, row: int) -> Iterator[int]:
         return iter_bits(self.reads_int(row))
@@ -254,22 +247,22 @@ class TraceColumns:
         row = self.row_of(proc, pos)
         eid = EventId(proc, pos)
         if self.tag[row] == _TAG_SYNC:
-            order_pos = int(self.order_pos[row])
+            order_pos = self.order_pos[row]
             return SyncEvent(
                 eid=eid,
-                addr=int(self.addr[row]),
+                addr=self.addr[row],
                 op_kind=(
                     OperationKind.WRITE if self.kind[row]
                     else OperationKind.READ
                 ),
-                role=_CODE_ROLE[int(self.role[row])],
-                value=int(self.value[row]),
+                role=_CODE_ROLE[self.role[row]],
+                value=self.value[row],
                 order_pos=-1 if order_pos == _NO_ORDER_POS else order_pos,
             )
         reads = BitVector.from_hex(format(self.reads_int(row), "x"))
         writes = BitVector.from_hex(format(self.writes_int(row), "x"))
         event = ComputationEvent(eid=eid, reads=reads, writes=writes)
-        event.op_count = int(self.op_count[row])
+        event.op_count = self.op_count[row]
         return event
 
 
@@ -331,8 +324,8 @@ class ColumnarTrace(Trace):
 
     ``isinstance(t, Trace)`` holds, and every object-path consumer
     (closure backend, validators, DOT export) works through the lazy
-    :class:`EventView`; the vectorized sweeps detect ``.columns`` and
-    skip object materialization entirely.
+    :class:`EventView`; the clock, race and streaming sweeps detect
+    ``.columns`` and skip object materialization entirely.
     """
 
     def __init__(self, *, processor_count: int, memory_size: int,
@@ -350,6 +343,7 @@ class ColumnarTrace(Trace):
         )
         self.columns = columns
         self._mm = mm
+        self._data_locations: Optional[FrozenSet[int]] = None
 
     @property
     def event_count(self) -> int:
@@ -362,23 +356,27 @@ class ColumnarTrace(Trace):
         row = columns.row_of(eid.proc, eid.pos)
         if columns.is_comp(row):
             return True, columns.event_reads(row), columns.event_writes(row)
-        addr = (int(columns.addr[row]),)
+        addr = (columns.addr[row],)
         return (False, (), addr) if columns.kind[row] else (False, addr, ())
 
     def data_locations(self) -> FrozenSet[int]:
-        columns = self.columns
-        bits = 0
-        for row in range(columns.event_total):
-            if columns.is_comp(row):
-                bits |= columns.reads_int(row) | columns.writes_int(row)
-        return frozenset(iter_bits(bits))
+        """Decoded from the pool on the first call only: the columns are
+        read-only, so the set never changes."""
+        if self._data_locations is None:
+            columns = self.columns
+            bits = 0
+            for row in range(columns.event_total):
+                if columns.is_comp(row):
+                    bits |= columns.reads_int(row) | columns.writes_int(row)
+            self._data_locations = frozenset(iter_bits(bits))
+        return self._data_locations
 
     def close(self) -> None:
         """Release the mmap (views created from it become invalid)."""
         if self._mm is not None:
             try:
                 self._mm.close()
-            except BufferError:  # live numpy views still reference it
+            except BufferError:  # live column views still reference it
                 pass
             self._mm = None
 

@@ -6,9 +6,9 @@ set — its value is the per-race soundness certificates layered on top
 — and WCP (Kini et al. 2017) must report a *superset* (the observed
 races plus races of critical-section reorderings), with the observed
 layer bit-identical to the baseline.  Both must agree with the
-baseline on the first reported race, survive cyclic hb1 and a missing
-numpy exactly like the postmortem pipeline, and round-trip through the
-shared report protocol.
+baseline on the first reported race, survive cyclic hb1 and read both
+column forms of a columnar trace exactly like the postmortem pipeline,
+and round-trip through the shared report protocol.
 """
 
 from unittest import mock
@@ -218,12 +218,13 @@ def test_wcp_contains_baseline_on_generated_traces(trace):
 
 
 # ----------------------------------------------------------------------
-# degraded modes: no numpy, cyclic hb1
+# both column forms, cyclic hb1
 # ----------------------------------------------------------------------
 
-def test_predictive_backends_survive_missing_numpy(tmp_path):
-    """Without numpy a columnar trace's columns are plain tuples; both
-    backends must report the same races either way."""
+def test_predictive_backends_agree_on_both_column_paths(tmp_path):
+    """A big-endian host reads a columnar trace's columns as decoded
+    tuples, a little-endian one as memoryview casts; both backends must
+    report the object trace's races either way."""
     from repro.trace import columnar
 
     for build, model in ((lambda: racy_counter_program(3, 3), "WO"),
@@ -231,15 +232,16 @@ def test_predictive_backends_survive_missing_numpy(tmp_path):
         trace = _trace_for(build(), model, seed=2)
         path = tmp_path / "t.wrct"
         columnar.to_columnar(trace, path)
-        with_np = {
+        expected = {
             d: _race_keys(repro.detect(trace, detector=d).races)
             for d in ("shb", "wcp")
         }
-        with mock.patch.object(columnar, "_np", None):
-            with columnar.open_columnar(path) as lazy:
-                for d in ("shb", "wcp"):
-                    report = repro.detect(lazy, detector=d)
-                    assert _race_keys(report.races) == with_np[d]
+        for byteorder in ("little", "big"):
+            with mock.patch.object(columnar.sys, "byteorder", byteorder):
+                with columnar.open_columnar(path) as lazy:
+                    for d in ("shb", "wcp"):
+                        report = repro.detect(lazy, detector=d)
+                        assert _race_keys(report.races) == expected[d]
 
 
 def test_predictive_backends_survive_cyclic_hb1():

@@ -9,12 +9,14 @@ import pytest
 
 import repro
 from repro import detect, explain, make_model, run_program
+from repro.core.partitions import RacePartition
 from repro.core.provenance import (
     NonOrderingWitness,
     ProvenanceError,
     RaceProvenance,
     explain_races,
 )
+from repro.programs.random_programs import random_racy_program
 from repro.programs.workqueue import buggy_workqueue_program, run_figure2
 from repro.trace.events import EventId
 
@@ -170,6 +172,28 @@ def test_include_sync_extends_coverage(figure2_report):
     sync = [p for p in full.provenances
             if not p.race.is_data_race]
     assert all(not p.reported for p in sync)  # sync races never reported
+
+
+def test_explain_reads_each_partition_once(monkeypatch):
+    """Which partitions hold a data race is decided once per partition,
+    not rescanned for every explained race (Definition 4.1 neighbours
+    included), so ``explain --include-sync`` stays linear in races."""
+    calls = []
+    has_data_race = RacePartition.has_data_race.fget
+
+    def counting(partition):
+        calls.append(partition.component_index)
+        return has_data_race(partition)
+
+    monkeypatch.setattr(RacePartition, "has_data_race", property(counting))
+    # 39 races (4 data races) in 3 partitions, 1 of them a data one
+    report = detect(run_program(
+        random_racy_program(2, race_prob=0.5), make_model("WO"), seed=2
+    ))
+    prov = explain_races(report, include_sync=True)
+    partitions = report.analysis.partitions
+    assert len(prov.provenances) == len(report.races) > len(partitions) > 1
+    assert sorted(calls) == sorted(p.component_index for p in partitions)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ O(P·V) state and no materialized trace must be *byte-identical* to the
 post-mortem hb1 sweep on the same execution — across the workload
 corpus, propagation policies, seeds, hypothesis-generated traces, all
 three source kinds (operation stream, object trace, columnar mmap),
-cyclic sync chains (fallback), and a missing numpy.
+cyclic sync chains (fallback), and both column forms of a columnar
+trace (memoryview casts, and the big-endian hosts' decoded tuples).
 """
 
 import json
@@ -124,23 +125,25 @@ def test_streaming_equals_postmortem_on_generated_traces(trace):
     assert _race_keys(report.races) == _race_keys(base)
 
 
-def test_streaming_without_numpy(tmp_path):
-    """The engine itself is pure Python; the fallback postmortem sweep
-    and the columnar read path must both survive a missing numpy."""
+def test_streaming_on_both_column_paths(tmp_path):
+    """The engine reads a columnar trace's columns directly, as the
+    memoryview casts of a little-endian host or the decoded tuples of a
+    big-endian one; both must give the post-mortem race set."""
     from repro.trace import columnar
 
     trace = build_trace(_execute(racy_counter_program(3, 3), seed=5))
     path = tmp_path / "t.wrct"
     to_columnar(trace, path)
     base = _race_keys(repro.detect(trace).races)
-    with mock.patch.object(columnar, "_np", None):
-        with open_columnar(path) as lazy:
-            assert _race_keys(
-                repro.detect(lazy, detector="streaming").races
-            ) == base
-        assert _race_keys(
-            repro.detect(trace, detector="streaming").races
-        ) == base
+    assert _race_keys(
+        repro.detect(trace, detector="streaming").races
+    ) == base
+    for byteorder in ("little", "big"):
+        with mock.patch.object(columnar.sys, "byteorder", byteorder):
+            with open_columnar(path) as lazy:
+                assert _race_keys(
+                    repro.detect(lazy, detector="streaming").races
+                ) == base
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Columnar trace format tests: roundtrip fidelity, zero-copy
-laziness, malformed-input rejection, and the no-numpy fallback."""
+laziness, malformed-input rejection, and the big-endian column path."""
 
 import struct
+import sys
 from unittest import mock
 
 import pytest
@@ -128,12 +129,36 @@ def test_smaller_than_json(trace, tmp_path):
     assert col_path.stat().st_size < json_path.stat().st_size / 2
 
 
-def test_no_numpy_fallback(trace, tmp_path):
+def test_big_endian_tuple_columns(trace, tmp_path):
+    """A big-endian host cannot cast the little-endian file natively,
+    so its columns are decoded tuples; both forms read the same trace."""
     path = tmp_path / "t.wrct"
     to_columnar(trace, path)
-    with mock.patch.object(columnar_mod, "_np", None):
+    with open_columnar(path) as lazy:
+        assert isinstance(lazy.columns.tag, memoryview) == (
+            sys.byteorder == "little")
+        _assert_equivalent(trace, lazy)
+        views = {name: list(getattr(lazy.columns, name))
+                 for name, _, _ in columnar_mod._COLUMNS}
+    with mock.patch.object(columnar_mod.sys, "byteorder", "big"):
         with open_columnar(path) as lazy:
+            assert isinstance(lazy.columns.tag, tuple)
             _assert_equivalent(trace, lazy)
+            for name, column in views.items():
+                assert list(getattr(lazy.columns, name)) == column, name
+
+
+def test_data_locations_decoded_once(trace, tmp_path):
+    """The columns are read-only, so the data-location set is decoded
+    from the bit-vector pool on the first call only."""
+    path = tmp_path / "t.wrct"
+    to_columnar(trace, path)
+    with open_columnar(path) as lazy:
+        first = lazy.data_locations()
+        assert first == trace.data_locations()
+        with mock.patch.object(columnar_mod.TraceColumns, "_pool_int",
+                               side_effect=AssertionError("pool decoded")):
+            assert lazy.data_locations() is first
 
 
 # ----------------------------------------------------------------------
