@@ -1,12 +1,17 @@
-"""Exhaustive exploration of sequentially consistent executions.
+"""Exhaustive exploration of a small program's executions.
 
 Definition 2.4 of the paper defines *data-race-free* as a property of a
 program over **all** its sequentially consistent executions; a dynamic
 detector only ever certifies one.  For small programs this module
-closes the gap: a depth-first search over every scheduler choice under
-SC, with an exact incremental (vector-clock) race check along each
-path, decides whether the program is data-race-free — the property the
-weak models condition sequential consistency on.
+closes the gap with one memoized depth-first search over the machine:
+from each state it branches on which processor steps next and on which
+buffered write the model leaves pending is delivered to which reader
+(under SC nothing is ever pending, so the search branches on the
+schedule alone).  With the optional exact incremental (vector-clock)
+race check on, the SC search decides whether the program is
+data-race-free — the property the weak models condition sequential
+consistency on.  With it off, the search under a weak model yields the
+complete set of final memory states (:mod:`.outcomes`).
 
 Spin idioms.  Unbounded exploration of spin loops never terminates, so
 processors whose next step is a *futile* spin iteration are treated as
@@ -29,24 +34,26 @@ interleavings; search size is bounded and exceeding the bound raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..machine.isa import Opcode, Reg
+from ..machine.isa import Imm, Opcode
 from ..machine.memory import MemorySystem
+from ..machine.models.base import MemoryModel
 from ..machine.models.sc import SequentialConsistency
 from ..machine.operations import MemoryOperation, SyncRole
 from ..machine.processor import Processor
-from ..machine.program import Program, ThreadProgram
+from ..machine.program import Program
 
 
 class ExplorationLimit(RuntimeError):
-    """The state/execution budget was exhausted before a verdict."""
+    """The state budget was exhausted before a verdict."""
 
 
 @dataclass
 class ExplorationResult:
-    """Outcome of exploring every SC execution of a program."""
+    """Outcome of exploring every execution of a program."""
 
     program_is_data_race_free: bool
     executions_explored: int
@@ -60,120 +67,59 @@ class ExplorationResult:
 # ----------------------------------------------------------------------
 
 class _RaceState:
-    """Per-location read/write clock vectors; exact race detection."""
+    """Each processor's vector clock; per (access kind, location) the
+    clock stamps of its accesses, the kind indexing data read, data
+    write, sync read, sync write; and each location's last release."""
 
     def __init__(self, nproc: int) -> None:
-        self.nproc = nproc
-        self.clocks: List[List[int]] = [
-            [1 if i == p else 0 for i in range(nproc)] for p in range(nproc)
+        self.clocks: List[Tuple[int, ...]] = [
+            tuple(int(i == p) for i in range(nproc)) for p in range(nproc)
         ]
-        self.read_clock: Dict[int, List[int]] = {}
-        self.write_clock: Dict[int, List[int]] = {}
-        # sync accesses tracked separately: they race only with *data*
-        # accesses (Definition 2.4 excludes sync-sync pairs).
-        self.sync_read_clock: Dict[int, List[int]] = {}
-        self.sync_write_clock: Dict[int, List[int]] = {}
+        self.stamps: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self.released: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
 
     def clone(self) -> "_RaceState":
         out = _RaceState.__new__(_RaceState)
-        out.nproc = self.nproc
-        out.clocks = [list(c) for c in self.clocks]
-        out.read_clock = {a: list(c) for a, c in self.read_clock.items()}
-        out.write_clock = {a: list(c) for a, c in self.write_clock.items()}
-        out.sync_read_clock = {
-            a: list(c) for a, c in self.sync_read_clock.items()
-        }
-        out.sync_write_clock = {
-            a: list(c) for a, c in self.sync_write_clock.items()
-        }
+        out.clocks = list(self.clocks)
+        out.stamps = dict(self.stamps)
         out.released = dict(self.released)
         return out
 
     def key(self) -> Tuple:
-        return (
-            tuple(tuple(c) for c in self.clocks),
-            tuple(sorted((a, tuple(c)) for a, c in self.read_clock.items())),
-            tuple(sorted((a, tuple(c)) for a, c in self.write_clock.items())),
-            tuple(sorted(
-                (a, tuple(c)) for a, c in self.sync_read_clock.items()
-            )),
-            tuple(sorted(
-                (a, tuple(c)) for a, c in self.sync_write_clock.items()
-            )),
-            tuple(sorted(self.released.items())),
-        )
+        return (tuple(self.clocks), tuple(sorted(self.stamps.items())),
+                tuple(sorted(self.released.items())))
 
-    # -- helpers ---------------------------------------------------------
-    def _dominates(self, proc: int, stored: List[int]) -> bool:
-        mine = self.clocks[proc]
-        return all(mine[i] >= stored[i] for i in range(self.nproc))
-
-    def _stamp(self, table: Dict[int, List[int]], addr: int, proc: int) -> None:
-        clock = table.setdefault(addr, [0] * self.nproc)
-        clock[proc] = self.clocks[proc][proc]
-
-    # -- operation hooks ---------------------------------------------------
     def on_op(self, op: MemoryOperation) -> bool:
         """Process one operation; returns True iff it forms a data race
         (at least one side a data operation) with some earlier op."""
-        proc = op.proc
-        if op.is_sync:
-            clock = self.clocks[proc]
-            if op.role is SyncRole.ACQUIRE:
-                rel = self.released.get(op.addr)
-                if rel is not None and rel[0] == op.value:
-                    for i, tick in enumerate(rel[1]):
-                        if tick > clock[i]:
-                            clock[i] = tick
-            # A sync access races with concurrent *data* accesses to the
-            # same location (sync-sync pairs are not data races).
-            raced = self._check_and_stamp(
-                op,
-                check_reads=(self.read_clock,) if op.is_write else (),
-                check_writes=(self.write_clock,),
-                stamp=(
-                    self.sync_write_clock if op.is_write
-                    else self.sync_read_clock
-                ),
-            )
-            if op.role is SyncRole.RELEASE:
-                clock[proc] += 1
-                self.released[op.addr] = (op.value, tuple(clock))
-            elif op.role is SyncRole.SYNC_ONLY and op.is_write:
-                rel = self.released.get(op.addr)
-                if rel is not None and rel[0] != op.value:
-                    self.released[op.addr] = (op.value, rel[1])
-            clock[proc] += 1
-            return raced
-
-        return self._check_and_stamp(
-            op,
-            check_reads=(
-                (self.read_clock, self.sync_read_clock) if op.is_write else ()
-            ),
-            check_writes=(self.write_clock, self.sync_write_clock),
-            stamp=self.write_clock if op.is_write else self.read_clock,
-        )
-
-    def _check_and_stamp(self, op, check_reads, check_writes, stamp) -> bool:
+        proc, addr, sync = op.proc, op.addr, op.is_sync
+        clock = list(self.clocks[proc])
+        rel = self.released.get(addr)
+        if op.role is SyncRole.ACQUIRE and rel and rel[0] == op.value:
+            clock = [max(mine, tick) for mine, tick in zip(clock, rel[1])]
+        # Conflicting means at least one write; sync-sync pairs are not
+        # data races (Definition 2.4).
         raced = False
-        for table in check_writes:
-            clock = table.get(op.addr)
-            if clock is not None and not self._dominates(op.proc, clock):
-                raced = True
-        if op.is_write:
-            for table in check_reads:
-                clock = table.get(op.addr)
-                if clock is not None and not self._dominates(op.proc, clock):
+        for kind in range(4):
+            if (op.is_write or kind & 1) and not (sync and kind & 2):
+                stamp = self.stamps.get((kind, addr))
+                if stamp and any(s > c for s, c in zip(stamp, clock)):
                     raced = True
-        self._stamp(stamp, op.addr, op.proc)
+        mine = (2 * sync + op.is_write, addr)
+        stamp = list(self.stamps.get(mine, (0,) * len(clock)))
+        stamp[proc] = clock[proc]
+        self.stamps[mine] = tuple(stamp)
+        if op.role is SyncRole.RELEASE:
+            clock[proc] += 1
+            self.released[addr] = (op.value, tuple(clock))
+        elif (op.role is SyncRole.SYNC_ONLY and op.is_write and rel
+              and rel[0] != op.value):
+            self.released[addr] = (op.value, rel[1])
+        if sync:
+            clock[proc] += 1
+        self.clocks[proc] = tuple(clock)
         return raced
 
-
-# ----------------------------------------------------------------------
-# machine-state snapshot/restore
-# ----------------------------------------------------------------------
 
 class _MiniRecorder:
     def __init__(self, start_seq: int = 0) -> None:
@@ -189,172 +135,166 @@ class _MiniRecorder:
         self.ops.append(op)
 
 
-def _machine_key(processors: List[Processor], memory: MemorySystem) -> Tuple:
-    procs = tuple(
-        (p.pc, p.halted, tuple(sorted(p.registers().items())))
-        for p in processors
-    )
-    cells = tuple(c.value for c in memory._committed)
-    return (procs, cells)
-
-
 # ----------------------------------------------------------------------
 # spin-blocking predicates
 # ----------------------------------------------------------------------
 
-def _branch_target(thread: ThreadProgram, index: int) -> Optional[int]:
-    instr = thread.instructions[index]
-    if instr.opcode in (Opcode.BZ, Opcode.BNZ, Opcode.JMP):
-        return thread.target_of(instr.label)
-    return None
+#: Futile spin iterations: (spin opcode, compare opcode or None, branch
+#: back opcode) -> blocked(committed value, immediate operand).
+_SPINS = {
+    (Opcode.TEST_AND_SET, None, Opcode.BNZ): operator.ne,  # lock(): vs 0
+    (Opcode.CAS, None, Opcode.BZ): operator.ne,  # vs the expected value
+    (Opcode.ACQ_READ, Opcode.CMP_EQ, Opcode.BZ): operator.ne,  # until_eq
+    (Opcode.ACQ_READ, Opcode.CMP_LT, Opcode.BNZ): operator.lt,  # until_ge
+}
 
 
 def _is_blocked(p: Processor, memory: MemorySystem) -> bool:
-    """True iff p's next step is a futile spin iteration."""
-    if p.halted or not 0 <= p.pc < len(p.thread):
+    """True iff p's next step is a futile spin iteration: a
+    :data:`_SPINS` idiom on an unindexed location, testing the spin's
+    result, whose branch back the committed value would take again."""
+    window = p.thread.instructions[p.pc:p.pc + 3]
+    if p.halted or p.pc < 0 or not window:
         return False
-    instr = p.thread.instructions[p.pc]
-    thread = p.thread
-
-    if instr.opcode is Opcode.TEST_AND_SET and p.pc + 1 < len(thread):
-        follow = thread.instructions[p.pc + 1]
-        if (
-            follow.opcode is Opcode.BNZ
-            and isinstance(follow.src[0], Reg)
-            and follow.src[0] == instr.dst
-            and _branch_target(thread, p.pc + 1) == p.pc
-        ):
-            if instr.addr.index is None:
-                return memory._committed[instr.addr.base].value != 0
-    if instr.opcode is Opcode.CAS and p.pc + 1 < len(thread):
-        # `cas r, L, exp, new ; bz r, back` spins while the committed
-        # value differs from the expected operand.
-        follow = thread.instructions[p.pc + 1]
-        if (
-            follow.opcode is Opcode.BZ
-            and isinstance(follow.src[0], Reg)
-            and follow.src[0] == instr.dst
-            and _branch_target(thread, p.pc + 1) == p.pc
-            and instr.addr.index is None
-        ):
-            from ..machine.isa import Imm
-            expected = instr.src[0]
-            if isinstance(expected, Imm):
-                return memory._committed[instr.addr.base].value != expected.value
-    if instr.opcode is Opcode.ACQ_READ and p.pc + 2 < len(thread):
-        cmp_i = thread.instructions[p.pc + 1]
-        br_i = thread.instructions[p.pc + 2]
-        if (
-            cmp_i.opcode in (Opcode.CMP_EQ, Opcode.CMP_LT)
-            and cmp_i.src[0] == instr.dst
-            and br_i.opcode in (Opcode.BZ, Opcode.BNZ)
-            and _branch_target(thread, p.pc + 2) == p.pc
-            and instr.addr.index is None
-        ):
-            from ..machine.isa import Imm
-            if not isinstance(cmp_i.src[1], Imm):
-                return False
-            value = memory._committed[instr.addr.base].value
-            bound = cmp_i.src[1].value
-            if cmp_i.opcode is Opcode.CMP_EQ and br_i.opcode is Opcode.BZ:
-                return value != bound      # spin_until_eq: blocked while !=
-            if cmp_i.opcode is Opcode.CMP_LT and br_i.opcode is Opcode.BNZ:
-                return value < bound       # spin_until_ge: blocked while <
-    return False
+    spin = window[0]
+    compares = spin.opcode is Opcode.ACQ_READ
+    if len(window) < 2 + compares:
+        return False
+    test, branch = (window[1], window[2]) if compares else (None, window[1])
+    blocked = _SPINS.get((spin.opcode, test and test.opcode, branch.opcode))
+    if (blocked is None or spin.addr.index is not None
+            or p.thread.target_of(branch.label) != p.pc):
+        return False
+    if compares:
+        tested, operand = test.src[0], test.src[1]
+    else:
+        tested = branch.src[0]
+        operand = spin.src[0] if spin.opcode is Opcode.CAS else Imm(0)
+    return (tested == spin.dst and isinstance(operand, Imm)
+            and blocked(memory._committed[spin.addr.base].value,
+                        operand.value))
 
 
 # ----------------------------------------------------------------------
-# the explorer
+# the search
 # ----------------------------------------------------------------------
+
+def _state_key(processors: List[Processor], memory: MemorySystem) -> Tuple:
+    return (
+        tuple((p.pc, p.halted, tuple(p.regs), tuple(sorted(p.written)))
+              for p in processors),
+        tuple(c.value for c in memory._committed),
+        tuple(tuple(c.value for c in row) for row in memory._views),
+        tuple(sorted(
+            (pw.writer, pw.addr, pw.value, tuple(sorted(pw.remaining)))
+            for pw in memory._pending)),
+    )
+
+
+def search(
+    program: Program, model: MemoryModel, max_states: int, check_races: bool
+) -> Tuple[ExplorationResult, Set[Tuple[Tuple[int, int], ...]]]:
+    """Every state *program* reaches under *model*, depth first.
+
+    Transitions from each state: one instruction step of any runnable
+    processor, or one voluntary delivery of a pending write to one
+    reader.  A state is final when every processor halted (its
+    committed memory is then final whatever the buffer still holds),
+    and deadlocked when none can run and no write is pending.  With
+    *check_races*, the first step that forms a data race ends the
+    search and its schedule is the witness.
+
+    Returns the statistics (the race fields are meaningful only with
+    *check_races*) and the set of final committed memories, each as
+    sorted ``(addr, value)`` pairs.
+    """
+    memory = MemorySystem(max(program.memory_size, 1),
+                          program.processor_count, model,
+                          program.initial_memory)
+    processors = [Processor(pid, t) for pid, t in enumerate(program.threads)]
+    races = _RaceState(program.processor_count) if check_races else None
+    result = ExplorationResult(True, 0, 0)
+    finals: Set[Tuple[Tuple[int, int], ...]] = set()
+    seen: Set[Tuple] = set()
+    # Entries: (processors, memory, race state, next seq, schedule,
+    # raced).  A state's children are pushed in reverse, so they pop in
+    # the order a recursive search would visit them, and a child's race
+    # flag is read when it pops.  The seq only grows along a path, so
+    # the memory's newer-write-wins guard sees issue order.  The
+    # schedule is a linked (pid, parent) pair, unwound for a witness.
+    work: List[Tuple] = [(processors, memory, races, 0, None, False)]
+    while work:
+        procs, mem, races, next_seq, schedule, raced = work.pop()
+        if raced:
+            witness: List[int] = []
+            while schedule is not None:
+                pid, schedule = schedule
+                witness.append(pid)
+            result.program_is_data_race_free = False
+            result.racing_schedule = witness[::-1]
+            break
+        key = _state_key(procs, mem)
+        if races is not None:
+            key = (key, races.key())
+        if key in seen:
+            continue
+        seen.add(key)
+        result.states_visited += 1
+        if result.states_visited > max_states:
+            raise ExplorationLimit(f"exceeded max_states={max_states}")
+
+        runnable = [
+            p.pid for p in procs
+            if not p.halted and not _is_blocked(p, mem)
+        ]
+        deliveries = [
+            (index, reader)
+            for index, pw in enumerate(mem.pending_writes())
+            for reader in sorted(pw.remaining)
+        ]
+        halted = all(p.halted for p in procs)
+        if not runnable and (halted or not deliveries):
+            if halted:
+                result.executions_explored += 1
+                finals.add(tuple(sorted(mem.committed_memory().items())))
+            else:
+                result.deadlocked_paths += 1  # blocked forever
+            continue
+
+        children = []
+        for pid in runnable:
+            # Stepping changes only the stepping processor and memory.
+            new_procs = list(procs)
+            new_procs[pid] = procs[pid].copy()
+            new_mem = mem.copy()
+            recorder = _MiniRecorder(start_seq=next_seq)
+            new_procs[pid].step(new_mem, recorder)
+            new_races = races
+            raced = False
+            if races is not None:
+                new_races = races.clone()
+                raced = any(new_races.on_op(op) for op in recorder.ops)
+            children.append((new_procs, new_mem, new_races, recorder._seq,
+                             (pid, schedule), raced))
+        for index, reader in deliveries:
+            new_mem = mem.copy()
+            new_mem.propagate(new_mem.pending_writes()[index], reader)
+            children.append((procs, new_mem, races, next_seq, schedule,
+                             False))
+        work.extend(reversed(children))
+    return result, finals
+
 
 @dataclass
 class ExhaustiveExplorer:
-    """DFS over every SC interleaving of a (small) program."""
+    """The search over every SC execution, with the race check on."""
 
     program: Program
     max_states: int = 200_000
-    max_executions: int = 100_000
-    max_depth: int = 2_000
-
-    _memo: Set[Tuple] = field(default_factory=set, repr=False)
 
     def explore(self) -> ExplorationResult:
-        memory = MemorySystem(
-            size=max(self.program.memory_size, 1),
-            processor_count=self.program.processor_count,
-            model=SequentialConsistency(),
-            initial=self.program.initial_memory,
-        )
-        processors = [
-            Processor(pid, thread)
-            for pid, thread in enumerate(self.program.threads)
-        ]
-        race_state = _RaceState(self.program.processor_count)
-        self._memo.clear()
-        stats = {"executions": 0, "states": 0, "deadlocks": 0}
-        witness = self._dfs(processors, memory, race_state, [], 0, stats)
-        return ExplorationResult(
-            program_is_data_race_free=witness is None,
-            executions_explored=stats["executions"],
-            states_visited=stats["states"],
-            racing_schedule=witness,
-            deadlocked_paths=stats["deadlocks"],
-        )
-
-    def _dfs(
-        self,
-        processors: List[Processor],
-        memory: MemorySystem,
-        race_state: _RaceState,
-        path: List[int],
-        depth: int,
-        stats: Dict[str, int],
-    ) -> Optional[List[int]]:
-        if depth > self.max_depth:
-            raise ExplorationLimit(
-                f"path exceeded max_depth={self.max_depth} "
-                f"(unbounded loop not covered by spin-blocking?)"
-            )
-        key = (_machine_key(processors, memory), race_state.key())
-        if key in self._memo:
-            return None
-        self._memo.add(key)
-        stats["states"] += 1
-        if stats["states"] > self.max_states:
-            raise ExplorationLimit(f"exceeded max_states={self.max_states}")
-
-        runnable = [
-            p.pid for p in processors
-            if not p.halted and not _is_blocked(p, memory)
-        ]
-        if not runnable:
-            if all(p.halted for p in processors):
-                stats["executions"] += 1
-                if stats["executions"] > self.max_executions:
-                    raise ExplorationLimit(
-                        f"exceeded max_executions={self.max_executions}"
-                    )
-            else:
-                stats["deadlocks"] += 1  # blocked forever: no execution
-            return None
-
-        for pid in runnable:
-            new_procs = [p.copy() for p in processors]
-            new_mem = memory.copy()
-            new_race = race_state.clone()
-            recorder = _MiniRecorder()
-            new_procs[pid].step(new_mem, recorder)
-            raced = any(new_race.on_op(op) for op in recorder.ops)
-            path.append(pid)
-            if raced:
-                return list(path)
-            witness = self._dfs(
-                new_procs, new_mem, new_race, path, depth + 1, stats
-            )
-            if witness is not None:
-                return witness
-            path.pop()
-        return None
+        return search(self.program, SequentialConsistency(),
+                      self.max_states, check_races=True)[0]
 
 
 def is_program_data_race_free(program: Program, **limits) -> bool:

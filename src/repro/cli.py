@@ -478,7 +478,8 @@ def _replay(args: argparse.Namespace) -> int:
          "(litmus-sized) workload",
 )
 def _outcomes(args: argparse.Namespace) -> int:
-    from .analysis.outcomes import OutcomeLimit, enumerate_outcomes
+    from .analysis.exhaustive import ExplorationLimit
+    from .analysis.outcomes import enumerate_outcomes
     from .machine.program import SymbolError
     program = WORKLOADS[args.workload]()
     try:
@@ -486,7 +487,7 @@ def _outcomes(args: argparse.Namespace) -> int:
             program, make_model(args.model),
             max_states=args.max_states, interesting=args.vars or None,
         )
-    except OutcomeLimit as exc:
+    except ExplorationLimit as exc:
         return _fail("enumeration incomplete", exc)
     except SymbolError as exc:
         return _fail("outcomes", exc.args[0])

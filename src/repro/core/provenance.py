@@ -8,8 +8,9 @@ race:
 * the **non-ordering witness** (Definition 2.4): the pair conflicts,
   and hb1 orders it in *neither* direction.  Non-ordering is a
   universal claim ("no path exists"), so the witness is checked two
-  independent ways — a fresh breadth-first search over the raw hb1
-  edge list, and the detector's own transitive-closure backend — and
+  independent ways — a breadth-first search over the raw hb1 edge
+  list (one per distinct endpoint, shared by its races), and the
+  detector's own transitive-closure backend — and
   recorded only when both agree (``verified``);
 
 * its **SCC / partition** in the augmented graph G′ (hb1 plus doubly
@@ -36,7 +37,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..trace.events import EventId
 from .races import EventRace
@@ -48,23 +49,19 @@ class ProvenanceError(RuntimeError):
     relation disagree (one of them is wrong)."""
 
 
-def _bfs_reaches(edges: Dict[EventId, List[EventId]],
-                 src: EventId, dst: EventId) -> bool:
-    """Plain BFS over an adjacency map — deliberately independent of
-    the TransitiveClosure bitsets it is used to cross-check."""
-    if src == dst:
-        return True
+def _bfs_reachable(edges: Dict[EventId, List[EventId]],
+                   src: EventId) -> Set[EventId]:
+    """*src* and every node a plain BFS over an adjacency map reaches
+    from it — deliberately independent of the TransitiveClosure bitsets
+    it is used to cross-check."""
     seen = {src}
     queue = deque((src,))
     while queue:
-        node = queue.popleft()
-        for succ in edges.get(node, ()):
-            if succ == dst:
-                return True
+        for succ in edges.get(queue.popleft(), ()):
             if succ not in seen:
                 seen.add(succ)
                 queue.append(succ)
-    return False
+    return seen
 
 
 @dataclass(frozen=True)
@@ -306,6 +303,15 @@ def explain_races(report: RaceReport,
     }
     closure = hb.closure
     analysis = report.analysis
+    # One BFS per distinct endpoint: a trace has far fewer endpoints
+    # than races.
+    reachable: Dict[EventId, Set[EventId]] = {}
+
+    def reaches(src: EventId, dst: EventId) -> bool:
+        if src not in reachable:
+            reachable[src] = _bfs_reachable(edges, src)
+        return dst in reachable[src]
+
     # Definition 4.1 neighbours by component: one partition may hold
     # thousands of races, and its neighbours are the same for each
     neighbours: Dict[int, Tuple[List[int], List[int]]] = {}
@@ -313,8 +319,8 @@ def explain_races(report: RaceReport,
     races = report.races if include_sync else report.data_races
     for race in races:
         a, b = race.a, race.b
-        a_reaches_b = _bfs_reaches(edges, a, b)
-        b_reaches_a = _bfs_reaches(edges, b, a)
+        a_reaches_b = reaches(a, b)
+        b_reaches_a = reaches(b, a)
         verified = (
             a_reaches_b == closure.ordered(a, b)
             and b_reaches_a == closure.ordered(b, a)

@@ -217,6 +217,14 @@ class TraceColumns:
         offset += 4
         self.pool = view[offset:offset + pool_len]
 
+    def release(self) -> None:
+        """Release every view over the buffer (the tuple columns of a
+        big-endian host hold none); the columns are unusable after."""
+        for name in self.__slots__:
+            view = getattr(self, name)
+            if isinstance(view, memoryview):
+                view.release()
+
     def row_of(self, proc: int, pos: int) -> int:
         return self.proc_offsets[proc] + pos
 
@@ -372,11 +380,13 @@ class ColumnarTrace(Trace):
         return self._data_locations
 
     def close(self) -> None:
-        """Release the mmap (views created from it become invalid)."""
+        """Release the column views, then unmap the file; the columns
+        are unusable afterwards."""
         if self._mm is not None:
+            self.columns.release()
             try:
                 self._mm.close()
-            except BufferError:  # live column views still reference it
+            except BufferError:  # a caller still holds a view of a column
                 pass
             self._mm = None
 

@@ -171,8 +171,11 @@ SC_SUITE = {
     "figure1a": (figure1a_program, (False, 0, 4, 0, [0, 0, 0, 1])),
     "figure1b": (figure1b_program, (True, 1, 15, 0, None)),
     "single-race": (single_race_program, (False, 0, 3, 0, [0, 0, 1])),
+    # Re-recorded when each path began carrying its write seq forward:
+    # the old (True, 6, 702, 0, None) counted executions whose data
+    # reads went stale, which SC does not allow.
     "locked-counter": (lambda: locked_counter_program(2, 2),
-                       (True, 6, 702, 0, None)),
+                       (True, 4, 622, 0, None)),
     "racy-counter": (lambda: racy_counter_program(2, 1),
                      (False, 0, 10, 0, [0] * 8 + [1, 1])),
     "producer-consumer": (lambda: producer_consumer_program(2),
@@ -234,3 +237,104 @@ class TestMachineCopies:
         assert (r.program_is_data_race_free, r.executions_explored,
                 r.states_visited, r.deadlocked_paths,
                 r.racing_schedule) == expected
+
+
+def _lost_write_program():
+    """P0 writes x, then reads it back under the lock and writes y only
+    if it saw P1's write; P1 writes x under the lock, then reads y
+    unlocked.  The y race needs P0's second read of x to see P1's
+    write, which every SC execution that orders P1 between P0's two
+    critical sections does."""
+    b = ProgramBuilder()
+    lock, x, y = b.var("L"), b.var("x"), b.var("y")
+    with b.thread() as t:
+        t.lock(lock)
+        t.write(x, 1)
+        t.unlock(lock)
+        t.lock(lock)
+        seen = t.read(x)
+        t.unlock(lock)
+        saw_p1 = t.cmp_eq(seen, 2)
+        t.jump_if_zero(saw_p1, "end")
+        t.write(y, 1)
+        t.label("end")
+    with b.thread() as t:
+        t.lock(lock)
+        t.write(x, 2)
+        t.unlock(lock)
+        t.read(y)
+    return b.build()
+
+
+class TestSequentiallyConsistentReads:
+    """The search explores SC executions only: each path carries its
+    write seq forward, so a write reaches every view it should."""
+
+    def test_every_read_sees_the_committed_value(self, monkeypatch):
+        from repro.machine.memory import MemorySystem
+
+        reads = []
+        load_data = MemorySystem.load_data
+
+        def checked(memory, proc, addr):
+            got = load_data(memory, proc, addr)
+            reads.append((got[0], memory._committed[addr].value))
+            return got
+
+        monkeypatch.setattr(MemorySystem, "load_data", checked)
+        explore_program(locked_counter_program(2, 2))
+        assert reads
+        assert all(seen == committed for seen, committed in reads)
+
+    def test_locked_counter_always_ends_at_four(self):
+        from repro.analysis.exhaustive import search
+        from repro.machine.models import make_model
+
+        program = locked_counter_program(2, 2)
+        result, finals = search(program, make_model("SC"), 200_000,
+                                check_races=True)
+        counter = program.symbols.addr_of("counter")
+        assert result.executions_explored > 0
+        assert {dict(final)[counter] for final in finals} == {4}
+
+    def test_race_behind_a_read_of_another_write_found(self):
+        """A race reachable only when a read sees another processor's
+        write; replaying the witness under SC shows it."""
+        from repro.core.ophb import find_op_races
+        from repro.machine.models import make_model
+        from repro.machine.scheduler import ScriptedScheduler
+        from repro.machine.simulator import Simulator
+
+        program = _lost_write_program()
+        result = explore_program(program)
+        assert not result.program_is_data_race_free
+        assert result.racing_schedule == [0] * 4 + [1] * 4 + [0] * 8 + [1]
+        sim = Simulator(
+            program, make_model("SC"),
+            scheduler=ScriptedScheduler(result.racing_schedule), seed=0,
+        )
+        races = find_op_races(sim.run().operations)
+        assert any(r.is_data_race for r in races)
+
+
+class TestSearchShape:
+    def test_deep_path_needs_no_recursion(self):
+        b = ProgramBuilder()
+        x = b.var("x")
+        with b.thread() as t:
+            for value in range(1_500):
+                t.write(x, value)
+        result = explore_program(b.build())
+        assert result.program_is_data_race_free
+        assert result.executions_explored == 1
+        assert result.states_visited == 1_502
+
+    def test_state_budget_is_the_only_option(self):
+        from dataclasses import fields
+
+        from repro.analysis.outcomes import OutcomeLimit
+
+        assert [f.name for f in fields(ExhaustiveExplorer)] == [
+            "program", "max_states",
+        ]
+        assert OutcomeLimit is ExplorationLimit

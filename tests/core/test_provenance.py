@@ -196,6 +196,29 @@ def test_explain_reads_each_partition_once(monkeypatch):
     assert sorted(calls) == sorted(p.component_index for p in partitions)
 
 
+def test_explain_walks_once_per_endpoint(monkeypatch):
+    """The non-ordering witnesses take one BFS per distinct race
+    endpoint, shared by every race at that endpoint, not two per
+    race."""
+    from repro.core import provenance
+
+    sources = []
+    bfs = provenance._bfs_reachable
+
+    def counting(edges, src):
+        sources.append(src)
+        return bfs(edges, src)
+
+    monkeypatch.setattr(provenance, "_bfs_reachable", counting)
+    report = detect(run_program(
+        random_racy_program(2, race_prob=0.5), make_model("WO"), seed=2
+    ))
+    explain_races(report, include_sync=True)
+    endpoints = {e for race in report.races for e in (race.a, race.b)}
+    assert len(sources) == len(set(sources)) <= len(endpoints)
+    assert len(sources) < 2 * len(report.races)
+
+
 # ----------------------------------------------------------------------
 # failure modes
 # ----------------------------------------------------------------------

@@ -90,6 +90,8 @@ CASES: Tuple[Tuple[str, Tuple[str, ...], bool], ...] = (
     ("drf-check-racy", ("drf-check", "figure1a"), True),
     ("drf-check-limit", ("drf-check", "locked-counter", "--max-states",
                          "10"), True),
+    ("drf-check-deep", ("drf-check", "queue", "--max-states", "2000"),
+     True),
     ("run-file", ("run-file", "{d}/fig1a.rasm"), True),
     ("run-file-json", ("run-file", "{d}/fig1a.rasm", "--json"), True),
     ("run-file-bad-source", ("run-file", "{d}/bad.rasm"), True),

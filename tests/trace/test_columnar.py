@@ -161,6 +161,35 @@ def test_data_locations_decoded_once(trace, tmp_path):
             assert lazy.data_locations() is first
 
 
+def test_close_unmaps_the_file(trace, tmp_path):
+    """Closing releases the column and pool views first, so the mmap
+    really closes rather than staying mapped until garbage collection."""
+    path = tmp_path / "t.wrct"
+    to_columnar(trace, path)
+    lazy = open_columnar(path)
+    mm = lazy._mm
+    lazy.close()
+    assert mm.closed
+
+
+@pytest.mark.parametrize("detector", ["postmortem", "streaming", "shb"])
+def test_materialized_trace_outlives_the_close(trace, tmp_path, detector):
+    """from_columnar closes the file it read; the trace it returns holds
+    no view of it (sync order included) and reports what the open
+    file reports."""
+    from repro import detect
+
+    path = tmp_path / "t.wrct"
+    to_columnar(trace, path)
+    with open_columnar(path) as lazy:
+        report = detect(lazy, detector=detector)
+        expected = (report.to_json(), report.format())
+    loaded = from_columnar(path)
+    assert not any(isinstance(v, memoryview) for v in vars(loaded).values())
+    report = detect(loaded, detector=detector)
+    assert (report.to_json(), report.format()) == expected
+
+
 # ----------------------------------------------------------------------
 # malformed inputs
 # ----------------------------------------------------------------------
