@@ -12,6 +12,9 @@ written by s1").
 po is implicit in ``(proc, pos)``, so construction pairs only so1; the
 event graph and its closure are built on first read (G', DOT export,
 explanations, the cyclic fallback), never by the vector-clock sweep.
+On a columnar trace so1 is paired on processor-major rows, straight
+from the file's integer sync order, and :attr:`~HappensBefore1.so1_edges`
+builds its event pairs on first read.
 
 On a weak execution the synchronization operations themselves need not
 be sequentially consistent, so hb1 may contain cycles (section 3.1);
@@ -20,6 +23,7 @@ everything downstream (race detection, partitioning) tolerates that.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
 from .. import obs
@@ -44,7 +48,9 @@ class HappensBefore1:
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
-        self.so1_edges: List[Tuple[EventId, EventId]] = []
+        self._so1_edges: Optional[List[Tuple[EventId, EventId]]] = []
+        #: so1 as (row, row) pairs, when paired on a columnar trace
+        self._so1_rows: Optional[List[Tuple[int, int]]] = None
         self._graph: Optional[DiGraph] = None
         self._closure: Optional[TransitiveClosure] = None
         with obs.span("hb1.build") as sp:
@@ -55,7 +61,8 @@ class HappensBefore1:
             if sp.enabled:
                 sp.add("events", trace.event_count)
                 sp.add("po_edges", self.po_edges)
-                sp.add("so1_edges", len(self.so1_edges))
+                sp.add("so1_edges", len(self._so1_edges if self._so1_rows
+                                        is None else self._so1_rows))
 
     # ------------------------------------------------------------------
     def _build(self) -> None:
@@ -69,11 +76,26 @@ class HappensBefore1:
             columns is not None
             and type(self)._pair_location is HappensBefore1._pair_location
         ):
-            for order in self.trace.sync_order.values():
-                self._pair_location_columnar(order, columns)
+            self._so1_edges, self._so1_rows = None, []
+            for pairs in self.trace.sync_pairs.values():
+                self._pair_location_columnar(pairs, columns)
         else:
             for addr, order in self.trace.sync_order.items():
                 self._pair_location(addr, order)
+
+    @property
+    def so1_edges(self) -> List[Tuple[EventId, EventId]]:
+        """The paired release -> acquire event pairs."""
+        if self._so1_edges is None:
+            proc, pos = self.trace.columns.proc, self.trace.columns.pos
+            self._so1_edges = [(EventId(proc[s], pos[s]),
+                                EventId(proc[d], pos[d]))
+                               for s, d in self._so1_rows]
+        return self._so1_edges
+
+    @so1_edges.setter
+    def so1_edges(self, edges: List[Tuple[EventId, EventId]]) -> None:
+        self._so1_edges, self._so1_rows = edges, None
 
     def _pair_location(self, addr: int, order: List[EventId]) -> None:
         last_sync_write: Optional[SyncEvent] = None
@@ -95,30 +117,42 @@ class HappensBefore1:
             ):
                 self.so1_edges.append((last_sync_write.eid, event.eid))
 
-    def _pair_location_columnar(self, order: List[EventId], columns) -> None:
-        """Definition 2.1 pairing straight off the columns — identical
+    def _pair_location_columnar(self, pairs: Tuple[int, ...],
+                                columns) -> None:
+        """Definition 2.1 pairing straight off the columns, for one
+        location's flat ``(proc, pos, ...)`` sync order — identical
         decisions to :meth:`_pair_location`, zero event objects."""
         kind, role, value = columns.kind, columns.role, columns.value
-        last_write: Optional[EventId] = None
-        last_write_row = -1
-        for eid in order:
-            row = columns.row_of(eid.proc, eid.pos)
+        offsets = columns.proc_offsets
+        last_write = last_proc = -1
+        for i in range(0, len(pairs), 2):
+            proc = pairs[i]
+            row = offsets[proc] + pairs[i + 1]
             if kind[row]:  # sync write
-                last_write = eid
-                last_write_row = row
+                last_write, last_proc = row, proc
                 continue
             if (
                 role[row] == _COL_ACQUIRE
-                and last_write is not None
-                and role[last_write_row] == _COL_RELEASE
-                and value[last_write_row] == value[row]
-                and last_write.proc != eid.proc
+                and last_write >= 0
+                and role[last_write] == _COL_RELEASE
+                and value[last_write] == value[row]
+                and last_proc != proc
             ):
-                self.so1_edges.append((last_write, eid))
+                self._so1_rows.append((last_write, row))
 
     def cross_edges(self) -> List[Tuple[EventId, EventId]]:
         """The edges beyond po: so1 here; subclasses add or drop some."""
         return self.so1_edges
+
+    def cross_rows(self) -> List[Tuple[int, int]]:
+        """:meth:`cross_edges` as processor-major ``(row, row)`` pairs,
+        what the vector-clock sweep reads."""
+        if (self._so1_rows is not None
+                and type(self).cross_edges is HappensBefore1.cross_edges):
+            return self._so1_rows
+        offsets = [0, *accumulate(map(len, self.trace.events))]
+        return [(offsets[src.proc] + src.pos, offsets[dst.proc] + dst.pos)
+                for src, dst in self.cross_edges()]
 
     # ------------------------------------------------------------------
     @property

@@ -10,11 +10,17 @@ O(V·P) space instead of O(V²/64) and answers queries in O(P).
 The pass builds no graph.  Events are numbered by processor-major
 *row* (``offset[proc] + pos``), po is implicit, and a FIFO Kahn merge
 over rows, releasing each event's successors in row order, linearizes
-po ∪ the relation's cross-processor edges exactly as
+po ∪ the relation's cross-processor row edges
+(:meth:`~repro.core.hb1.HappensBefore1.cross_rows`) exactly as
 :func:`~repro.graph.topological_sort` orders the event graph.  Each
-clock, a plain list, joins the event's predecessors' and sets its own
-component to ``pos + 1``; :meth:`VectorClockHB1.positions` hands both,
-in that order, to the frontier race sweep of :mod:`repro.core.races`.
+clock, a plain list, copies its po predecessor's, joins each cross
+predecessor it has not yet seen (a seen one's clock is already below
+it) and sets its own component to ``pos + 1``; the sweep notes the rows
+whose join raised a foreign component.  :meth:`VectorClockHB1.walk`
+cuts the linearization into one row list per location half, each run
+headed by the clocks the frontier race sweep of :mod:`repro.core.races`
+recomputes its bound from; the post-mortem and trace-fed streaming
+detectors both sweep those rows.
 
 Vector clocks require an *acyclic* hb1 — true for every execution our
 simulator produces (its sync operations are sequentially consistent)
@@ -28,15 +34,22 @@ equality on every acyclic trace.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .. import obs
 from ..trace.build import Trace
-from ..trace.events import EventId
+from ..trace.columnar import _TAG_COMP
+from ..trace.events import EventId, SyncEvent
 from .hb1 import HappensBefore1
 
 #: canonical cross-processor event pairs -> their conflict locations
 _Pairs = Dict[Tuple[EventId, EventId], Tuple[int, ...]]
+#: a run of rows, headed by every processor's latest clock when the
+#: frontier bound must be recomputed before its first row, else None
+_Run = Tuple[Optional[List[List[int]]], List[int]]
+#: The location halves a race sweep can be restricted to (see
+#: :mod:`repro.core.races`).
+HALVES = ("data", "sync")
 
 
 class CyclicHB1Error(ValueError):
@@ -74,8 +87,9 @@ class VectorClockHB1:
         if base is None:
             base = HappensBefore1(trace)
         self._adjacent: Optional[_Pairs] = None
+        self._walks: Dict[Optional[str], List[_Run]] = {}
         with obs.span("hb1.vc_sweep") as sp:
-            joins = self._sweep(base.cross_edges())
+            joins = self._sweep(base.cross_rows())
             if track_variables:
                 self._adjacent = self._sweep_variables(self.order)
             if sp.enabled:
@@ -84,25 +98,27 @@ class VectorClockHB1:
                 if track_variables:
                     sp.add("adjacent_pairs", len(self._adjacent))
 
-    def _sweep(self, edges: List[Tuple[EventId, EventId]]) -> int:
+    def _sweep(self, edges: List[Tuple[int, int]]) -> int:
         """Kahn merge over rows, clocking each event as it is released;
         returns the clock joins made (one per predecessor)."""
         counts = [len(proc_events) for proc_events in self.trace.events]
         nproc, total = len(counts), sum(counts)
         #: row of each processor's first event
         self._offsets = offsets = [0, *accumulate(counts)][:-1]
-        proc_of = [proc for proc, count in enumerate(counts)
-                   for _ in range(count)]
-        pos_of = [pos for count in counts for pos in range(count)]
+        #: each row's processor and position
+        self.proc_of: List[int] = []
+        self.pos_of: List[int] = []
+        for proc, count in enumerate(counts):
+            self.proc_of += [proc] * count
+            self.pos_of += range(count)
+        proc_of, pos_of = self.proc_of, self.pos_of
         # one past each processor's last row: no po successor there
         ends = {offset + count
                 for offset, count in zip(offsets, counts) if count}
-        in_deg = [int(pos > 0) for pos in pos_of]
+        in_deg = list(map(bool, pos_of))  # the po predecessor counts 1
         succ: Dict[int, List[int]] = {}
         pred: Dict[int, List[int]] = {}
-        for src, dst in edges:
-            s = offsets[src.proc] + src.pos
-            d = offsets[dst.proc] + dst.pos
+        for s, d in edges:
             succ.setdefault(s, []).append(d)
             pred.setdefault(d, []).append(s)
             in_deg[d] += 1
@@ -112,16 +128,28 @@ class VectorClockHB1:
             released.sort()
         # The release order is the FIFO queue itself: rows are appended
         # as their last predecessor is released and read back in turn.
-        rows = [row for row in range(total) if not in_deg[row]]
-        clocks: List[List[int]] = [[]] * total
+        # Only a processor's first row can start with no predecessor.
+        rows = [offset for offset, count in zip(offsets, counts)
+                if count and not in_deg[offset]]
+        release = rows.append
+        #: each row's vector clock (do not mutate)
+        self.row_clocks = clocks = [[]] * total
+        #: rows whose join raised a foreign clock component
+        self._raised = raised = set()
         joins = total - len(ends)  # every po predecessor
+        zero = [0] * nproc
         for row in rows:
             pos = pos_of[row]
-            clock = clocks[row - 1][:] if pos else [0] * nproc
-            joined = pred.get(row, ())
-            for other in joined:
-                clock = list(map(max, clock, clocks[other]))
-            joins += len(joined)
+            clock = clocks[row - 1][:] if pos else zero[:]
+            joined = pred.get(row)
+            if joined is not None:
+                for other in joined:
+                    # a predecessor already seen adds nothing: its
+                    # clock is below this one (the epoch test)
+                    if clock[proc_of[other]] <= pos_of[other]:
+                        clock = list(map(max, clock, clocks[other]))
+                        raised.add(row)
+                joins += len(joined)
             clock[proc_of[row]] = pos + 1
             clocks[row] = clock
             released = succ.get(row)
@@ -132,15 +160,56 @@ class VectorClockHB1:
             for nxt in released:
                 in_deg[nxt] -= 1
                 if not in_deg[nxt]:
-                    rows.append(nxt)
+                    release(nxt)
         if len(rows) != total:
             raise CyclicHB1Error(
                 "hb1 contains a cycle (weak sync ordering, section "
                 "3.1); use the transitive-closure backend"
             )
-        self._rows, self._clocks = rows, clocks
-        self._proc_of, self._pos_of = proc_of, pos_of
+        self._rows = rows
         return joins
+
+    def walk(self, half: Optional[str] = None) -> List[_Run]:
+        """The rows of one location half (``"data"``, ``"sync"``, or
+        every row for ``None``; see :mod:`repro.core.races`), in sweep
+        order, cut into runs ``(latest, rows)``.
+
+        A run starts where some event since the half's previous row,
+        the other half's rows included, had its join raise a foreign
+        clock component; ``latest`` is then every processor's latest
+        clock at the run's first row.  Both halves are cut in one pass
+        over the linearization, so together they visit each row once.
+        """
+        if half not in self._walks:
+            if half is None:
+                half_of = [None] * len(self._rows)
+            else:
+                trace, data = self.trace, self.trace.data_locations()
+                columns = getattr(trace, "columns", None)
+                if columns is not None:
+                    tag, addr = columns.tag, columns.addr
+                    half_of = [HALVES[tag[row] != _TAG_COMP
+                                      and addr[row] not in data]
+                               for row in range(len(self._rows))]
+                else:
+                    half_of = [HALVES[isinstance(event, SyncEvent)
+                                      and event.addr not in data]
+                               for event in trace.all_events()]
+            runs = {name: [(None, [])] for name in set(half_of)}
+            latest = [[0] * len(self._offsets)] * len(self._offsets)
+            owing: Set[Optional[str]] = set()
+            for row in self._rows:
+                latest[self.proc_of[row]] = self.row_clocks[row]
+                if row in self._raised:
+                    owing = set(runs)
+                name = half_of[row]
+                if name in owing:
+                    owing.discard(name)
+                    runs[name].append((latest[:], [row]))
+                else:
+                    runs[name][-1][1].append(row)
+            self._walks.update(runs)
+        return self._walks.get(half, [])
 
     def _sweep_variables(self, order: List[EventId]) -> _Pairs:
         """Per-variable last-write/last-read epoch tracking.
@@ -195,7 +264,7 @@ class VectorClockHB1:
         """``(row, proc, pos, clock)`` of every event, in the order the
         clocks were swept in (a linearization of hb1; do not mutate the
         clocks)."""
-        proc_of, pos_of, clocks = self._proc_of, self._pos_of, self._clocks
+        proc_of, pos_of, clocks = self.proc_of, self.pos_of, self.row_clocks
         for row in self._rows:
             yield row, proc_of[row], pos_of[row], clocks[row]
 
@@ -212,7 +281,7 @@ class VectorClockHB1:
 
     def clock_of(self, eid: EventId) -> List[int]:
         """The event's vector clock (do not mutate)."""
-        return self._clocks[self._offsets[eid.proc] + eid.pos]
+        return self.row_clocks[self._offsets[eid.proc] + eid.pos]
 
     def ordered(self, a: EventId, b: EventId) -> bool:
         """True iff ``a hb1 b`` — the O(1) epoch test: b has seen a's

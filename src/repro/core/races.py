@@ -8,8 +8,11 @@ detected but flagged, since Definition 2.4 excludes it from data races.
 On an acyclic hb1 the race set comes from one :class:`FrontierSweep`
 over the vector-clock backend's topological order: each access is
 tested only against the per-location accesses some other processor has
-not yet seen, not against every earlier conflicting access.  The online
-detector drives the same kernel.  A cyclic hb1 (section 3.1) has no such order and falls back to
+not yet seen, not against every earlier conflicting access.  It walks
+integer rows (:meth:`~repro.core.hb1_vc.VectorClockHB1.walk`), reading
+access sets by row (:meth:`Trace.accesses_by_row`), and builds event
+ids only for race endpoints.  The streaming detector drives the same
+kernel.  A cyclic hb1 (section 3.1) has no such order and falls back to
 closure queries over every conflicting cross-processor pair.
 
 Either sweep can run over one *half* of the locations: the data half
@@ -20,19 +23,19 @@ location, so no race spans the halves: their race sets are disjoint,
 their sorted union is the full sweep's, and their tested-pair counts
 add up to its count.  Every data race lies in the data half, so a
 race-free verdict needs only that half (Definition 2.4, Theorem 4.1).
+A half's frontier sweep visits only its own rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import obs
 from ..trace.build import Trace
-from ..trace.columnar import _TAG_COMP
-from ..trace.events import ComputationEvent, EventId
+from ..trace.events import EventId
 from .hb1 import HappensBefore1
-from .hb1_vc import VectorClockHB1
+from .hb1_vc import HALVES, VectorClockHB1
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,9 @@ class FrontierSweep:
     later event is then hb1-after it and no new race can involve it.
 
     ``clock[p]`` is the clock of processor p's latest event.  Callers
-    keep it current and call :meth:`recompute_min` whenever a clock
-    gains a foreign component (a synchronization join).
+    bring it up to date and call :meth:`recompute_min` before scanning
+    an event when some clock has gained a foreign component (a
+    synchronization join) since the last recompute.
     """
 
     def __init__(self, processor_count: int) -> None:
@@ -137,11 +141,9 @@ class FrontierSweep:
 
     def recompute_min(self) -> None:
         clock = self.clock
-        for q in range(self.nproc):
-            self.global_min[q] = min(
-                (clock[r][q] for r in range(self.nproc) if r != q),
-                default=float("inf"),
-            )
+        if self.nproc > 1:
+            self.global_min = [min([c[q] for c in clock[:q] + clock[q + 1:]])
+                               for q in range(self.nproc)]
 
     def _scan_list(self, index: Dict[int, List[_Access]], addr: int,
                    proc: int, pos: int, is_comp: bool,
@@ -151,19 +153,18 @@ class FrontierSweep:
             return
         gm = self.global_min
         keep = []
+        tested = 0
         for entry in entries:
             q, qpos, q_comp = entry
-            if gm[q] >= qpos + 1:
+            if gm[q] > qpos:
                 # every other processor has seen (q, qpos): hb1-ordered
                 # before all current and future events, drop it
-                self.pruned += 1
-                self.retained -= 1
                 continue
             keep.append(entry)
             if q == proc:
                 continue  # same-processor pairs are po-ordered
-            self.tested += 1
-            if clock[q] < qpos + 1:
+            tested += 1
+            if clock[q] <= qpos:
                 a, b = (q, qpos), (proc, pos)
                 if b < a:
                     a, b = b, a
@@ -172,7 +173,11 @@ class FrontierSweep:
                     self.races[(a, b)] = ({addr}, q_comp or is_comp)
                 else:
                     race[0].add(addr)
-        if len(keep) != len(entries):
+        self.tested += tested
+        dropped = len(entries) - len(keep)
+        if dropped:
+            self.pruned += dropped
+            self.retained -= dropped
             index[addr] = keep
 
     def access(self, proc: int, pos: int, is_comp: bool,
@@ -184,8 +189,10 @@ class FrontierSweep:
         # iterator (e.g. a columnar bitset decoder) must be materialized,
         # and through its iterator: tuple() of a BitVector would first
         # count its bits for a length hint
-        reads = tuple(iter(reads))
-        writes = tuple(iter(writes))
+        if type(reads) is not tuple:
+            reads = tuple(iter(reads))
+        if type(writes) is not tuple:
+            writes = tuple(iter(writes))
         for addr in writes:
             self._scan_list(self.writers, addr, proc, pos, is_comp, clock)
             self._scan_list(self.readers, addr, proc, pos, is_comp, clock)
@@ -201,23 +208,16 @@ class FrontierSweep:
             self.retained_peak = self.retained
 
     def finish(self) -> List[EventRace]:
-        """The races found so far, sorted by ``(a, b)``."""
-        races = [
-            EventRace(
-                a=EventId(*a),
-                b=EventId(*b),
-                locations=tuple(sorted(locations)),
-                is_data_race=is_data,
-            )
-            for (a, b), (locations, is_data) in self.races.items()
-        ]
-        races.sort(key=lambda race: (race.a, race.b))
+        """The races found so far, sorted by ``(a, b)``; each endpoint's
+        event id is built once."""
+        ids: Dict[Tuple[int, int], EventId] = {}
+        races = []
+        for (a, b), (locations, is_data) in sorted(self.races.items()):
+            eid_a = ids.get(a) or ids.setdefault(a, EventId(*a))
+            eid_b = ids.get(b) or ids.setdefault(b, EventId(*b))
+            races.append(EventRace(eid_a, eid_b, tuple(sorted(locations)),
+                                   is_data))
         return races
-
-
-#: The location halves a race sweep can be restricted to (see the
-#: module docstring).
-HALVES = ("data", "sync")
 
 
 def find_races(trace: Trace, hb: Optional[HappensBefore1] = None,
@@ -238,61 +238,43 @@ def find_races(trace: Trace, hb: Optional[HappensBefore1] = None,
     hb = hb or HappensBefore1(trace)
     with obs.span("races.find") as _sp:
         if isinstance(hb, VectorClockHB1):
-            races, tested = _find_races_frontier(trace, hb, half)
+            sweep = FrontierSweep(trace.processor_count)
+            visited = _find_races_frontier(trace, hb, sweep, half)
+            races, tested = sweep.finish(), sweep.tested
         else:
             races, tested = _find_races(trace, hb, half)
+            visited = 0
         if _sp.enabled:
             # pairs_tested counts the ordering queries actually made
             _sp.add("pairs_tested", tested)
             _sp.add("pairs_reported", len(races))
             _sp.add("data_races", sum(1 for r in races if r.is_data_race))
+            _sp.add("rows_visited", visited)
     return races
 
 
-def _in_half(trace: Trace, half: str) -> Callable[[int, int, int], bool]:
-    """``in_half(row, proc, pos)``: whether the event lies in *half*,
-    read from the columns or the event object, with no access sets
-    decoded.  A computation event touches only data locations and a
-    sync event exactly one location, so each event lies in one half."""
-    data = trace.data_locations()
-    want_data = half == "data"
-    columns = getattr(trace, "columns", None)
-    if columns is not None:
-        tags, addrs = columns.tag, columns.addr
-        return lambda row, proc, pos: want_data == (
-            tags[row] == _TAG_COMP or addrs[row] in data)
-    events = trace.events
-
-    def in_half(row: int, proc: int, pos: int) -> bool:
-        event = events[proc][pos]
-        return want_data == (isinstance(event, ComputationEvent)
-                             or event.addr in data)
-    return in_half
-
-
-def _find_races_frontier(
-    trace: Trace, vc: VectorClockHB1, half: Optional[str] = None
-) -> Tuple[List[EventRace], int]:
-    in_half = _in_half(trace, half) if half else None
-    sweep = FrontierSweep(trace.processor_count)
-    latest = sweep.clock
-    joined = False
-    for row, proc, pos, clock in vc.positions():
-        prev = latest[proc]
-        latest[proc] = clock
-        if prev[:proc] != clock[:proc] or prev[proc + 1:] != clock[proc + 1:]:
-            joined = True  # a join brought in foreign components
-        if in_half is not None and not in_half(row, proc, pos):
-            continue
-        is_comp, reads, writes = trace.accesses(EventId(proc, pos))
-        if joined:
+def _find_races_frontier(trace: Trace, vc: VectorClockHB1,
+                         sweep: FrontierSweep,
+                         half: Optional[str] = None) -> int:
+    """Feed the rows of one location half (every row for ``None``) to
+    *sweep* in hb1 order; returns the rows visited."""
+    accesses = trace.accesses_by_row()
+    access, proc_of, pos_of = sweep.access, vc.proc_of, vc.pos_of
+    clocks = vc.row_clocks
+    visited = 0
+    for latest, rows in vc.walk(half):
+        if latest is not None:
             # The frontier bound is settled only where a scan reads it;
             # its value there, and so every pruning and test, is the
             # full sweep's.
+            sweep.clock = latest
             sweep.recompute_min()
-            joined = False
-        sweep.access(proc, pos, is_comp, reads, writes, clock)
-    return sweep.finish(), sweep.tested
+        for row in rows:
+            is_comp, reads, writes = accesses(row)
+            access(proc_of[row], pos_of[row], is_comp, reads, writes,
+                   clocks[row])
+        visited += len(rows)
+    return visited
 
 
 def _find_races(

@@ -20,7 +20,7 @@ the detector keeps only
   :class:`~repro.core.races.FrontierSweep` kernel, which post-mortem
   detection drives too),
 
-for O(P·V + races) state independent of trace length.  The reported
+for O(P·V + races) state independent of stream length.  The reported
 race set is byte-identical to ``find_races`` on the materialized trace
 (differentially tested across the workload corpus): in a linearization
 of po ∪ sync chains the later event of a pair can never be hb1-before
@@ -34,11 +34,13 @@ time, when their READ/WRITE sets are complete; their clock is the open
 clock, which cannot change in between (only data operations intervene).
 
 When the detector is handed a finished :class:`Trace` instead of a
-live stream it linearizes po ∪ sync chains itself (deterministic Kahn
-merge).  If those chains are cyclic (possible on weak executions,
-section 3.1 — no topological consumption order exists) it falls back to
-the closure-backend post-mortem sweep, so the race-set guarantee holds
-on every input.
+live stream, it clocks the trace with
+:class:`~repro.core.hb1_vc.VectorClockHB1`, as post-mortem detection
+does, and feeds that linearization of hb1, every location at once, to
+the same frontier kernel; it then holds one clock per event, not O(P·V)
+state.  A cyclic hb1 (possible on weak executions, section 3.1) has no
+linearization, so it takes post-mortem detection's fallback, the
+closure-backend sweep: the race-set guarantee holds on every input.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .. import obs
 from ..machine.operations import MemoryOperation, OperationKind, SyncRole
 from ..trace.build import Trace
-from ..trace.columnar import _CODE_ROLE
-from ..trace.events import EventId, SyncEvent
-from .races import EventRace, FrontierSweep
+from .hb1 import HappensBefore1
+from .hb1_vc import CyclicHB1Error, VectorClockHB1
+from .races import EventRace, FrontierSweep, _find_races_frontier, find_races
 from .report import REPORT_FORMAT, _race_from_record, _race_record
 
 
@@ -113,11 +115,6 @@ class _StreamEngine(FrontierSweep):
         intervene) and remember it."""
         self.access(proc, pos, True, reads, writes, self.clock[proc])
         self.event_count += 1
-
-    def process_comp(self, proc: int, pos: int,
-                     reads: Iterable[int], writes: Iterable[int]) -> None:
-        self.open_comp(proc, pos)
-        self.close_comp(proc, pos, reads, writes)
 
 
 @dataclass
@@ -304,99 +301,32 @@ class StreamingDetector:
 
     # ------------------------------------------------------------------
     def analyze(self, trace: Trace) -> StreamingReport:
-        """Stream a finished trace: linearize po ∪ sync chains with a
-        deterministic Kahn merge and feed the engine.  On a cyclic
-        chain structure (weak sync ordering, section 3.1) fall back to
-        the post-mortem closure sweep — same race set either way."""
+        """Stream a finished trace: its hb1 linearization, clocked by
+        :class:`VectorClockHB1`, through the frontier kernel.  On a
+        cyclic hb1 (weak sync ordering, section 3.1) fall back to the
+        post-mortem closure sweep — same race set either way."""
         with obs.span("detect.streaming") as sp:
-            engine = _StreamEngine(trace.processor_count)
-            columns = getattr(trace, "columns", None)
-            counts = [len(proc_events) for proc_events in trace.events]
-            next_pos = [0] * trace.processor_count
-            order_ptr: Dict[int, int] = {}
-            # front[(proc, pos)] for each location's next unconsumed
-            # sync event — an event is ready when it is next in po and,
-            # if sync, next in its location's chain
-            fronts: Dict[Tuple[int, int], int] = {}
-            for addr, order in trace.sync_order.items():
-                order_ptr[addr] = 0
-                if order:
-                    fronts[(order[0].proc, order[0].pos)] = addr
-
-            def sync_addr_of(proc: int, pos: int) -> Optional[int]:
-                """The event's sync location, or None for computation."""
-                if columns is not None:
-                    row = columns.row_of(proc, pos)
-                    if columns.is_comp(row):
-                        return None
-                    return columns.addr[row]
-                event = trace.events[proc][pos]
-                return event.addr if isinstance(event, SyncEvent) else None
-
-            remaining = sum(counts)
-            stalled = False
-            while remaining:
-                progressed = False
-                for p in range(trace.processor_count):
-                    pos = next_pos[p]
-                    if pos >= counts[p]:
-                        continue
-                    addr = sync_addr_of(p, pos)
-                    if addr is not None:
-                        if fronts.get((p, pos)) != addr:
-                            continue  # not yet at the front of its chain
-                        if columns is not None:
-                            row = columns.row_of(p, pos)
-                            engine.process_sync(
-                                p, pos, addr, columns.kind[row],
-                                _CODE_ROLE[columns.role[row]],
-                                columns.value[row],
-                            )
-                        else:
-                            event = trace.events[p][pos]
-                            engine.process_sync(
-                                p, pos, addr,
-                                event.op_kind is OperationKind.WRITE,
-                                event.role, event.value,
-                            )
-                        del fronts[(p, pos)]
-                        order = trace.sync_order[addr]
-                        order_ptr[addr] += 1
-                        if order_ptr[addr] < len(order):
-                            nxt = order[order_ptr[addr]]
-                            fronts[(nxt.proc, nxt.pos)] = addr
-                    else:
-                        _, reads, writes = trace.accesses(EventId(p, pos))
-                        engine.process_comp(p, pos, reads, writes)
-                    next_pos[p] += 1
-                    remaining -= 1
-                    progressed = True
-                    break
-                if not progressed:
-                    stalled = True
-                    break
-
-            if stalled:
-                # po ∪ sync chains are cyclic: no consumption order
-                # exists, so compute the same race set post-mortem
-                from .hb1 import HappensBefore1
-                from .races import find_races
-
-                races = find_races(trace, HappensBefore1(trace))
+            sweep = FrontierSweep(trace.processor_count)
+            hb = HappensBefore1(trace)
+            try:
+                vc = VectorClockHB1(trace, base=hb)
+            except CyclicHB1Error:
+                races, fallback = find_races(trace, hb), True
             else:
-                races = engine.finish()
+                _find_races_frontier(trace, vc, sweep)
+                races, fallback = sweep.finish(), False
             if sp.enabled:
                 sp.add("events", trace.event_count)
-                sp.add("retained_peak", engine.retained_peak)
-                sp.add("pruned_entries", engine.pruned)
+                sp.add("retained_peak", sweep.retained_peak)
+                sp.add("pruned_entries", sweep.pruned)
                 sp.add("races", len(races))
-                sp.add("fallback", 1 if stalled else 0)
+                sp.add("fallback", int(fallback))
         return StreamingReport(
             processor_count=trace.processor_count,
             model_name=trace.model_name,
             races=races,
             event_count=trace.event_count,
-            retained_peak=engine.retained_peak,
-            pruned_entries=engine.pruned,
-            used_fallback=stalled,
+            retained_peak=sweep.retained_peak,
+            pruned_entries=sweep.pruned,
+            used_fallback=fallback,
         )

@@ -17,7 +17,9 @@ only what the paper's detector sees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+)
 
 from .. import obs
 from ..machine.operations import MemoryOperation
@@ -25,6 +27,17 @@ from ..machine.program import SymbolTable
 from ..machine.simulator import ExecutionResult
 from .bitvector import BitVector
 from .events import ComputationEvent, Event, EventId, SyncEvent
+
+
+#: ``(is_computation, locations read, locations written)`` of an event
+_Accesses = Tuple[bool, Iterable[int], Iterable[int]]
+
+
+def _event_accesses(event: Event) -> _Accesses:
+    if isinstance(event, SyncEvent):
+        addr = (event.addr,)
+        return (False, (), addr) if event.writes_addr else (False, addr, ())
+    return True, event.reads, event.writes
 
 
 class TraceError(ValueError):
@@ -48,16 +61,16 @@ class Trace:
     def event(self, eid: EventId) -> Event:
         return self.events[eid.proc][eid.pos]
 
-    def accesses(
-        self, eid: EventId
-    ) -> Tuple[bool, Iterable[int], Iterable[int]]:
+    def accesses(self, eid: EventId) -> _Accesses:
         """``(is_computation, locations read, locations written)`` of
         one event: what a race sweep needs to know about it."""
-        event = self.events[eid.proc][eid.pos]
-        if isinstance(event, SyncEvent):
-            addr = (event.addr,)
-            return (False, (), addr) if event.writes_addr else (False, addr, ())
-        return True, event.reads, event.writes
+        return _event_accesses(self.events[eid.proc][eid.pos])
+
+    def accesses_by_row(self) -> Callable[[int], _Accesses]:
+        """:meth:`accesses` by processor-major row (``offset[proc] +
+        pos``), as the row-walking race sweep reads it."""
+        events = self.all_events()
+        return lambda row: _event_accesses(events[row])
 
     def data_locations(self) -> FrozenSet[int]:
         """Every location some computation event reads or writes: the

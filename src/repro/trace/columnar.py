@@ -7,12 +7,14 @@ schema-versioned, struct-packed fixed-width **columns** — one contiguous
 array per field (tag/proc/pos/kind/role/addr/value/...), plus a
 length-prefixed bit-vector pool for computation READ/WRITE sets — so a
 reader can ``mmap`` the file and expose each column as a ``memoryview``
-without copying or materializing a single event object.  The positional
-clock sweep (:mod:`..core.hb1_vc`), the frontier race sweep
-(:mod:`..core.races`) and the streaming engine read these columns
-directly; everything else sees a lazy :class:`EventView` that
-materializes (and caches) ordinary :class:`SyncEvent` /
-:class:`ComputationEvent` objects on demand.
+without copying or materializing a single event object.  The so1
+pairing (:mod:`..core.hb1`), the positional clock sweep
+(:mod:`..core.hb1_vc`) and the frontier race sweep (:mod:`..core.races`)
+read these columns, and the sync order as the file's integer
+``(proc, pos)`` pairs, directly; everything else sees a lazy
+:class:`EventView` that materializes (and caches) ordinary
+:class:`SyncEvent` / :class:`ComputationEvent` objects, and a
+``sync_order`` of :class:`EventId` lists, on demand.
 
 Layout (all integers little-endian)::
 
@@ -39,14 +41,14 @@ import struct
 import sys
 from pathlib import Path
 from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
     Union,
 )
 
 from .. import obs
 from ..machine.operations import OperationKind, SyncRole
 from .bitvector import BitVector, iter_bits
-from .build import Trace, TraceError
+from .build import Trace, TraceError, _Accesses
 from .events import ComputationEvent, Event, EventId, SyncEvent
 
 COLUMNAR_MAGIC = b"WRCT"
@@ -338,32 +340,54 @@ class ColumnarTrace(Trace):
 
     def __init__(self, *, processor_count: int, memory_size: int,
                  columns: TraceColumns,
-                 sync_order: Dict[int, List[EventId]],
+                 sync_pairs: Dict[int, Tuple[int, ...]],
                  model_name: str = "unknown",
                  mm: Optional[mmap.mmap] = None) -> None:
         super().__init__(
             processor_count=processor_count,
             memory_size=memory_size,
             events=EventView(columns),
-            sync_order=sync_order,
+            sync_order=None,
             symbols=None,
             model_name=model_name,
         )
         self.columns = columns
+        #: each location's sync order as the file stores it: flat
+        #: ``(proc, pos, proc, pos, ...)`` integers
+        self.sync_pairs = sync_pairs
         self._mm = mm
         self._data_locations: Optional[FrozenSet[int]] = None
+
+    @property
+    def sync_order(self) -> Dict[int, List[EventId]]:
+        """Built from :attr:`sync_pairs` on first read."""
+        if self._sync_order is None:
+            self._sync_order = {
+                addr: [EventId(pairs[i], pairs[i + 1])
+                       for i in range(0, len(pairs), 2)]
+                for addr, pairs in self.sync_pairs.items()
+            }
+        return self._sync_order
+
+    @sync_order.setter
+    def sync_order(self, value: Optional[Dict[int, List[EventId]]]) -> None:
+        self._sync_order = value
 
     @property
     def event_count(self) -> int:
         return self.columns.event_total
 
-    def accesses(
-        self, eid: EventId
-    ) -> Tuple[bool, Iterable[int], Iterable[int]]:
+    def accesses(self, eid: EventId) -> _Accesses:
+        return self._accesses_at(self.columns.row_of(eid.proc, eid.pos))
+
+    def accesses_by_row(self) -> Callable[[int], _Accesses]:
+        return self._accesses_at
+
+    def _accesses_at(self, row: int) -> _Accesses:
         columns = self.columns
-        row = columns.row_of(eid.proc, eid.pos)
-        if columns.is_comp(row):
-            return True, columns.event_reads(row), columns.event_writes(row)
+        if columns.tag[row] == _TAG_COMP:
+            return (True, tuple(columns.event_reads(row)),
+                    tuple(columns.event_writes(row)))
         addr = (columns.addr[row],)
         return (False, (), addr) if columns.kind[row] else (False, addr, ())
 
@@ -445,7 +469,7 @@ def _parse_header(buf) -> tuple:
 
 
 def _parse_tail(buf, columns: TraceColumns, column_offset: int,
-                total: int) -> Dict[int, List[EventId]]:
+                total: int) -> Dict[int, Tuple[int, ...]]:
     """Sync-order section after the columns + pool; detects garbage."""
     size = len(buf)
     row_bytes = sum(width for _, _, width in _COLUMNS)
@@ -460,23 +484,20 @@ def _parse_tail(buf, columns: TraceColumns, column_offset: int,
     need(4, "sync-order count")
     (nlocations,) = struct.unpack_from("<I", buf, offset)
     offset += 4
-    sync_order: Dict[int, List[EventId]] = {}
+    sync_pairs: Dict[int, Tuple[int, ...]] = {}
     for _ in range(nlocations):
         need(8, "sync-order location header")
         addr, count = struct.unpack_from("<II", buf, offset)
         offset += 8
         need(8 * count, f"sync order for location {addr}")
-        pairs = struct.unpack_from(f"<{2 * count}I", buf, offset)
+        sync_pairs[addr] = struct.unpack_from(f"<{2 * count}I", buf, offset)
         offset += 8 * count
-        sync_order[addr] = [
-            EventId(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2)
-        ]
     if offset != size:
         raise ColumnarTraceError(
             f"trailing garbage after byte {offset} "
             f"({size - offset} unexpected bytes)"
         )
-    return sync_order
+    return sync_pairs
 
 
 def _columnar_from_buffer(buf, mm: Optional[mmap.mmap] = None) -> ColumnarTrace:
@@ -497,12 +518,11 @@ def _columnar_from_buffer(buf, mm: Optional[mmap.mmap] = None) -> ColumnarTrace:
             f"truncated columnar trace: pool at byte {pool_start + 4}"
         )
     columns = TraceColumns(buf, column_offset, total, proc_counts)
-    sync_order = _parse_tail(buf, columns, column_offset, total)
     return ColumnarTrace(
         processor_count=nproc,
         memory_size=memory_size,
         columns=columns,
-        sync_order=sync_order,
+        sync_pairs=_parse_tail(buf, columns, column_offset, total),
         model_name=model_name,
         mm=mm,
     )

@@ -1,4 +1,4 @@
-"""Exact work-count guard for the post-mortem frontier race sweep.
+"""Exact work-count guards for the post-mortem frontier race sweep.
 
 ``find_races`` on a :class:`VectorClockHB1` tests each access only
 against the per-location accesses some other processor has not yet
@@ -8,6 +8,11 @@ pingpong handshake every round adds a writer of ``data`` on one
 processor and a reader on the other: listing every conflicting pair
 would make the count quadratic in the rounds.  These tests fail on that
 count, not on a timing.
+
+Each location half's sweep visits only that half's rows, so on a racy
+report the two halves together visit every event once, and each half
+tests exactly the pairs a full walk that skipped the other half's
+events tested.
 """
 
 from __future__ import annotations
@@ -16,12 +21,15 @@ import pytest
 
 from repro.core.hb1 import HappensBefore1
 from repro.core.hb1_vc import VectorClockHB1
-from repro.core.races import find_races
+from repro.core.races import HALVES, FrontierSweep, find_races
 from repro.machine import ProgramBuilder
 from repro.machine.models import make_model
 from repro.machine.simulator import run_program
 from repro.obs import Profiler
+from repro.programs import buggy_workqueue_program, racy_counter_program
 from repro.trace.build import build_trace
+from repro.trace.columnar import open_columnar, to_columnar
+from repro.trace.events import ComputationEvent, EventId
 
 
 def _pingpong_program(rounds: int):
@@ -85,3 +93,68 @@ def test_race_set_equals_closure_backend(sweeps, rounds):
     trace, races, _ = sweeps[rounds]
     assert races
     assert races == find_races(trace, HappensBefore1(trace))
+
+
+# ----------------------------------------------------------------------
+# the two location halves visit each event once
+# ----------------------------------------------------------------------
+
+def _find_counters(trace, vc, half):
+    profiler = Profiler()
+    with profiler.activate():
+        races = find_races(trace, vc, half)
+    [record] = [r for r in profiler.to_records() if r["name"] == "races.find"]
+    return races, record["counters"]
+
+
+def _reference_half(trace, vc, half):
+    """(races, pairs tested) of a walk over the whole linearization
+    that skips the other half's events but still tracks every clock."""
+    data = trace.data_locations()
+    sweep = FrontierSweep(trace.processor_count)
+    latest = sweep.clock
+    joined = False
+    for _, proc, pos, clock in vc.positions():
+        prev = latest[proc]
+        latest[proc] = clock
+        if prev[:proc] != clock[:proc] or prev[proc + 1:] != clock[proc + 1:]:
+            joined = True
+        event = trace.events[proc][pos]
+        in_data = isinstance(event, ComputationEvent) or event.addr in data
+        if in_data != (half == "data"):
+            continue
+        if joined:
+            sweep.recompute_min()
+            joined = False
+        is_comp, reads, writes = trace.accesses(EventId(proc, pos))
+        sweep.access(proc, pos, is_comp, reads, writes, clock)
+    return sweep.finish(), sweep.tested
+
+
+#: racy executions (the pingpong handshake's races are sync races)
+RACY = [
+    (lambda: racy_counter_program(3, 3), "WO", 0),
+    (buggy_workqueue_program, "WO", 2),
+    (buggy_workqueue_program, "TSO", 5),
+    (lambda: _pingpong_program(16), "WO", 0),
+]
+
+
+@pytest.mark.parametrize("build,model,seed", RACY)
+def test_halves_visit_each_row_once(build, model, seed, tmp_path):
+    trace = build_trace(run_program(build(), make_model(model), seed=seed))
+    path = tmp_path / "t.wrct"
+    to_columnar(trace, path)
+    with open_columnar(path) as lazy:
+        for source in (trace, lazy):
+            vc = VectorClockHB1(source)
+            full, full_counters = _find_counters(source, vc, None)
+            assert full_counters["rows_visited"] == trace.event_count
+            visited = 0
+            for half in HALVES:
+                races, counters = _find_counters(source, vc, half)
+                assert (races, counters["pairs_tested"]) == \
+                    _reference_half(trace, VectorClockHB1(trace), half)
+                visited += counters["rows_visited"]
+            assert visited == trace.event_count
+            assert full

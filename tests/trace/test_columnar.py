@@ -22,6 +22,8 @@ from repro.trace.columnar import (
     to_columnar,
 )
 from repro.trace.events import SyncEvent
+from repro.trace.fingerprint import trace_fingerprint
+from repro.trace.validate import validate_trace
 
 
 @pytest.fixture
@@ -188,6 +190,91 @@ def test_materialized_trace_outlives_the_close(trace, tmp_path, detector):
     assert not any(isinstance(v, memoryview) for v in vars(loaded).values())
     report = detect(loaded, detector=detector)
     assert (report.to_json(), report.format()) == expected
+
+
+# ----------------------------------------------------------------------
+# the sync order stays integers until something reads it
+# ----------------------------------------------------------------------
+
+def _unread_sync_order(self):
+    raise AssertionError("sync_order built")
+
+
+@pytest.mark.parametrize("detector", ["postmortem", "streaming"])
+@pytest.mark.parametrize("racy", [False, True])
+def test_detection_never_builds_the_sync_order(racy, detector, tmp_path):
+    """so1 pairing, the clock sweep and the race sweeps read the file's
+    integer (proc, pos) pairs; no EventId list is built, racy report
+    (G', its so1 edges) included."""
+    from repro import detect
+    from repro.programs import racy_counter_program
+
+    program = racy_counter_program(2, 2) if racy else figure1b_program()
+    trace = build_trace(run_program(program, make_model("WO"), seed=1))
+    path = tmp_path / "t.wrct"
+    to_columnar(trace, path)
+    expected = detect(trace, detector=detector)
+    with open_columnar(path) as lazy:
+        with mock.patch.object(ColumnarTrace, "sync_order",
+                               property(_unread_sync_order)):
+            report = detect(lazy, detector=detector)
+            assert report.race_free != racy
+            assert report.races == expected.races
+            report.format()
+        assert lazy._sync_order is None
+
+
+def test_built_sync_order_matches_the_object_trace(trace, tmp_path):
+    """Built on first read, the sync order, and everything that reads
+    it, is the written trace's: fingerprint, validation, the
+    materialized trace, and a columnar-to-columnar rewrite byte for
+    byte."""
+    path = tmp_path / "t.wrct"
+    to_columnar(trace, path)
+    with open_columnar(path) as lazy:
+        assert lazy._sync_order is None
+        assert trace_fingerprint(lazy) == trace_fingerprint(trace)
+        assert lazy.sync_order == trace.sync_order
+        assert lazy.sync_order is lazy.sync_order  # built once
+        assert validate_trace(lazy) == validate_trace(trace) == []
+    assert from_columnar(path).sync_order == trace.sync_order
+
+
+def test_invalid_sync_order_validates_like_the_object_trace(trace, tmp_path):
+    broken = Trace(
+        processor_count=trace.processor_count,
+        memory_size=trace.memory_size,
+        events=trace.events,
+        sync_order={addr: order[::-1]
+                    for addr, order in trace.sync_order.items()},
+        model_name=trace.model_name,
+    )
+    path = tmp_path / "t.wrct"
+    to_columnar(broken, path)
+    with open_columnar(path) as lazy:
+        problems = validate_trace(lazy)
+    assert problems and problems == validate_trace(broken)
+
+
+@pytest.mark.parametrize("fmt", ["columnar", "binary", "jsonl"])
+def test_convert_round_trips_byte_for_byte(trace, tmp_path, fmt):
+    """``weakraces convert`` from a columnar file writes what saving the
+    object trace writes, and converting back restores the file."""
+    from repro import save_trace
+    from repro.cli import main
+
+    source = tmp_path / "t.wrct"
+    to_columnar(trace, source)
+    converted = tmp_path / f"c.{fmt}"
+    assert main(["convert", str(source), str(converted), "--to", fmt]) == 0
+    if fmt != "jsonl":  # the object trace's jsonl also lists op seqs
+        direct = tmp_path / f"d.{fmt}"
+        save_trace(trace, str(direct), format=fmt)
+        assert converted.read_bytes() == direct.read_bytes()
+    back = tmp_path / "back.wrct"
+    assert main(["convert", str(converted), str(back),
+                 "--to", "columnar"]) == 0
+    assert back.read_bytes() == source.read_bytes()
 
 
 # ----------------------------------------------------------------------
