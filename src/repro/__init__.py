@@ -28,150 +28,30 @@ the detector variant via ``detector="postmortem" | "naive" |
 pipeline via ``profile=`` (see :mod:`repro.obs`).
 """
 
-from . import obs
-from .api import (
-    DETECTOR_NAMES,
-    TRACE_FORMATS,
-    check_robustness,
-    detect,
-    explain,
-    load_trace,
-    report_from_json,
-    save_trace,
-    sniff_trace_format,
-)
-from .analysis import (
-    DetectionSummary,
-    ExplorationResult,
-    explore_program,
-    is_program_data_race_free,
-    NaiveDetector,
-    NaiveReport,
-    find_sc_witness,
-    is_sequentially_consistent,
-    trace_overhead,
-)
-from .core import (
-    Condition34Report,
-    RobustnessReport,
-    FirstRaceOnTheFlyDetector,
-    EventRace,
-    HappensBefore1,
-    OnTheFlyDetector,
-    OnTheFlyReport,
-    PartitionAnalysis,
-    PostMortemDetector,
-    ProvenanceReport,
-    RacePartition,
-    RaceProvenance,
-    RaceReport,
-    SCPrefix,
-    check_condition_34,
-    detect_on_the_fly,
-    explain_race,
-    explain_races,
-    explain_report,
-    extract_scp,
-    find_op_races,
-    find_races,
-)
-from .machine import (
-    ALL_MODEL_NAMES,
-    WEAK_MODEL_NAMES,
-    CostModel,
-    ExecutionResult,
-    MemoryModel,
-    MemoryOperation,
-    Program,
-    ProgramBuilder,
-    Simulator,
-    SyncRole,
-    make_model,
-    run_program,
-)
-from .programs import (
-    WorkQueueParams,
-    buggy_workqueue_program,
-    figure1a_program,
-    figure1b_program,
-    fixed_workqueue_program,
-    locked_counter_program,
-    producer_consumer_program,
-    racy_counter_program,
-    run_figure2,
-)
-from .staticanalysis import StaticReport, find_static_races
-from .trace import Trace, build_trace, write_trace
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "obs",
-    "DETECTOR_NAMES",
-    "TRACE_FORMATS",
-    "detect",
-    "load_trace",
-    "save_trace",
-    "sniff_trace_format",
-    "report_from_json",
-    "DetectionSummary",
-    "ExplorationResult",
-    "explore_program",
-    "is_program_data_race_free",
-    "StaticReport",
-    "find_static_races",
-    "NaiveDetector",
-    "NaiveReport",
-    "find_sc_witness",
-    "is_sequentially_consistent",
-    "trace_overhead",
-    "explain",
-    "ProvenanceReport",
-    "RaceProvenance",
-    "explain_races",
-    "Condition34Report",
-    "RobustnessReport",
-    "check_robustness",
-    "EventRace",
-    "HappensBefore1",
-    "OnTheFlyDetector",
-    "OnTheFlyReport",
-    "FirstRaceOnTheFlyDetector",
-    "PartitionAnalysis",
-    "PostMortemDetector",
-    "RacePartition",
-    "RaceReport",
-    "SCPrefix",
-    "check_condition_34",
-    "detect_on_the_fly",
-    "explain_race",
-    "explain_report",
-    "extract_scp",
-    "find_op_races",
-    "find_races",
-    "ALL_MODEL_NAMES",
-    "WEAK_MODEL_NAMES",
-    "CostModel",
-    "ExecutionResult",
-    "MemoryModel",
-    "MemoryOperation",
-    "Program",
-    "ProgramBuilder",
-    "Simulator",
-    "SyncRole",
-    "make_model",
-    "run_program",
-    "WorkQueueParams",
-    "buggy_workqueue_program",
-    "figure1a_program",
-    "figure1b_program",
-    "fixed_workqueue_program",
-    "locked_counter_program",
-    "producer_consumer_program",
-    "racy_counter_program",
-    "run_figure2",
-    "Trace",
-    "build_trace",
-    "write_trace",
-    "__version__",
-]
+__all__ = [*lazy_exports(globals(), {
+    ".": "obs",
+    "api": "DETECTOR_NAMES TRACE_FORMATS detect load_trace save_trace "
+           "sniff_trace_format report_from_json explain check_robustness",
+    "analysis": "DetectionSummary ExplorationResult explore_program "
+                "is_program_data_race_free NaiveDetector NaiveReport "
+                "find_sc_witness is_sequentially_consistent trace_overhead",
+    "core": "ProvenanceReport RaceProvenance explain_races "
+            "Condition34Report RobustnessReport EventRace HappensBefore1 "
+            "OnTheFlyDetector OnTheFlyReport FirstRaceOnTheFlyDetector "
+            "PartitionAnalysis PostMortemDetector RacePartition RaceReport "
+            "SCPrefix check_condition_34 detect_on_the_fly explain_race "
+            "explain_report extract_scp find_op_races find_races",
+    "machine": "ALL_MODEL_NAMES WEAK_MODEL_NAMES CostModel ExecutionResult "
+               "MemoryModel MemoryOperation Program ProgramBuilder Simulator "
+               "SyncRole make_model run_program",
+    "programs": "WorkQueueParams buggy_workqueue_program figure1a_program "
+                "figure1b_program fixed_workqueue_program "
+                "locked_counter_program producer_consumer_program "
+                "racy_counter_program run_figure2",
+    "staticanalysis": "StaticReport find_static_races",
+    "trace": "Trace build_trace write_trace",
+}), "__version__"]

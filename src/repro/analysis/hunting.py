@@ -28,10 +28,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from typing import (
-    Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Sequence,
+    Tuple, Union,
 )
 
-from ..core.report import RaceReport
 from ..machine.models.base import MemoryModel
 from ..machine.program import Program
 from ..machine.propagation import (
@@ -41,9 +41,12 @@ from ..machine.propagation import (
     RandomPropagation,
     StubbornPropagation,
 )
-from ..machine.replay import ExecutionRecording
-from ..machine.simulator import ExecutionResult
 from .checkpoint import make_hunt_id, peek_hunt_id, program_fingerprint
+
+if TYPE_CHECKING:
+    from ..core.report import RaceReport
+    from ..machine.replay import ExecutionRecording
+    from ..machine.simulator import ExecutionResult
 
 PolicyFactory = Callable[[], PropagationPolicy]
 

@@ -124,11 +124,13 @@ from typing import (
 
 from .. import faults as _faults
 from .. import obs
+from ..api import detect
 from ..machine.models.base import MemoryModel
 from ..machine.program import Program
 from ..machine.replay import record_execution, verify_recording
 from ..machine.simulator import run_program
 from ..core.provenance import partition_coverage_keys
+from ..core.robustness import check_robustness
 from ..obs.events import try_record
 from ..obs.profiler import AggregateRecord, merge_aggregate_maps
 from ..trace.build import build_trace
@@ -137,6 +139,15 @@ from . import sharedcache
 from .checkpoint import CheckpointWriter, load_checkpoint
 from .hunting import HUNT_DETECTORS  # noqa: F401  (re-exported)
 from .hunting import HuntConfig, HuntResult, JobFailure
+
+# A fork worker inherits the modules its parent imported and must never
+# be the first to import one, or every worker of every hunt pays it
+# again.  ``repro.api`` imports a detector's backend on first dispatch,
+# so the engine imports every HUNT_DETECTORS backend up front.
+from ..core import detector as _postmortem_backend  # noqa: F401
+from ..core import predictive as _predictive_backend  # noqa: F401
+from ..core import streaming as _streaming_backend  # noqa: F401
+from . import naive as _naive_backend  # noqa: F401
 
 ProgressCallback = Callable[[int, int, int], None]
 #: A subscriber to the outcome stream: called with each outcome plus
@@ -155,10 +166,7 @@ _BATCH_MAX = 64
 
 
 def _analyze(source, detector: str = "postmortem"):
-    """Route report construction through the unified entry point
-    (imported lazily: repro.api itself imports this package)."""
-    from ..api import detect
-
+    """Route report construction through the unified entry point."""
     return detect(source, detector=detector)
 
 
@@ -427,8 +435,6 @@ def _execute_job_inner(
             # trace cache cannot serve it; it runs per execution,
             # inside the time limit like the rest of the job body.
             if config.verify_robustness:
-                from ..core.robustness import check_robustness
-
                 verdict = check_robustness(execution)
                 outcome.robust = verdict.robust
                 if not verdict.robust:

@@ -57,30 +57,23 @@ from __future__ import annotations
 import io
 import os
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from . import obs
-from .analysis.naive import NaiveDetector, NaiveReport
-from .core.onthefly import OnTheFlyReport
-from .core.onthefly_first import FirstRaceOnTheFlyDetector
-from .core.report import RaceReport
-from .core.streaming import StreamingDetector, StreamingReport
-from .machine.operations import MemoryOperation
-from .machine.simulator import ExecutionResult
-from .trace.binfile import (
-    MAGIC as _BINARY_MAGIC,
-    _read_binary_trace,
-    _read_binary_trace_stream,
-    write_binary_trace,
-)
-from .trace.build import Trace, TraceBuilder, build_trace
-from .trace.columnar import (
-    COLUMNAR_MAGIC,
-    _columnar_from_buffer,
-    open_columnar,
-    to_columnar,
-)
-from .trace.tracefile import _parse_trace_text, _read_trace, write_trace
+
+# Each detector and trace format is imported when a call first needs
+# it, so ``import repro`` and ``weakraces --help`` load none of them.
+if TYPE_CHECKING:
+    from .analysis.naive import NaiveReport
+    from .core.onthefly import OnTheFlyReport
+    from .core.report import RaceReport
+    from .core.streaming import StreamingReport
+    from .machine.operations import MemoryOperation
+    from .machine.simulator import ExecutionResult
+    from .trace.build import Trace
+
+    ReportType = Union[RaceReport, NaiveReport, OnTheFlyReport,
+                       StreamingReport]
 
 DETECTOR_NAMES = ("postmortem", "naive", "onthefly", "streaming", "shb", "wcp")
 
@@ -97,9 +90,6 @@ _SUFFIX_FORMATS = {
     ".wrct": "columnar",
 }
 
-ReportType = Union[RaceReport, NaiveReport, OnTheFlyReport, StreamingReport]
-
-
 # ----------------------------------------------------------------------
 # trace loading / saving: one front door for all three formats
 # ----------------------------------------------------------------------
@@ -108,11 +98,14 @@ def sniff_trace_format(path: Union[str, os.PathLike]) -> str:
     """Identify a trace file's format from its magic bytes:
     ``"columnar"`` (``WRCT``), ``"binary"`` (``WRTR``), else
     ``"jsonl"``."""
+    from .trace.binfile import MAGIC as binary_magic
+    from .trace.columnar import COLUMNAR_MAGIC
+
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == COLUMNAR_MAGIC:
         return "columnar"
-    if head == _BINARY_MAGIC:
+    if head == binary_magic:
         return "binary"
     return "jsonl"
 
@@ -128,9 +121,12 @@ def load_trace(source: Union[str, os.PathLike]) -> Trace:
     """
     fmt = sniff_trace_format(source)
     if fmt == "columnar":
+        from .trace.columnar import open_columnar
         return open_columnar(source)
     if fmt == "binary":
+        from .trace.binfile import _read_binary_trace
         return _read_binary_trace(source)
+    from .trace.tracefile import _read_trace
     return _read_trace(source)
 
 
@@ -152,10 +148,13 @@ def save_trace(
             f"known: {', '.join(TRACE_FORMATS)}"
         )
     if format == "columnar":
+        from .trace.columnar import to_columnar
         to_columnar(trace, path)
     elif format == "binary":
+        from .trace.binfile import write_binary_trace
         write_binary_trace(trace, path)
     else:
+        from .trace.tracefile import write_trace
         write_trace(trace, path)
     return format
 
@@ -163,11 +162,16 @@ def save_trace(
 def _trace_from_file_object(fh) -> Trace:
     """Resolve an open file object: sniff the leading bytes and parse
     whichever of the three formats they announce."""
+    from .trace.binfile import MAGIC as binary_magic
+    from .trace.binfile import _read_binary_trace_stream
+    from .trace.columnar import COLUMNAR_MAGIC, _columnar_from_buffer
+    from .trace.tracefile import _parse_trace_text
+
     data = fh.read()
     if isinstance(data, bytes):
         if data[:4] == COLUMNAR_MAGIC:
             return _columnar_from_buffer(data)
-        if data[:4] == _BINARY_MAGIC:
+        if data[:4] == binary_magic:
             return _read_binary_trace_stream(io.BytesIO(data))
     return _parse_trace_text(data, getattr(fh, "name", "<trace>"))
 
@@ -175,6 +179,8 @@ def _trace_from_file_object(fh) -> Trace:
 def _trace_from_operations(ops: List[MemoryOperation]) -> Trace:
     """Segment a bare operation stream into a trace, inferring the
     processor count and memory size from the operations themselves."""
+    from .trace.build import TraceBuilder
+
     processor_count = max((op.proc for op in ops), default=0) + 1
     memory_size = max((op.addr for op in ops), default=0) + 1
     builder = TraceBuilder(
@@ -189,6 +195,10 @@ def _resolve_source(source) -> Union[Trace, ExecutionResult, list]:
     """Normalize any trace source to a Trace, an ExecutionResult, or a
     list of MemoryOperations (the streaming detector consumes the last
     directly; everything else segments it into a Trace)."""
+    from .machine.operations import MemoryOperation
+    from .machine.simulator import ExecutionResult
+    from .trace.build import Trace
+
     if isinstance(source, (str, os.PathLike)):
         return load_trace(source)
     if isinstance(source, (Trace, ExecutionResult)):
@@ -209,8 +219,12 @@ def _resolve_source(source) -> Union[Trace, ExecutionResult, list]:
 
 
 def _detect(source, detector: str) -> ReportType:
+    from .machine.simulator import ExecutionResult
+
     resolved = _resolve_source(source)
     if detector == "streaming":
+        from .core.streaming import StreamingDetector
+
         streaming = StreamingDetector()
         if isinstance(resolved, ExecutionResult):
             return streaming.analyze_execution(resolved)
@@ -229,6 +243,9 @@ def _detect(source, detector: str) -> ReportType:
                 "needs an ExecutionResult; trace files do not record "
                 "individual operations (paper section 4.1)"
             )
+        from .core.onthefly import OnTheFlyReport
+        from .core.onthefly_first import FirstRaceOnTheFlyDetector
+
         with obs.span("detect.onthefly") as sp:
             streaming = FirstRaceOnTheFlyDetector(resolved.processor_count)
             streaming.process_all(resolved.operations)
@@ -245,6 +262,8 @@ def _detect(source, detector: str) -> ReportType:
             evicted_accesses=streaming.evicted_accesses,
         )
     if isinstance(resolved, ExecutionResult):
+        from .trace.build import build_trace
+
         trace = build_trace(resolved)
     elif isinstance(resolved, list):
         trace = _trace_from_operations(resolved)
@@ -263,6 +282,8 @@ def _detect(source, detector: str) -> ReportType:
 
         return WCPDetector().analyze(trace)
     assert detector == "naive"
+    from .analysis.naive import NaiveDetector
+
     return NaiveDetector().analyze(trace)
 
 
@@ -337,6 +358,7 @@ def check_robustness(source):
     violating cycle plus the SC-prefix boundary when not.
     """
     from .core.robustness import check_robustness as _check
+    from .trace.build import Trace
 
     resolved = _resolve_source(source)
     if isinstance(resolved, Trace):
@@ -361,6 +383,7 @@ def explain(source, *, include_sync: bool = False):
     ordering evidence that makes its partition first (or not).
     """
     from .core.provenance import explain_races
+    from .core.report import RaceReport
 
     report = source if isinstance(source, RaceReport) else _detect(
         source, "postmortem"
@@ -377,8 +400,12 @@ def report_from_json(payload: dict) -> ReportType:
     :class:`ValueError` naming the offending kind and listing every
     kind this build understands.
     """
+    from .analysis.naive import NaiveReport
+    from .core.onthefly import OnTheFlyReport
     from .core.predictive import SHBReport, WCPReport
+    from .core.report import RaceReport
     from .core.robustness import RobustnessReport
+    from .core.streaming import StreamingReport
 
     readers = {
         "postmortem": RaceReport.from_json,

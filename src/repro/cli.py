@@ -37,7 +37,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from . import obs, programs
 from .analysis.hunting import HuntConfig
-from .analysis.naive import NaiveDetector
 from .api import (
     DETECTOR_NAMES,
     TRACE_FORMATS,
@@ -46,29 +45,28 @@ from .api import (
     save_trace,
     sniff_trace_format,
 )
-from .core.scp import check_condition_34
 from .machine.models import ALL_MODEL_NAMES, make_model
-from .machine.program import Program
-from .machine.simulator import run_program
-from .trace import TraceError
-from .trace.build import build_trace
 
-WORKLOADS: Dict[str, Callable[[], Program]] = {
-    "figure1a": programs.figure1a_program,
-    "figure1b": programs.figure1b_program,
-    "workqueue-buggy": programs.buggy_workqueue_program,
-    "workqueue-fixed": programs.fixed_workqueue_program,
-    "locked-counter": programs.locked_counter_program,
-    "lock-shadow": programs.lock_shadow_program,
-    "racy-counter": programs.racy_counter_program,
-    "producer-consumer": programs.producer_consumer_program,
-    "independent": programs.independent_work_program,
-    "single-race": programs.single_race_program,
-    "barrier": programs.fanin_barrier_program,
-    "store-buffering": programs.store_buffering_program,
-    "iriw": programs.iriw_program,
-    "cas-counter": programs.cas_counter_program,
-    "queue": programs.bounded_queue_program,
+# Each subcommand imports its own backends when it runs, so ``--help``
+# and a command's start-up load only what that command uses.
+
+#: workload -> its ``repro.programs`` builder, looked up when run
+WORKLOADS: Dict[str, str] = {
+    "figure1a": "figure1a_program",
+    "figure1b": "figure1b_program",
+    "workqueue-buggy": "buggy_workqueue_program",
+    "workqueue-fixed": "fixed_workqueue_program",
+    "locked-counter": "locked_counter_program",
+    "lock-shadow": "lock_shadow_program",
+    "racy-counter": "racy_counter_program",
+    "producer-consumer": "producer_consumer_program",
+    "independent": "independent_work_program",
+    "single-race": "single_race_program",
+    "barrier": "fanin_barrier_program",
+    "store-buffering": "store_buffering_program",
+    "iriw": "iriw_program",
+    "cas-counter": "cas_counter_program",
+    "queue": "bounded_queue_program",
 }
 
 Handler = Callable[[argparse.Namespace], int]
@@ -195,15 +193,20 @@ def _profiling(args: argparse.Namespace):
     _save_profile(profiler, args.profile_path, **meta)
 
 
+def _program(args: argparse.Namespace):
+    """Build ``args.workload``'s program."""
+    return getattr(programs, WORKLOADS[args.workload])()
+
+
 def _simulate(args: argparse.Namespace, warn: bool = True):
     """Run ``args.workload`` on ``args.model``; with *warn*, say on
     stderr when the execution hit the step bound."""
+    from .machine.simulator import run_program
     model = make_model(args.model)
     if args.workload == "figure2":
         result = programs.run_figure2(model)
     else:
-        result = run_program(WORKLOADS[args.workload](), model,
-                             seed=args.seed)
+        result = run_program(_program(args), model, seed=args.seed)
     if warn and not result.completed:
         print("warning: execution hit the step bound before completion",
               file=sys.stderr)
@@ -231,6 +234,7 @@ def _simulate(args: argparse.Namespace, warn: bool = True):
     help="simulate a workload and report races",
 )
 def _run(args: argparse.Namespace) -> int:
+    from .analysis.naive import NaiveDetector
     with _profiling(args):
         report = detect(_simulate(args), detector=args.detector)
         # --dot and --explain draw/walk the augmented graph G'; --naive
@@ -276,6 +280,7 @@ def _run(args: argparse.Namespace) -> int:
     help="simulate and write a trace file",
 )
 def _trace(args: argparse.Namespace) -> int:
+    from .trace.build import build_trace
     result = _simulate(args)
     trace = build_trace(result)
     fmt = save_trace(trace, args.output, format=args.format)
@@ -293,6 +298,7 @@ def _trace(args: argparse.Namespace) -> int:
     help="convert a trace file between jsonl, binary, and columnar",
 )
 def _convert(args: argparse.Namespace) -> int:
+    from .trace.build import TraceError
     try:
         src_format = sniff_trace_format(args.source)
         trace = load_trace(args.source)
@@ -313,6 +319,7 @@ def _convert(args: argparse.Namespace) -> int:
     help="analyze a trace file post-mortem",
 )
 def _analyze(args: argparse.Namespace) -> int:
+    from .trace.build import TraceError
     from .trace.columnar import ColumnarTrace
     from .trace.validate import require_valid_trace
     with _profiling(args):
@@ -343,6 +350,7 @@ def _analyze(args: argparse.Namespace) -> int:
     help="verify Condition 3.4 on a simulated execution",
 )
 def _check(args: argparse.Namespace) -> int:
+    from .core.scp import check_condition_34
     result = _simulate(args)
     report = check_condition_34(result)
     robustness = None
@@ -372,7 +380,7 @@ def _check(args: argparse.Namespace) -> int:
           help="compile-time (lockset) race analysis of a workload")
 def _static(args: argparse.Namespace) -> int:
     from .staticanalysis import find_static_races
-    report = find_static_races(WORKLOADS[args.workload]())
+    report = find_static_races(_program(args))
     print(report.format())
     return 1 if report.potentially_racy else 0
 
@@ -384,7 +392,7 @@ def _static(args: argparse.Namespace) -> int:
 def _drf_check(args: argparse.Namespace) -> int:
     from .analysis.exhaustive import ExplorationLimit, explore_program
     try:
-        result = explore_program(WORKLOADS[args.workload](),
+        result = explore_program(_program(args),
                                  max_states=args.max_states)
     except ExplorationLimit as exc:
         return _fail("exploration incomplete", exc)
@@ -405,6 +413,7 @@ def _drf_check(args: argparse.Namespace) -> int:
 )
 def _run_file(args: argparse.Namespace) -> int:
     from .machine.assembler import AssemblyError, parse_program
+    from .machine.simulator import run_program
     try:
         with open(args.source, "r", encoding="utf-8") as fh:
             program = parse_program(fh.read())
@@ -420,7 +429,7 @@ def _run_file(args: argparse.Namespace) -> int:
           help="print a built-in workload as assembly text")
 def _disasm(args: argparse.Namespace) -> int:
     from .machine.assembler import format_program
-    print(format_program(WORKLOADS[args.workload]()), end="")
+    print(format_program(_program(args)), end="")
     return 0
 
 
@@ -433,7 +442,7 @@ def _disasm(args: argparse.Namespace) -> int:
 def _record(args: argparse.Namespace) -> int:
     from .machine.replay import record_execution
     result, recording = record_execution(
-        WORKLOADS[args.workload](), make_model(args.model), seed=args.seed
+        _program(args), make_model(args.model), seed=args.seed
     )
     recording.save(args.output)
     report = detect(result)
@@ -458,7 +467,7 @@ def _replay(args: argparse.Namespace) -> int:
     except (OSError, ValueError, ReplayError) as exc:
         return _fail(args.recording, exc)
     try:
-        result = replay_execution(WORKLOADS[args.workload](),
+        result = replay_execution(_program(args),
                                   make_model(recording.model_name), recording)
     except ReplayError as exc:
         return _fail("replay failed", exc)
@@ -481,7 +490,7 @@ def _outcomes(args: argparse.Namespace) -> int:
     from .analysis.exhaustive import ExplorationLimit
     from .analysis.outcomes import enumerate_outcomes
     from .machine.program import SymbolError
-    program = WORKLOADS[args.workload]()
+    program = _program(args)
     try:
         out = enumerate_outcomes(
             program, make_model(args.model),
@@ -667,7 +676,7 @@ def _hunt(args: argparse.Namespace) -> int:
     from .obs import metrics as obs_metrics
     from .obs.live import HuntStatusLine
     from .obs.server import TelemetryServer, parse_serve_address
-    program = WORKLOADS[args.workload]()
+    program = _program(args)
     # Every hunt option but the resolved policies and the hunt id is a
     # flag named after its HuntConfig field.
     options = {

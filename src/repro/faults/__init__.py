@@ -14,26 +14,9 @@ JSON file), which fork-pool workers inherit, or in-process via
 check — the hot loop pays one attribute read per job.
 """
 
-from .plan import (
-    ENV_VAR,
-    FaultPlan,
-    FaultPlanError,
-    InjectedCrash,
-    active_plan,
-    append_garbage,
-    clear,
-    install,
-    tear_file,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ENV_VAR",
-    "FaultPlan",
-    "FaultPlanError",
-    "InjectedCrash",
-    "active_plan",
-    "append_garbage",
-    "clear",
-    "install",
-    "tear_file",
-]
+__all__ = lazy_exports(globals(), {
+    "plan": "ENV_VAR FaultPlan FaultPlanError InjectedCrash active_plan "
+            "append_garbage clear install tear_file",
+})

@@ -6,37 +6,15 @@ transitive closure, topological sorting, and DOT export for regenerating
 the paper's figures.
 """
 
-from .condensation import Condensation, condensation
-from .digraph import DiGraph
-from .dot import to_dot
-from .reachability import (
-    TransitiveClosure,
-    ancestors,
-    is_reachable,
-    reachable_from,
-    reachable_from_any,
-    shortest_path,
-    transitive_closure_sets,
-)
-from .scc import component_map, strongly_connected_components
-from .topo import CycleError, find_cycle, is_acyclic, topological_sort
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Condensation",
-    "condensation",
-    "DiGraph",
-    "to_dot",
-    "TransitiveClosure",
-    "ancestors",
-    "is_reachable",
-    "reachable_from",
-    "reachable_from_any",
-    "shortest_path",
-    "transitive_closure_sets",
-    "component_map",
-    "strongly_connected_components",
-    "CycleError",
-    "find_cycle",
-    "is_acyclic",
-    "topological_sort",
-]
+__all__ = lazy_exports(globals(), {
+    "condensation": "Condensation condensation",
+    "digraph": "DiGraph",
+    "dot": "to_dot",
+    "reachability": "TransitiveClosure ancestors is_reachable "
+                    "reachable_from reachable_from_any shortest_path "
+                    "transitive_closure_sets",
+    "scc": "component_map strongly_connected_components",
+    "topo": "CycleError find_cycle is_acyclic topological_sort",
+})

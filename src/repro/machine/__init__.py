@@ -7,78 +7,27 @@ per-reader write visibility, flushed at synchronization per each
 model's rules.
 """
 
-from .assembler import AssemblyError, format_program, parse_program
-from .isa import Addr, IllegalInstruction, Imm, Instruction, Opcode, Reg
-from .memory import MemorySystem, PendingWrite, ReadResult
-from .models import (
-    ALL_MODEL_NAMES,
-    WEAK_MODEL_NAMES,
-    CostModel,
-    DataRaceFree0,
-    DataRaceFree1,
-    MemoryModel,
-    PartialStoreOrder,
-    ReleaseConsistencySC,
-    SequentialConsistency,
-    TotalStoreOrder,
-    WeakOrdering,
-    make_model,
-)
-from .operations import MemoryOperation, OperationKind, SyncRole
-from .processor import Processor
-from .program import (
-    ArrayRef,
-    Program,
-    ProgramBuilder,
-    SymbolError,
-    SymbolTable,
-    ThreadBuilder,
-    ThreadProgram,
-)
-from .replay import (
-    ExecutionRecording,
-    ReplayError,
-    executions_equal,
-    record_execution,
-    replay_execution,
-)
-from .propagation import (
-    EagerPropagation,
-    HoldbackPropagation,
-    HomeDirectoryPropagation,
-    PropagationPolicy,
-    RandomPropagation,
-    StoreBufferPropagation,
-    StubbornPropagation,
-)
-from .scheduler import (
-    BurstScheduler,
-    RandomScheduler,
-    RoundRobin,
-    Scheduler,
-    ScriptedScheduler,
-)
-from .simulator import ExecutionResult, ProcessorStats, Simulator, run_program
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AssemblyError", "format_program", "parse_program",
-    "Addr", "IllegalInstruction", "Imm", "Instruction", "Opcode", "Reg",
-    "MemorySystem", "PendingWrite", "ReadResult",
-    "ALL_MODEL_NAMES", "WEAK_MODEL_NAMES", "CostModel",
-    "DataRaceFree0", "DataRaceFree1", "MemoryModel",
-    "PartialStoreOrder", "ReleaseConsistencySC", "SequentialConsistency",
-    "TotalStoreOrder", "WeakOrdering",
-    "make_model",
-    "MemoryOperation", "OperationKind", "SyncRole",
-    "Processor",
-    "ArrayRef", "Program", "ProgramBuilder", "SymbolError", "SymbolTable",
-    "ThreadBuilder", "ThreadProgram",
-    "ExecutionRecording", "ReplayError", "executions_equal",
-    "record_execution", "replay_execution",
-    "EagerPropagation", "HoldbackPropagation", "HomeDirectoryPropagation",
-    "PropagationPolicy",
-    "RandomPropagation", "StoreBufferPropagation", "StubbornPropagation",
-    "BurstScheduler", "RandomScheduler", "RoundRobin", "Scheduler",
-    "ScriptedScheduler",
-    "ExecutionResult", "ProcessorStats", "Simulator", "run_program",
-]
+__all__ = lazy_exports(globals(), {
+    "assembler": "AssemblyError format_program parse_program",
+    "isa": "Addr IllegalInstruction Imm Instruction Opcode Reg",
+    "memory": "MemorySystem PendingWrite ReadResult",
+    "models": "ALL_MODEL_NAMES WEAK_MODEL_NAMES CostModel DataRaceFree0 "
+              "DataRaceFree1 MemoryModel PartialStoreOrder "
+              "ReleaseConsistencySC SequentialConsistency TotalStoreOrder "
+              "WeakOrdering make_model",
+    "operations": "MemoryOperation OperationKind SyncRole",
+    "processor": "Processor",
+    "program": "ArrayRef Program ProgramBuilder SymbolError SymbolTable "
+               "ThreadBuilder ThreadProgram",
+    "replay": "ExecutionRecording ReplayError executions_equal "
+              "record_execution replay_execution",
+    "propagation": "EagerPropagation HoldbackPropagation "
+                   "HomeDirectoryPropagation PropagationPolicy "
+                   "RandomPropagation StoreBufferPropagation "
+                   "StubbornPropagation",
+    "scheduler": "BurstScheduler RandomScheduler RoundRobin Scheduler "
+                 "ScriptedScheduler",
+    "simulator": "ExecutionResult ProcessorStats Simulator run_program",
+})

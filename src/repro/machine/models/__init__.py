@@ -2,63 +2,16 @@
 covers (WO, RCsc, DRF0, DRF1), and the store-buffer machines (TSO,
 PSO) that exercise the robustness checker."""
 
-from typing import Dict, Type
+from ..._lazy import lazy_exports
 
-from .base import CostModel, MemoryModel
-from .drf0 import DataRaceFree0
-from .drf1 import DataRaceFree1
-from .pso import PartialStoreOrder
-from .rcsc import ReleaseConsistencySC
-from .sc import SequentialConsistency
-from .tso import TotalStoreOrder
-from .wo import WeakOrdering
-
-MODEL_REGISTRY: Dict[str, Type[MemoryModel]] = {
-    cls.name: cls
-    for cls in (
-        SequentialConsistency,
-        WeakOrdering,
-        ReleaseConsistencySC,
-        DataRaceFree0,
-        DataRaceFree1,
-        TotalStoreOrder,
-        PartialStoreOrder,
-    )
-}
-
-# Derived from the registry so registering a model can never leave the
-# tuples stale; registry insertion order is the presentation order.
-ALL_MODEL_NAMES = tuple(MODEL_REGISTRY)
-WEAK_MODEL_NAMES = tuple(
-    name for name, cls in MODEL_REGISTRY.items()
-    if cls is not SequentialConsistency
-)
-
-
-def make_model(name: str, costs: CostModel = CostModel()) -> MemoryModel:
-    """Instantiate a model by its paper name (see ``ALL_MODEL_NAMES``)."""
-    try:
-        cls = MODEL_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown memory model {name!r}; "
-            f"choose from {', '.join(ALL_MODEL_NAMES)}"
-        ) from None
-    return cls(costs)
-
-
-__all__ = [
-    "CostModel",
-    "MemoryModel",
-    "SequentialConsistency",
-    "WeakOrdering",
-    "ReleaseConsistencySC",
-    "DataRaceFree0",
-    "DataRaceFree1",
-    "TotalStoreOrder",
-    "PartialStoreOrder",
-    "MODEL_REGISTRY",
-    "WEAK_MODEL_NAMES",
-    "ALL_MODEL_NAMES",
-    "make_model",
-]
+__all__ = lazy_exports(globals(), {
+    "base": "CostModel MemoryModel",
+    "sc": "SequentialConsistency",
+    "wo": "WeakOrdering",
+    "rcsc": "ReleaseConsistencySC",
+    "drf0": "DataRaceFree0",
+    "drf1": "DataRaceFree1",
+    "tso": "TotalStoreOrder",
+    "pso": "PartialStoreOrder",
+    "registry": "MODEL_REGISTRY WEAK_MODEL_NAMES ALL_MODEL_NAMES make_model",
+})

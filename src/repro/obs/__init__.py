@@ -24,51 +24,15 @@ a profiler/registry and export JSONL.  See
 and the file schemas.
 """
 
-from . import events, live, metrics
+from .._lazy import lazy_exports
 
-# prometheus/server are deliberately NOT imported here: each is also
-# an entry point (``python -m repro.obs.prometheus``) or pulls in http
-# machinery the hot path never needs — import them as submodules
-# (``from repro.obs import server``) on demand.
-from .profiler import (
-    NULL_SPAN,
-    AggregateRecord,
-    Profiler,
-    Span,
-    SpanRecord,
-    active,
-    aggregate_records,
-    count,
-    enabled,
-    merge_aggregate_maps,
-    span,
-)
-from .export import (
-    PROFILE_FORMAT,
-    read_profile,
-    check_profile,
-    validate_profile,
-    write_profile,
-)
-
-__all__ = [
-    "events",
-    "live",
-    "metrics",
-    "NULL_SPAN",
-    "AggregateRecord",
-    "Profiler",
-    "Span",
-    "SpanRecord",
-    "active",
-    "aggregate_records",
-    "count",
-    "enabled",
-    "merge_aggregate_maps",
-    "span",
-    "PROFILE_FORMAT",
-    "read_profile",
-    "check_profile",
-    "validate_profile",
-    "write_profile",
-]
+# prometheus, server and top are not exported: each is also an entry
+# point or pulls in machinery the hot path never needs; import them as
+# submodules (``from repro.obs import server``) on demand.
+__all__ = lazy_exports(globals(), {
+    ".": "events live metrics",
+    "profiler": "NULL_SPAN AggregateRecord Profiler Span SpanRecord active "
+                "aggregate_records count enabled merge_aggregate_maps span",
+    "export": "PROFILE_FORMAT read_profile check_profile validate_profile "
+              "write_profile",
+})

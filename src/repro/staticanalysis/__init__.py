@@ -3,27 +3,11 @@ static techniques "can be applied to programs for weak systems
 unchanged"): per-thread CFGs, must-hold lockset dataflow, and
 conservative static data race reporting."""
 
-from .cfg import ControlFlowGraph, basic_blocks, build_cfg
-from .lockset import LockState, compute_locksets
-from .races import (
-    AddressRegion,
-    StaticAccess,
-    StaticRace,
-    StaticReport,
-    collect_accesses,
-    find_static_races,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ControlFlowGraph",
-    "basic_blocks",
-    "build_cfg",
-    "LockState",
-    "compute_locksets",
-    "AddressRegion",
-    "StaticAccess",
-    "StaticRace",
-    "StaticReport",
-    "collect_accesses",
-    "find_static_races",
-]
+__all__ = lazy_exports(globals(), {
+    "cfg": "ControlFlowGraph basic_blocks build_cfg",
+    "lockset": "LockState compute_locksets",
+    "races": "AddressRegion StaticAccess StaticRace StaticReport "
+             "collect_accesses find_static_races",
+})

@@ -2,61 +2,17 @@
 events, READ/WRITE bit-vectors, trace construction from a simulated
 execution, and trace-file serialization for post-mortem analysis."""
 
-from .binfile import (
-    BinaryTraceError,
-    write_binary_trace,
-)
-from .bitvector import BitVector
-from .build import Trace, TraceBuilder, TraceError, build_trace, event_of_op
-from .columnar import (
-    ColumnarTrace,
-    ColumnarTraceError,
-    EventView,
-    TraceColumns,
-    from_columnar,
-    open_columnar,
-    to_columnar,
-)
-from .events import (
-    ComputationEvent,
-    Event,
-    EventId,
-    EventKind,
-    SyncEvent,
-    conflicting_locations,
-    involves_data,
-)
-from .fingerprint import trace_fingerprint
-from .tracefile import TraceFormatError, write_trace
-from .validate import InvalidTraceError, require_valid_trace, validate_trace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BinaryTraceError",
-    "write_binary_trace",
-    "ColumnarTrace",
-    "ColumnarTraceError",
-    "EventView",
-    "TraceColumns",
-    "from_columnar",
-    "open_columnar",
-    "to_columnar",
-    "BitVector",
-    "Trace",
-    "TraceBuilder",
-    "TraceError",
-    "build_trace",
-    "event_of_op",
-    "ComputationEvent",
-    "Event",
-    "EventId",
-    "EventKind",
-    "SyncEvent",
-    "conflicting_locations",
-    "involves_data",
-    "TraceFormatError",
-    "InvalidTraceError",
-    "require_valid_trace",
-    "validate_trace",
-    "write_trace",
-    "trace_fingerprint",
-]
+__all__ = lazy_exports(globals(), {
+    "binfile": "BinaryTraceError write_binary_trace",
+    "columnar": "ColumnarTrace ColumnarTraceError EventView TraceColumns "
+                "from_columnar open_columnar to_columnar",
+    "bitvector": "BitVector",
+    "build": "Trace TraceBuilder TraceError build_trace event_of_op",
+    "events": "ComputationEvent Event EventId EventKind SyncEvent "
+              "conflicting_locations involves_data",
+    "tracefile": "TraceFormatError write_trace",
+    "validate": "InvalidTraceError require_valid_trace validate_trace",
+    "fingerprint": "trace_fingerprint",
+})

@@ -25,15 +25,18 @@ class EventId:
     processor's event sequence.
 
     Hand-written (not a dataclass) with a cached hash: race detection
-    hashes millions of these in its hot loop.
+    hashes millions of these in its hot loop.  ``__init__`` fills the
+    slots through their descriptors' ``__set__`` (bound once, below),
+    which is cheaper than ``object.__setattr__`` and bypasses the
+    immutability guard the same way.
     """
 
     __slots__ = ("proc", "pos", "_hash")
 
     def __init__(self, proc: int, pos: int) -> None:
-        object.__setattr__(self, "proc", proc)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "_hash", hash((proc, pos)))
+        _set_proc(self, proc)
+        _set_pos(self, pos)
+        _set_hash(self, hash((proc, pos)))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("EventId is immutable")
@@ -60,6 +63,11 @@ class EventId:
 
     def __repr__(self) -> str:
         return f"P{self.proc}.E{self.pos}"
+
+
+_set_proc = EventId.proc.__set__
+_set_pos = EventId.pos.__set__
+_set_hash = EventId._hash.__set__
 
 
 class EventKind(enum.Enum):

@@ -1,5 +1,7 @@
 """Event model tests: conflicts and data-involvement rules."""
 
+import pytest
+
 from repro.machine.operations import OperationKind, SyncRole
 from repro.trace.bitvector import BitVector
 from repro.trace.events import (
@@ -35,6 +37,35 @@ class TestEventId:
 
     def test_hashable(self):
         assert EventId(1, 1) in {EventId(1, 1)}
+
+    def test_descriptor_init_matches_setattr_init(self):
+        # The reference construction: every slot set through
+        # object.__setattr__, past the immutability guard.
+        def reference(proc, pos):
+            eid = object.__new__(EventId)
+            object.__setattr__(eid, "proc", proc)
+            object.__setattr__(eid, "pos", pos)
+            object.__setattr__(eid, "_hash", hash((proc, pos)))
+            return eid
+
+        pairs = [(0, 0), (0, 1), (1, 0), (3, 7), (2, 2**40), (7, -1)]
+        for proc, pos in pairs:
+            built, ref = EventId(proc, pos), reference(proc, pos)
+            assert (built.proc, built.pos) == (ref.proc, ref.pos)
+            assert built == ref and hash(built) == hash(ref)
+            assert hash(built) == hash((proc, pos))
+            assert repr(built) == repr(ref)
+        built = sorted(EventId(p, q) for p, q in pairs)
+        assert built == sorted(reference(p, q) for p, q in pairs)
+        for a, b in zip(built, built[1:]):
+            assert a < b and a <= b and b > a and b >= a
+
+    def test_immutable(self):
+        eid = EventId(1, 2)
+        for name in ("proc", "pos", "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(eid, name, 5)
+        assert (eid.proc, eid.pos, hash(eid)) == (1, 2, hash((1, 2)))
 
 
 class TestComputationEvent:
