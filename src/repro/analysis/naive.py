@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from .. import obs
-from ..core.hb1 import HappensBefore1
 from ..core.races import EventRace, find_races
 from ..core.report import REPORT_FORMAT, _race_from_record, _race_record
 from ..trace.build import Trace
@@ -75,5 +74,4 @@ class NaiveDetector:
 
     def analyze(self, trace: Trace) -> NaiveReport:
         with obs.span("detect.naive"):
-            hb = HappensBefore1(trace)
-            return NaiveReport(trace=trace, races=find_races(trace, hb))
+            return NaiveReport(trace=trace, races=find_races(trace))

@@ -2,8 +2,10 @@
 
 Given a trace (from a file or straight from a simulated execution):
 
-1. build the happens-before-1 graph from per-processor event order and
-   per-location sync order (section 4.1),
+1. build the happens-before-1 relation from per-processor event order
+   and per-location sync order (section 4.1) and clock its events, over
+   its SCC condensation where weak sync ordering made it cyclic
+   (section 3.1; :mod:`repro.core.hb1_vc`),
 2. find every conflicting, hb1-unordered event pair on a data
    location -- every data race lies there, so this decides the
    verdict; the races on the other (sync-only) locations are swept
@@ -27,7 +29,7 @@ from .. import obs
 from ..machine.simulator import ExecutionResult
 from ..trace.build import Trace, build_trace
 from .hb1 import HappensBefore1
-from .hb1_vc import CyclicHB1Error, VectorClockHB1
+from .hb1_vc import VectorClockHB1
 from .races import find_races
 from .report import RaceReport
 
@@ -38,22 +40,13 @@ class PostMortemDetector:
     def analyze(self, trace: Trace) -> RaceReport:
         """Run the full pipeline on a post-mortem trace.
 
-        Ordering queries go through the vector-clock backend (frontier
-        race sweep, no transitive closure built at all) and
-        fall back to the closure backend only on cyclic hb1 relations —
-        possible on arbitrary weak machines (§3.1), never produced by
-        our simulator.
+        Ordering queries go through the vector clocks (frontier race
+        sweep, no transitive closure built at all), on cyclic hb1
+        relations too.
         """
         with obs.span("detect.postmortem"):
             hb = HappensBefore1(trace)
-            try:
-                ordering = VectorClockHB1(trace, base=hb)
-            except CyclicHB1Error:
-                ordering = hb
-                # Build the closure now, not lazily inside the race
-                # sweep, so profiles attribute hb1.closure to its own
-                # stage instead of nesting it under races.find.
-                hb.closure
+            ordering = VectorClockHB1(trace, base=hb)
             # The data half decides the verdict; a racy report sweeps
             # the sync half here too, when it builds G' (RaceReport).
             data_half = find_races(trace, ordering, half="data")

@@ -10,15 +10,18 @@ returns the release's value (Definition 2.1(3): "s2 returns the value
 written by s1").
 
 po is implicit in ``(proc, pos)``, so construction pairs only so1; the
-event graph and its closure are built on first read (G', DOT export,
-explanations, the cyclic fallback), never by the vector-clock sweep.
+event graph is built on first read (G', DOT export, explanations), and
+its closure only by ``explain``'s provenance check, never by detection:
+every detector reads hb1 through the clocks of
+:class:`~repro.core.hb1_vc.VectorClockHB1`.
 On a columnar trace so1 is paired on processor-major rows, straight
 from the file's integer sync order, and :attr:`~HappensBefore1.so1_edges`
 builds its event pairs on first read.
 
 On a weak execution the synchronization operations themselves need not
 be sequentially consistent, so hb1 may contain cycles (section 3.1);
-everything downstream (race detection, partitioning) tolerates that.
+everything downstream tolerates that: the clocks are computed over the
+SCC condensation, and partitioning works on SCCs anyway.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ class HappensBefore1:
     Edges are po (consecutive events of one processor, implicit) and
     so1 (paired release -> acquire, listed in :attr:`so1_edges`).
     ``ordered(a, b)`` answers "a hb1 b" via a bitset transitive closure
-    over :attr:`graph`; both are built on first read.
+    over :attr:`graph`; both are built on first read.  Detection asks
+    :class:`~repro.core.hb1_vc.VectorClockHB1` instead; the closure
+    serves ``explain``'s provenance check and the tests' oracle.
     """
 
     def __init__(self, trace: Trace) -> None:

@@ -1,11 +1,12 @@
-"""An alternative happens-before-1 backend using vector clocks.
+"""The happens-before-1 relation as event vector clocks.
 
-The default :class:`~repro.core.hb1.HappensBefore1` answers ordering
-queries with a transitive closure over the event graph.  Real
-post-mortem tools more often assign each event a vector clock in one
-linear pass: ``a hb1 b`` iff ``clock(a) <= clock(b)`` pointwise with
-``a != b`` (per-processor components count events issued).  That is
-O(V·P) space instead of O(V²/64) and answers queries in O(P).
+:class:`~repro.core.hb1.HappensBefore1` pairs so1 and answers ordering
+queries with a transitive closure over the event graph.  Race
+detection instead assigns each event a vector clock in one linear
+pass, as real post-mortem tools do: component ``q`` of an event's
+clock counts processor q's events in its hb1 past (itself included),
+so ``a hb1 b`` iff ``clock(b)[a.proc] > a.pos`` with ``a != b``.  That
+is O(V·P) space instead of O(V²/64) and answers queries in O(1).
 
 The pass builds no graph.  Events are numbered by processor-major
 *row* (``offset[proc] + pos``), po is implicit, and a FIFO Kahn merge
@@ -22,13 +23,13 @@ headed by the clocks the frontier race sweep of :mod:`repro.core.races`
 recomputes its bound from; the post-mortem and trace-fed streaming
 detectors both sweep those rows.
 
-Vector clocks require an *acyclic* hb1 — true for every execution our
-simulator produces (its sync operations are sequentially consistent)
-but not guaranteed by the paper for arbitrary weak machines (§3.1).
-When the merge stalls on a cycle ``VectorClockHB1`` raises
-:class:`CyclicHB1Error`; callers that must handle arbitrary traces use
-the closure backend.  The two backends are differentially tested for
-equality on every acyclic trace.
+On a weak machine so1, and so hb1, may contain cycles (section 3.1).
+The merge then stalls, and the rows it held back are clocked over
+their SCC condensation, one clock per SCC (:attr:`VectorClockHB1.cyclic`
+says so).  An event's hb1 past on one processor is a po-prefix, cycles
+or not, so the same test decides every query; and in the sweep order a
+later event is hb1-before an earlier one only inside one SCC, whose
+events are ordered both ways and never race.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .. import obs
+from ..graph.scc import strongly_connected_components
 from ..trace.build import Trace
 from ..trace.columnar import _TAG_COMP
 from ..trace.events import EventId, SyncEvent
@@ -52,19 +54,15 @@ _Run = Tuple[Optional[List[List[int]]], List[int]]
 HALVES = ("data", "sync")
 
 
-class CyclicHB1Error(ValueError):
-    """hb1 has a cycle; vector clocks cannot represent it."""
-
-
 class VectorClockHB1:
     """Event vector clocks computed in one positional sweep.
 
     Exposes the same ``ordered`` / ``unordered`` query interface as
-    :class:`HappensBefore1` so the two are interchangeable for race
-    detection on acyclic traces.  Pass a prebuilt ``base`` relation to
-    reuse its edges instead of re-pairing so1 — including a
-    *subclassed* relation (the predictive SHB/WCP backends pass their
-    modified edge sets through here to reuse the same sweep).
+    :class:`HappensBefore1`, with the same answers, cyclic relations
+    included.  Pass a prebuilt ``base`` relation to reuse its edges
+    instead of re-pairing so1 — including a *subclassed* relation (the
+    predictive SHB/WCP backends pass their modified edge sets through
+    here to reuse the same sweep).
 
     With ``track_variables=True`` the sweep additionally maintains
     per-variable last-write / last-read *epoch* state in topological
@@ -99,7 +97,8 @@ class VectorClockHB1:
                     sp.add("adjacent_pairs", len(self._adjacent))
 
     def _sweep(self, edges: List[Tuple[int, int]]) -> int:
-        """Kahn merge over rows, clocking each event as it is released;
+        """Kahn merge over rows, clocking each event as it is released,
+        then any rows a cycle held back over their SCC condensation;
         returns the clock joins made (one per predecessor)."""
         counts = [len(proc_events) for proc_events in self.trace.events]
         nproc, total = len(counts), sum(counts)
@@ -136,7 +135,6 @@ class VectorClockHB1:
         self.row_clocks = clocks = [[]] * total
         #: rows whose join raised a foreign clock component
         self._raised = raised = set()
-        joins = total - len(ends)  # every po predecessor
         zero = [0] * nproc
         for row in rows:
             pos = pos_of[row]
@@ -149,7 +147,6 @@ class VectorClockHB1:
                     if clock[proc_of[other]] <= pos_of[other]:
                         clock = list(map(max, clock, clocks[other]))
                         raised.add(row)
-                joins += len(joined)
             clock[proc_of[row]] = pos + 1
             clocks[row] = clock
             released = succ.get(row)
@@ -161,13 +158,53 @@ class VectorClockHB1:
                 in_deg[nxt] -= 1
                 if not in_deg[nxt]:
                     release(nxt)
-        if len(rows) != total:
-            raise CyclicHB1Error(
-                "hb1 contains a cycle (weak sync ordering, section "
-                "3.1); use the transitive-closure backend"
-            )
+        self._cyclic = len(rows) != total
+        if self._cyclic:
+            rows += self._clock_condensation(succ, pred, ends)
         self._rows = rows
-        return joins
+        # one join per predecessor: every po one, every cross edge
+        return total - len(ends) + len(edges)
+
+    def _clock_condensation(self, succ: Dict[int, List[int]],
+                            pred: Dict[int, List[int]],
+                            ends: Set[int]) -> List[int]:
+        """Clock the rows the merge held back, one SCC at a time in
+        Tarjan's reverse emission order, a topological order of the
+        condensation; returns them in that order, each SCC's ascending.
+        The members of an SCC are hb1-before one another: one clock."""
+        proc_of, pos_of, clocks = self.proc_of, self.pos_of, self.row_clocks
+        # every successor of a held row is held: the released rows are
+        # down-closed
+        held = [row for row, clock in enumerate(clocks) if not clock]
+
+        def successors(row: int):  # po's included, as in the merge
+            return succ.get(row) or (() if row + 1 in ends else (row + 1,))
+
+        order: List[int] = []
+        for component in reversed(
+                strongly_connected_components(held, successors)):
+            component.sort()
+            clock = [0] * len(self._offsets)
+            for row in component:
+                joined = pred.get(row, [])
+                for other in [row - 1, *joined] if pos_of[row] else joined:
+                    if clocks[other]:  # a member of this SCC has none yet
+                        clock = list(map(max, clock, clocks[other]))
+            for row in component:
+                proc = proc_of[row]
+                clock[proc] = max(clock[proc], pos_of[row] + 1)
+                clocks[row] = clock
+            order += component
+        # recomputing the frontier bound where no foreign component
+        # moved changes nothing, so every held row counts as raised
+        self._raised.update(order)
+        return order
+
+    @property
+    def cyclic(self) -> bool:
+        """True when the relation has a cycle (section 3.1): then no
+        order of the events is a linearization of it."""
+        return self._cyclic
 
     def walk(self, half: Optional[str] = None) -> List[_Run]:
         """The rows of one location half (``"data"``, ``"sync"``, or

@@ -35,21 +35,21 @@ onto this repo's event/vector-clock machinery:
 
 Both backends run their modified edge sets through the *same*
 :class:`~repro.core.hb1_vc.VectorClockHB1` sweep (the relation object
-is passed as ``base``), so the frontier race sweep and the cyclic-hb1
-closure fallback are shared, not duplicated.
+is passed as ``base``), so the clocks, cyclic relations included, and
+the frontier race sweep are shared, not duplicated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .. import obs
 from ..trace.build import Trace
 from ..machine.operations import SyncRole
 from ..trace.events import EventId, SyncEvent
 from .hb1 import HappensBefore1
-from .hb1_vc import CyclicHB1Error, VectorClockHB1
+from .hb1_vc import VectorClockHB1
 from .races import EventRace, find_races
 from .report import RaceReport
 
@@ -356,12 +356,7 @@ def _baseline(trace: Trace):
     detectors so their observed layer, and with it the partition
     analysis their reports derive, is bit-identical to the baseline)."""
     hb = HappensBefore1(trace)
-    try:
-        ordering = VectorClockHB1(trace, base=hb)
-    except CyclicHB1Error:
-        ordering = hb
-        hb.closure  # eager: profiles attribute the closure to its stage
-    return hb, find_races(trace, ordering)
+    return hb, find_races(trace, hb)
 
 
 class SHBDetector:
@@ -372,17 +367,11 @@ class SHBDetector:
             hb, races = _baseline(trace)
             shb = ScheduleHappensBefore(trace)
             sound: List[EventRace] = []
-            try:
-                shb_vc = VectorClockHB1(
-                    trace, base=shb, track_variables=True
-                )
-            except CyclicHB1Error:
-                # A cyclic SHB relation has no linearization, so the
-                # per-variable sweep (and with it the soundness
-                # argument) does not apply; report the baseline with
-                # nothing individually certified.
-                shb_vc = None
-            if shb_vc is not None:
+            shb_vc = VectorClockHB1(trace, base=shb, track_variables=True)
+            # The soundness argument needs a linearization of SHB, and
+            # a cyclic relation has none: then nothing is certified
+            # individually and the baseline stands alone.
+            if not shb_vc.cyclic:
                 adjacent = shb_vc.adjacent_conflicts
                 sound = [
                     race for race in races
@@ -410,23 +399,11 @@ class WCPDetector:
             hb, observed = _baseline(trace)
             wcp = WeakCausallyPrecedes(trace)
             predicted: List[EventRace] = []
-            combined = observed
             if wcp.dropped_so1_edges:
-                try:
-                    wcp_ordering = VectorClockHB1(trace, base=wcp)
-                except CyclicHB1Error:
-                    wcp_ordering = wcp
-                    wcp.closure
-                wcp_races = find_races(trace, wcp_ordering)
-                observed_pairs = {(r.a, r.b) for r in observed}
-                predicted = [
-                    race for race in wcp_races
-                    if (race.a, race.b) not in observed_pairs
-                ]
-                if predicted:
-                    combined = sorted(
-                        observed + predicted, key=lambda r: (r.a, r.b)
-                    )
+                observed_pairs = {race.events for race in observed}
+                predicted = [race for race in find_races(trace, wcp)
+                             if race.events not in observed_pairs]
+            combined = sorted(observed + predicted, key=lambda r: r.events)
             if sp.enabled:
                 sp.add("so1_dropped", len(wcp.dropped_so1_edges))
                 sp.add("predicted_races", len(predicted))

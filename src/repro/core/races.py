@@ -5,17 +5,17 @@ ordered by hb1.  It is a *data* race when at least one side is a
 computation (data) event; a race between two synchronization events is
 detected but flagged, since Definition 2.4 excludes it from data races.
 
-On an acyclic hb1 the race set comes from one :class:`FrontierSweep`
-over the vector-clock backend's topological order: each access is
-tested only against the per-location accesses some other processor has
-not yet seen, not against every earlier conflicting access.  It walks
-integer rows (:meth:`~repro.core.hb1_vc.VectorClockHB1.walk`), reading
-access sets by row (:meth:`Trace.accesses_by_row`), and builds event
-ids only for race endpoints.  The streaming detector drives the same
-kernel.  A cyclic hb1 (section 3.1) has no such order and falls back to
-closure queries over every conflicting cross-processor pair.
+The race set comes from one :class:`FrontierSweep` over the order the
+vector-clock backend clocked its events in, a topological order of
+hb1's SCC condensation (on an acyclic hb1, of hb1 itself): each access
+is tested only against the per-location accesses some other processor
+has not yet seen, not against every earlier conflicting access.  It
+walks integer rows (:meth:`~repro.core.hb1_vc.VectorClockHB1.walk`),
+reading access sets by row (:meth:`Trace.accesses_by_row`), and builds
+event ids only for race endpoints.  The streaming detector drives the
+same kernel.
 
-Either sweep can run over one *half* of the locations: the data half
+The sweep can run over one *half* of the locations: the data half
 (every location some computation event reads or writes) or the sync
 half (every other location).  A race with a computation event conflicts
 only on data locations, and a synchronization event touches exactly one
@@ -23,13 +23,13 @@ location, so no race spans the halves: their race sets are disjoint,
 their sorted union is the full sweep's, and their tested-pair counts
 add up to its count.  Every data race lies in the data half, so a
 race-free verdict needs only that half (Definition 2.4, Theorem 4.1).
-A half's frontier sweep visits only its own rows.
+A half's sweep visits only its own rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .. import obs
 from ..trace.build import Trace
@@ -78,23 +78,6 @@ class EventRace:
         return f"<{self.a}, {self.b}> on {{{locs}}} ({kind})"
 
 
-def _accesses_by_location(
-    trace: Trace,
-) -> Tuple[Dict[int, List[EventId]], Dict[int, List[EventId]]]:
-    """Index events by the locations they read and write."""
-    readers: Dict[int, List[EventId]] = {}
-    writers: Dict[int, List[EventId]] = {}
-    for proc, proc_events in enumerate(trace.events):
-        for pos in range(len(proc_events)):
-            eid = EventId(proc, pos)
-            _, reads, writes = trace.accesses(eid)
-            for addr in reads:
-                readers.setdefault(addr, []).append(eid)
-            for addr in writes:
-                writers.setdefault(addr, []).append(eid)
-    return readers, writers
-
-
 # (proc, pos, is_computation) of one remembered access
 _Access = Tuple[int, int, bool]
 
@@ -104,11 +87,12 @@ class FrontierSweep:
     (:func:`find_races`) and online (:mod:`repro.core.streaming`)
     detectors.
 
-    Events are fed in a linearization of hb1 — every event after all
-    events hb1-before it — each with its vector clock.  In such an
-    order the later event ``b`` of a pair can never be hb1-before the
-    earlier ``a``, so the single epoch test ``clock_b[a.proc] <
-    a.pos+1`` decides unorderedness exactly.  Per location the sweep
+    Events are fed in a linearization of hb1's SCC condensation — every
+    event after all events hb1-before it but the members of its own
+    SCC — each with its vector clock.  In such an order the later event
+    ``b`` of a pair is hb1-before the earlier ``a`` only when both share
+    an SCC, and then ``a`` is hb1-before ``b`` too, so the single epoch
+    test ``clock_b[a.proc] < a.pos+1`` decides unorderedness exactly.  Per location the sweep
     remembers only the writers and readers some other processor has
     not yet seen: an access ``(q, pos)`` is dropped once every other
     processor's latest clock has component ``>= pos+1``, because every
@@ -219,132 +203,55 @@ class FrontierSweep:
                                    is_data))
         return races
 
+    def run(self, trace: Trace, vc: VectorClockHB1,
+            half: Optional[str] = None) -> int:
+        """Feed the rows of one location half (every row for ``None``)
+        in the order *vc* clocked them; returns the rows visited."""
+        accesses = trace.accesses_by_row()
+        access, proc_of, pos_of = self.access, vc.proc_of, vc.pos_of
+        clocks = vc.row_clocks
+        visited = 0
+        for latest, rows in vc.walk(half):
+            if latest is not None:
+                # The frontier bound is settled only where a scan reads
+                # it; its value there, and so every pruning and test, is
+                # the full sweep's.
+                self.clock = latest
+                self.recompute_min()
+            for row in rows:
+                is_comp, reads, writes = accesses(row)
+                access(proc_of[row], pos_of[row], is_comp, reads, writes,
+                       clocks[row])
+            visited += len(rows)
+        return visited
 
-def find_races(trace: Trace, hb: Optional[HappensBefore1] = None,
+
+def find_races(trace: Trace,
+               hb: Optional[Union[HappensBefore1, VectorClockHB1]] = None,
                half: Optional[str] = None) -> List[EventRace]:
     """All races of *trace*: conflicting, hb1-unordered event pairs.
 
-    Returns races sorted by (a, b) for determinism.  Pass a prebuilt
-    :class:`HappensBefore1` to avoid rebuilding the relation (races are
-    then decided by closure queries, which also works on a cyclic
-    hb1); pass a :class:`~repro.core.hb1_vc.VectorClockHB1` to run the
-    :class:`FrontierSweep` over its topological order and clocks
-    instead.  The two are differentially tested to report identical
-    races.  With *half* (``"data"`` or ``"sync"``) only the races on
-    that half's locations are swept.
+    Returns races sorted by (a, b) for determinism.  Pass the
+    :class:`~repro.core.hb1_vc.VectorClockHB1` the sweep should read,
+    or a prebuilt :class:`HappensBefore1` (or subclass) to clock, to
+    avoid rebuilding the relation.  With *half* (``"data"`` or
+    ``"sync"``) only the races on that half's locations are swept.
     """
     if half is not None and half not in HALVES:
         raise ValueError(f"unknown location half {half!r}")
-    hb = hb or HappensBefore1(trace)
+    if not isinstance(hb, VectorClockHB1):
+        hb = VectorClockHB1(trace, base=hb)
     with obs.span("races.find") as _sp:
-        if isinstance(hb, VectorClockHB1):
-            sweep = FrontierSweep(trace.processor_count)
-            visited = _find_races_frontier(trace, hb, sweep, half)
-            races, tested = sweep.finish(), sweep.tested
-        else:
-            races, tested = _find_races(trace, hb, half)
-            visited = 0
+        sweep = FrontierSweep(trace.processor_count)
+        visited = sweep.run(trace, hb, half)
+        races = sweep.finish()
         if _sp.enabled:
-            # pairs_tested counts the ordering queries actually made
-            _sp.add("pairs_tested", tested)
+            # pairs_tested counts the epoch tests actually made
+            _sp.add("pairs_tested", sweep.tested)
             _sp.add("pairs_reported", len(races))
             _sp.add("data_races", sum(1 for r in races if r.is_data_race))
             _sp.add("rows_visited", visited)
     return races
-
-
-def _find_races_frontier(trace: Trace, vc: VectorClockHB1,
-                         sweep: FrontierSweep,
-                         half: Optional[str] = None) -> int:
-    """Feed the rows of one location half (every row for ``None``) to
-    *sweep* in hb1 order; returns the rows visited."""
-    accesses = trace.accesses_by_row()
-    access, proc_of, pos_of = sweep.access, vc.proc_of, vc.pos_of
-    clocks = vc.row_clocks
-    visited = 0
-    for latest, rows in vc.walk(half):
-        if latest is not None:
-            # The frontier bound is settled only where a scan reads it;
-            # its value there, and so every pruning and test, is the
-            # full sweep's.
-            sweep.clock = latest
-            sweep.recompute_min()
-        for row in rows:
-            is_comp, reads, writes = accesses(row)
-            access(proc_of[row], pos_of[row], is_comp, reads, writes,
-                   clocks[row])
-        visited += len(rows)
-    return visited
-
-
-def _find_races(
-    trace: Trace, hb: HappensBefore1, half: Optional[str] = None
-) -> Tuple[List[EventRace], int]:
-    """Closure-query sweep over every conflicting cross-processor pair:
-    the fallback for a cyclic hb1 (section 3.1), where no topological
-    order, and so no frontier sweep, exists."""
-    readers, writers = _accesses_by_location(trace)
-    if half:
-        data = trace.data_locations()
-        want_data = half == "data"
-        writers = {addr: events for addr, events in writers.items()
-                   if (addr in data) == want_data}
-
-    # Hot path: for each location, every writer x (writer or reader)
-    # pair is a conflict; a pair is a race iff hb1-unordered.  Ordered
-    # pairs are remembered so multi-location conflicts don't re-query.
-    closure = hb.closure
-    index_of = closure.index_of
-    ordered_index = closure.ordered_index
-    dense: Dict[EventId, int] = {}
-
-    def didx(eid: EventId) -> int:
-        i = dense.get(eid)
-        if i is None:
-            i = index_of(eid)
-            dense[eid] = i
-        return i
-
-    racing: Dict[Tuple[EventId, EventId], List[int]] = {}
-    settled_ordered: Set[Tuple[EventId, EventId]] = set()
-
-    def note(x: EventId, y: EventId, addr: int) -> None:
-        key = (x, y) if x < y else (y, x)
-        bucket = racing.get(key)
-        if bucket is not None:
-            bucket.append(addr)
-            return
-        if key in settled_ordered:
-            return
-        i, j = didx(key[0]), didx(key[1])
-        if ordered_index(i, j) or ordered_index(j, i):
-            settled_ordered.add(key)
-        else:
-            racing[key] = [addr]
-
-    for addr, writer_list in writers.items():
-        reader_list = readers.get(addr, [])
-        for i, w in enumerate(writer_list):
-            # same-processor events are always po-ordered: skip them
-            for other in writer_list[i + 1:]:
-                if other.proc != w.proc:
-                    note(w, other, addr)
-            for r in reader_list:
-                if r.proc != w.proc:
-                    note(w, r, addr)
-
-    races = [
-        EventRace(
-            a=a,
-            b=b,
-            locations=tuple(sorted(set(locations))),
-            is_data_race=trace.accesses(a)[0] or trace.accesses(b)[0],
-        )
-        for (a, b), locations in racing.items()
-    ]
-    races.sort(key=lambda race: (race.a, race.b))
-    # each distinct conflicting pair is queried once
-    return races, len(racing) + len(settled_ordered)
 
 
 def data_races(races: List[EventRace]) -> List[EventRace]:

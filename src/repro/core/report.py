@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..graph import to_dot
 from ..trace.build import Trace
@@ -74,9 +74,9 @@ class RaceReport:
     #: the data half's races when ``races`` is not passed
     data_half: Optional[List[EventRace]] = field(
         default=None, repr=False, compare=False)
-    #: the ordering backend the sync half is swept with (``hb`` when
-    #: not passed)
-    ordering: Optional[Union[HappensBefore1, VectorClockHB1]] = field(
+    #: the clocks the sync half is swept with (``hb``'s when not
+    #: passed)
+    ordering: Optional[VectorClockHB1] = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:

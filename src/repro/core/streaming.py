@@ -36,11 +36,11 @@ clock, which cannot change in between (only data operations intervene).
 When the detector is handed a finished :class:`Trace` instead of a
 live stream, it clocks the trace with
 :class:`~repro.core.hb1_vc.VectorClockHB1`, as post-mortem detection
-does, and feeds that linearization of hb1, every location at once, to
-the same frontier kernel; it then holds one clock per event, not O(P·V)
-state.  A cyclic hb1 (possible on weak executions, section 3.1) has no
-linearization, so it takes post-mortem detection's fallback, the
-closure-backend sweep: the race-set guarantee holds on every input.
+does, and feeds the rows in the order they were clocked, every
+location at once, to the same frontier kernel; it then holds one clock
+per event, not O(P·V) state.  A cyclic hb1 (possible on weak
+executions, section 3.1) is clocked over its SCC condensation, so the
+race-set guarantee holds on every trace.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .. import obs
 from ..machine.operations import MemoryOperation, OperationKind, SyncRole
 from ..trace.build import Trace
-from .hb1 import HappensBefore1
-from .hb1_vc import CyclicHB1Error, VectorClockHB1
-from .races import EventRace, FrontierSweep, _find_races_frontier, find_races
+from .hb1_vc import VectorClockHB1
+from .races import EventRace, FrontierSweep
 from .report import REPORT_FORMAT, _race_from_record, _race_record
 
 
@@ -132,7 +131,6 @@ class StreamingReport:
     operation_count: int = 0
     retained_peak: int = 0
     pruned_entries: int = 0
-    used_fallback: bool = False
 
     @property
     def data_races(self) -> List[EventRace]:
@@ -186,8 +184,7 @@ class StreamingReport:
                 )
         lines.append(
             f"[retained peak {self.retained_peak} access(es), "
-            f"{self.pruned_entries} pruned"
-            + (", post-mortem fallback]" if self.used_fallback else "]")
+            f"{self.pruned_entries} pruned]"
         )
         return "\n".join(lines)
 
@@ -202,7 +199,6 @@ class StreamingReport:
             "operation_count": self.operation_count,
             "retained_peak": self.retained_peak,
             "pruned_entries": self.pruned_entries,
-            "used_fallback": self.used_fallback,
             "races": [_race_record(race) for race in self.races],
         }
 
@@ -221,7 +217,6 @@ class StreamingReport:
             operation_count=payload.get("operation_count", 0),
             retained_peak=payload.get("retained_peak", 0),
             pruned_entries=payload.get("pruned_entries", 0),
-            used_fallback=payload.get("used_fallback", False),
         )
 
 
@@ -301,26 +296,18 @@ class StreamingDetector:
 
     # ------------------------------------------------------------------
     def analyze(self, trace: Trace) -> StreamingReport:
-        """Stream a finished trace: its hb1 linearization, clocked by
-        :class:`VectorClockHB1`, through the frontier kernel.  On a
-        cyclic hb1 (weak sync ordering, section 3.1) fall back to the
-        post-mortem closure sweep — same race set either way."""
+        """Stream a finished trace: its events in the order
+        :class:`VectorClockHB1` clocked them, through the frontier
+        kernel."""
         with obs.span("detect.streaming") as sp:
             sweep = FrontierSweep(trace.processor_count)
-            hb = HappensBefore1(trace)
-            try:
-                vc = VectorClockHB1(trace, base=hb)
-            except CyclicHB1Error:
-                races, fallback = find_races(trace, hb), True
-            else:
-                _find_races_frontier(trace, vc, sweep)
-                races, fallback = sweep.finish(), False
+            sweep.run(trace, VectorClockHB1(trace))
+            races = sweep.finish()
             if sp.enabled:
                 sp.add("events", trace.event_count)
                 sp.add("retained_peak", sweep.retained_peak)
                 sp.add("pruned_entries", sweep.pruned)
                 sp.add("races", len(races))
-                sp.add("fallback", int(fallback))
         return StreamingReport(
             processor_count=trace.processor_count,
             model_name=trace.model_name,
@@ -328,5 +315,4 @@ class StreamingDetector:
             event_count=trace.event_count,
             retained_peak=sweep.retained_peak,
             pruned_entries=sweep.pruned,
-            used_fallback=fallback,
         )

@@ -1,6 +1,6 @@
 """Naive baseline detector tests."""
 
-from repro import detect
+from repro import detect, obs
 from repro.core.detector import PostMortemDetector
 from repro.machine.models import make_model
 from repro.machine.simulator import run_program
@@ -33,3 +33,14 @@ def test_format_lists_races(figure2_result):
     text = detect(figure2_result, detector="naive").format()
     assert "data race" in text
     assert "Naive" in text
+
+
+def test_naive_analysis_builds_no_closure(figure2_result):
+    """The naive report is the frontier sweep's race set; on an acyclic
+    trace nothing builds hb1's transitive closure."""
+    profiler = obs.Profiler()
+    naive = detect(figure2_result, detector="naive", profile=profiler)
+    assert naive.data_races
+    names = [rec["name"] for rec in profiler.to_records()]
+    assert "races.find" in names
+    assert "hb1.closure" not in names

@@ -18,8 +18,7 @@ from hypothesis import given, settings
 
 import repro
 from repro import obs
-from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import CyclicHB1Error, VectorClockHB1
+from repro.core.hb1_vc import VectorClockHB1
 from repro.core.predictive import (
     SHBDetector,
     SHBReport,
@@ -27,7 +26,6 @@ from repro.core.predictive import (
     WCPReport,
     WeakCausallyPrecedes,
 )
-from repro.core.races import find_races
 from repro.machine.models import make_model
 from repro.machine.propagation import RandomPropagation, StubbornPropagation
 from repro.machine.simulator import run_program
@@ -44,7 +42,7 @@ from repro.programs import (
 )
 from repro.trace.build import build_trace
 
-from tests.core.test_hb1_cycles import _cyclic_trace
+from tests.core.test_hb1_cycles import _cyclic_trace, definition_2_4_races
 from tests.properties.test_prop_traces import traces
 
 CORPUS = [
@@ -245,14 +243,13 @@ def test_predictive_backends_agree_on_both_column_paths(tmp_path):
 
 
 def test_predictive_backends_survive_cyclic_hb1():
-    """A cyclic hb1 (§3.1) sends the baseline to the closure backend;
-    the predictive layers must ride along rather than crash — and SHB,
-    whose soundness theorem needs a linearizable order, must certify
-    nothing instead of certifying from a cycle."""
+    """A cyclic hb1 (§3.1) is clocked over its SCC condensation; the
+    predictive layers must report the closure backend's races — and
+    SHB, whose soundness theorem needs a linearizable order, must
+    certify nothing instead of certifying from a cycle."""
     trace = _cyclic_trace()
-    with pytest.raises(CyclicHB1Error):
-        VectorClockHB1(trace)
-    base_races = find_races(trace, HappensBefore1(trace))
+    assert VectorClockHB1(trace).cyclic
+    base_races = definition_2_4_races(trace)
     shb = SHBDetector().analyze(trace)
     assert _race_keys(shb.races) == _race_keys(base_races)
     assert shb.sound_races == []

@@ -8,19 +8,69 @@ not be partial orders.  Nevertheless, the current dynamic techniques
 
 Our simulator keeps sync operations SC, so it can never produce such a
 trace; these tests hand-craft one (two release/acquire pairs whose
-pairings point in opposite directions across the processors) and check
-that every pipeline stage survives and still produces a sane report.
+pairings point in opposite directions across the processors) and
+generate more by shuffling per-location sync orders, and check that
+every pipeline stage survives and still produces a sane report.
+
+The vector clocks of a cyclic hb1 are computed over its SCC
+condensation.  :func:`definition_2_4_races` is the oracle they are held
+to: Definition 2.4 applied directly, one transitive-closure query per
+conflicting cross-processor pair.
 """
 
+from typing import List, Optional
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
 from repro.core.detector import PostMortemDetector
 from repro.core.hb1 import HappensBefore1
+from repro.core.hb1_vc import HALVES, VectorClockHB1
 from repro.core.partitions import partition_races
-from repro.core.races import find_races
+from repro.core.predictive import (
+    SHBDetector,
+    ScheduleHappensBefore,
+    WCPDetector,
+    WeakCausallyPrecedes,
+)
+from repro.core.races import EventRace, find_races
+from repro.core.streaming import StreamingDetector
 from repro.graph import find_cycle
 from repro.machine.operations import OperationKind, SyncRole
 from repro.trace.bitvector import BitVector
 from repro.trace.build import Trace
-from repro.trace.events import ComputationEvent, EventId, SyncEvent
+from repro.trace.events import (
+    ComputationEvent,
+    EventId,
+    SyncEvent,
+    conflicting_locations,
+)
+
+from tests.properties.test_prop_traces import traces
+
+
+def definition_2_4_races(trace: Trace, hb: Optional[HappensBefore1] = None,
+                         half: Optional[str] = None) -> List[EventRace]:
+    """Every conflicting cross-processor event pair that *hb* (the
+    trace's hb1 when not passed) leaves unordered, sorted; with *half*,
+    only its conflicts on that half's locations."""
+    hb = hb or HappensBefore1(trace)
+    data = trace.data_locations()
+    events = trace.all_events()
+    races = []
+    for i, a in enumerate(events):
+        for b in events[i + 1:]:
+            if a.eid.proc == b.eid.proc:
+                continue
+            shared = [addr for addr in conflicting_locations(a, b)
+                      if half is None or (addr in data) == (half == "data")]
+            if shared and hb.unordered(a.eid, b.eid):
+                races.append(EventRace(
+                    *sorted((a.eid, b.eid)), tuple(shared),
+                    isinstance(a, ComputationEvent)
+                    or isinstance(b, ComputationEvent)))
+    return sorted(races, key=lambda race: race.events)
 
 
 def _cyclic_trace() -> Trace:
@@ -53,6 +103,43 @@ def _cyclic_trace() -> Trace:
         },
         model_name="hand-crafted-weak",
     )
+
+
+@st.composite
+def reordered_traces(draw):
+    """Processors of acquire / computation / release blocks on two
+    locks, all sync values equal, whose per-location sync orders are
+    shuffled independently of po: a release may then pair with an
+    acquire that po places before another release pairing back, so hb1
+    is often cyclic."""
+    nproc = draw(st.integers(2, 3))
+    events = []
+    sync_order = {}
+    for proc in range(nproc):
+        proc_events = []
+
+        def sync(addr, write):
+            eid = EventId(proc, len(proc_events))
+            proc_events.append(SyncEvent(
+                eid=eid, addr=addr,
+                op_kind=OperationKind.WRITE if write else OperationKind.READ,
+                role=SyncRole.RELEASE if write else SyncRole.ACQUIRE,
+                value=1))
+            sync_order.setdefault(addr, []).append(eid)
+
+        for _ in range(draw(st.integers(1, 3))):
+            sync(draw(st.sampled_from([3, 4])), write=False)
+            if draw(st.booleans()):
+                proc_events.append(ComputationEvent(
+                    eid=EventId(proc, len(proc_events)),
+                    reads=BitVector(draw(st.sets(st.integers(0, 2)))),
+                    writes=BitVector(draw(st.sets(st.integers(0, 2))))))
+            sync(draw(st.sampled_from([3, 4])), write=True)
+        events.append(proc_events)
+    sync_order = {addr: draw(st.permutations(order))
+                  for addr, order in sync_order.items()}
+    return Trace(processor_count=nproc, memory_size=5, events=events,
+                 sync_order=sync_order, model_name="synthetic")
 
 
 def test_hb1_is_cyclic():
@@ -111,3 +198,75 @@ def test_cyclic_trace_with_extra_race():
     # P2's write races with both cycle members (each pair reported).
     assert len(report.data_races) == 2
     assert len(report.first_partitions) == 1
+
+
+# ----------------------------------------------------------------------
+# condensation clocks against the closure oracle
+# ----------------------------------------------------------------------
+
+def _assert_matches_the_oracle(trace):
+    hb = HappensBefore1(trace)
+    vc = VectorClockHB1(trace, base=hb)
+    assert vc.cyclic == (not hb.is_partial_order())
+    events = [event.eid for event in trace.all_events()]
+    for a in events:
+        for b in events:
+            if a != b:
+                # the epoch test, the pointwise comparison, the closure
+                pointwise = all(x <= y for x, y in
+                                zip(vc.clock_of(a), vc.clock_of(b)))
+                assert vc.ordered(a, b) == pointwise == hb.ordered(a, b), \
+                    (a, b)
+    full = definition_2_4_races(trace, hb)
+    assert find_races(trace, vc) == full
+    for half in HALVES:
+        assert find_races(trace, vc, half) == \
+            definition_2_4_races(trace, hb, half), half
+    assert repro.detect(trace).races == full
+    assert StreamingDetector().analyze(trace).races == full
+    shb = SHBDetector().analyze(trace)
+    assert shb.races == full
+    if not ScheduleHappensBefore(trace).is_partial_order():
+        assert shb.sound_races == []
+    predicted = definition_2_4_races(trace, WeakCausallyPrecedes(trace))
+    assert WCPDetector().analyze(trace).races == \
+        sorted(set(full) | set(predicted), key=lambda race: race.events)
+    return vc.cyclic
+
+
+def test_cyclic_trace_matches_the_oracle():
+    assert _assert_matches_the_oracle(_cyclic_trace())
+
+
+def test_cyclic_trace_with_extra_race_matches_the_oracle():
+    trace = _cyclic_trace()
+    trace.events.append([ComputationEvent(EventId(2, 0),
+                                          writes=BitVector([2]))])
+    trace.processor_count = 3
+    assert _assert_matches_the_oracle(trace)
+
+
+@given(trace=reordered_traces())
+@settings(max_examples=150, deadline=None)
+def test_reordered_traces_match_the_oracle(trace):
+    _assert_matches_the_oracle(trace)
+
+
+@given(trace=traces(mixed=True))
+@settings(max_examples=150, deadline=None)
+def test_mixed_traces_match_the_oracle(trace):
+    _assert_matches_the_oracle(trace)
+
+
+def test_reordered_corpus_is_often_cyclic():
+    """The generator the oracle is met on does reach cycles."""
+    cyclic = []
+
+    @given(trace=reordered_traces())
+    @settings(max_examples=200, deadline=None, database=None,
+              derandomize=True)
+    def sample(trace):
+        cyclic.append(VectorClockHB1(trace).cyclic)
+
+    sample()
+    assert sum(cyclic) >= 5, sum(cyclic)

@@ -1,16 +1,17 @@
 """Vector-clock hb1 backend tests, including differential equivalence
 with the transitive-closure backend."""
 
-import pytest
-
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import CyclicHB1Error, VectorClockHB1
+from repro.core.hb1_vc import VectorClockHB1
+from repro.core.races import find_races
 from repro.machine.models import make_model
 from repro.machine.simulator import run_program
 from repro.programs.figure1 import figure1b_program
 from repro.programs.random_programs import random_racy_program
 from repro.programs.workqueue import run_figure2
 from repro.trace.build import build_trace
+
+from tests.core.test_hb1_cycles import _cyclic_trace, definition_2_4_races
 
 
 def _assert_backends_agree(trace):
@@ -58,38 +59,22 @@ def test_own_component_is_position(figure2_trace):
             assert vc.clock_of(event.eid)[event.eid.proc] == event.eid.pos + 1
 
 
-def test_cyclic_trace_rejected():
-    import tests.core.test_hb1_cycles as cyc
-    trace = cyc._cyclic_trace()
-    with pytest.raises(CyclicHB1Error):
-        VectorClockHB1(trace)
+def test_cyclic_trace_clocked_like_the_closure():
+    """A cyclic hb1 is clocked over its SCC condensation: every
+    ordering query and the race set equal the closure's."""
+    trace = _cyclic_trace()
+    vc = VectorClockHB1(trace)
+    assert vc.cyclic
+    _assert_backends_agree(trace)
+    # the 6-event cycle is one SCC: every event has seen all of it
+    assert all(clock == [3, 3] for _, clock in vc.clocks())
+    assert find_races(trace, vc) == definition_2_4_races(trace) == []
 
 
 def test_race_detection_same_with_either_backend(figure2_trace):
-    """find_races only needs unordered(); plugging the VC backend in by
-    duck-typing must give the same race set."""
-    from repro.core.races import find_races
-
-    class _Shim:
-        """Adapts VectorClockHB1 to the closure-based query interface
-        find_races uses (dense-index bulk queries)."""
-
-        def __init__(self, trace):
-            self._vc = VectorClockHB1(trace)
-            self._events = [e.eid for e in trace.all_events()]
-            self._index = {e: i for i, e in enumerate(self._events)}
-            self.closure = self
-
-        def index_of(self, eid):
-            return self._index[eid]
-
-        def ordered_index(self, i, j):
-            return self._vc.ordered(self._events[i], self._events[j])
-
-        def unordered(self, a, b):
-            return self._vc.unordered(a, b)
-
-    baseline = find_races(figure2_trace)
-    shimmed = find_races(figure2_trace, _Shim(figure2_trace))
-    assert [(r.a, r.b, r.locations) for r in baseline] == \
-           [(r.a, r.b, r.locations) for r in shimmed]
+    """find_races clocks a HappensBefore1 it is handed, so passing the
+    relation or its clocks gives the Definition 2.4 race set."""
+    hb = HappensBefore1(figure2_trace)
+    baseline = find_races(figure2_trace, VectorClockHB1(figure2_trace))
+    assert find_races(figure2_trace, hb) == baseline
+    assert baseline == definition_2_4_races(figure2_trace, hb)

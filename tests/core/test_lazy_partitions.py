@@ -11,8 +11,9 @@ only the data half of the locations (those some computation event
 touches), which holds every data race and so decides the verdict; the
 sync half is swept when ``report.races`` (or G') is first read.  The
 halves must be disjoint, merge into exactly one full sweep, add up to
-its work counters on both ordering backends, and leave every report
-output equal to that of a report swept eagerly.
+its work counters whether ``find_races`` is handed clocks or a relation
+to clock, and leave every report output equal to that of a report
+swept eagerly, cyclic hb1 relations included.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from hypothesis import given, settings
 
 import repro
 from repro import obs
-from repro.core import detector as detector_module
 from repro.core.explain import explain_report
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import CyclicHB1Error, VectorClockHB1
+from repro.core.hb1_vc import VectorClockHB1
 from repro.core.partitions import partition_races
 from repro.core.provenance import ProvenanceError, explain_races
 from repro.core.races import HALVES, FrontierSweep, find_races
@@ -63,7 +63,11 @@ from repro.programs.random_programs import (
     random_drf_program,
     random_racy_program,
 )
-from tests.core.test_hb1_cycles import _cyclic_trace
+from tests.core.test_hb1_cycles import (
+    _cyclic_trace,
+    definition_2_4_races,
+    reordered_traces,
+)
 from tests.properties.test_prop_traces import traces
 
 DETECTORS = ("postmortem", "shb", "wcp")
@@ -201,7 +205,7 @@ def _sweep(trace, ordering, half=None):
     counters = {}
     for rec in profiler.to_records():
         if rec["name"] != "races.find":
-            continue  # a closure built on its first query
+            continue  # the clock sweep of a relation passed unclocked
         for name, value in rec["counters"].items():
             counters[name] = counters.get(name, 0) + value
     return races, counters
@@ -224,16 +228,11 @@ def _reference_sweep(trace, vc):
 
 def _assert_halves_partition_the_sweep(trace):
     hb = HappensBefore1(trace)
-    try:
-        vc = VectorClockHB1(trace, base=hb)
-        orderings = [vc, hb]
-        reference = _reference_sweep(trace, vc)
-    except CyclicHB1Error:
-        orderings, reference = [hb], None
-    for ordering in orderings:
+    vc = VectorClockHB1(trace, base=hb)
+    reference = _reference_sweep(trace, vc)
+    for ordering in (vc, hb):
         full, counters = _sweep(trace, ordering)
-        if ordering is not hb and reference is not None:
-            assert (full, counters["pairs_tested"]) == reference
+        assert (full, counters["pairs_tested"]) == reference
         data, data_counters = _sweep(trace, ordering, "data")
         sync, sync_counters = _sweep(trace, ordering, "sync")
         assert not {r.events for r in data} & {r.events for r in sync}
@@ -298,33 +297,43 @@ def test_random_programs_halves_partition_the_sweep(generate, model):
 @settings(max_examples=150, deadline=None)
 def test_synthetic_halves_partition_the_sweep(trace):
     """Arbitrary traces, including locations with both sync and data
-    accesses (the simulated corpus has none) and cyclic hb1 relations,
-    which take the closure backend."""
+    accesses (the simulated corpus has none)."""
     _assert_halves_partition_the_sweep(trace)
     report = repro.detect(trace)
     assert _outputs(report) == _outputs(_eagerly_swept(report))
 
 
 def test_cyclic_trace_splits_on_the_closure_backend():
+    """A cyclic hb1 is clocked over its SCC condensation; its halves
+    and report are checked against the closure backend's races."""
     trace = _cyclic_trace()
     _assert_halves_partition_the_sweep(trace)
     report = repro.detect(trace)
-    assert report.ordering is report.hb
+    assert report.ordering.cyclic
+    assert report.races == definition_2_4_races(trace, report.hb)
+    assert _outputs(report) == _outputs(_eagerly_swept(report))
+
+
+@given(reordered_traces())
+@settings(max_examples=150, deadline=None)
+def test_reordered_halves_partition_the_sweep(trace):
+    """Shuffled sync orders, often a cyclic hb1, split the same way."""
+    _assert_halves_partition_the_sweep(trace)
+    report = repro.detect(trace)
     assert _outputs(report) == _outputs(_eagerly_swept(report))
 
 
 @pytest.mark.parametrize("build", CORPUS, ids=lambda p: p.__name__)
-def test_closure_fallback_report_equals_eager(build, monkeypatch):
-    """A post-mortem report on the closure backend (a cyclic hb1 has no
-    vector clocks) splits its sweep the same way."""
-    def cyclic(*args, **kwargs):
-        raise CyclicHB1Error("forced")
-
-    monkeypatch.setattr(detector_module, "VectorClockHB1", cyclic)
+def test_closure_fallback_report_equals_eager(build):
+    """A post-mortem report built eagerly from the closure backend's
+    races (Definition 2.4, one closure query per conflicting pair)
+    gives every output of the split report."""
     execution = run_program(build(), make_model("TSO"), seed=3)
     report = repro.detect(execution)
-    assert isinstance(report.ordering, HappensBefore1)
-    assert _outputs(report) == _outputs(_eagerly_swept(report))
+    oracle = dataclasses.replace(
+        report, races=definition_2_4_races(report.trace, report.hb),
+        data_half=None, ordering=None, analysis=None)
+    assert _outputs(report) == _outputs(oracle)
 
 
 @pytest.mark.parametrize("model", ("WO", "TSO"))

@@ -1,11 +1,10 @@
 """Differential tests: vector-clock frontier race sweep vs. closure.
 
-`find_races` dispatches on the ordering backend: a `VectorClockHB1`
-routes to the frontier sweep over its clocks, a closure-bearing backend
-to the per-pair query path.  The acceptance bar is that both report
-*identical* races — same pairs, same conflict
-locations, same data-race flags — on every acyclic trace, and that the
-cyclic fallback still engages where vector clocks cannot go (§3.1).
+`find_races` runs the frontier sweep over a `VectorClockHB1`'s clocks,
+clocking a relation it is handed first.  The acceptance bar is that it
+reports *identical* races to Definition 2.4 applied with closure
+queries — same pairs, same conflict locations, same data-race flags —
+on every trace, cyclic hb1 relations (§3.1) included.
 """
 
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 
 from repro.core.detector import PostMortemDetector
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import CyclicHB1Error, VectorClockHB1
+from repro.core.hb1_vc import VectorClockHB1
 from repro.core.races import find_races
 from repro.machine.models import make_model
 from repro.machine.propagation import RandomPropagation, StubbornPropagation
@@ -28,7 +27,7 @@ from repro.programs import (
 )
 from repro.trace.build import build_trace
 
-from tests.core.test_hb1_cycles import _cyclic_trace
+from tests.core.test_hb1_cycles import _cyclic_trace, definition_2_4_races
 from tests.properties.test_prop_traces import traces
 
 
@@ -41,7 +40,7 @@ def _trace_for(program, model="WO", seed=0, propagation=None):
 
 def _assert_same_races(trace):
     hb = HappensBefore1(trace)
-    closure_races = find_races(trace, hb)
+    closure_races = definition_2_4_races(trace, hb)
     vc = VectorClockHB1(trace, base=hb)
     batched_races = find_races(trace, vc)
     assert batched_races == closure_races
@@ -77,27 +76,18 @@ def test_batched_sweep_matches_closure_on_figure2():
 @given(trace=traces())
 @settings(max_examples=80, deadline=None)
 def test_batched_sweep_matches_closure_on_generated_traces(trace):
-    try:
-        vc = VectorClockHB1(trace)
-    except CyclicHB1Error:
-        return  # cyclic hb1: the closure backend is the only one
-    hb = HappensBefore1(trace)
-    assert find_races(trace, vc) == find_races(trace, hb)
+    _assert_same_races(trace)
 
 
-def test_detector_falls_back_to_closure_on_cyclic_trace():
-    """The end-to-end pipeline survives a cyclic hb1 (hand-crafted
-    weak-sync trace) by switching to the closure backend, and reports
-    the same races the closure backend reports directly."""
+def test_detector_clocks_a_cyclic_trace():
+    """The end-to-end pipeline clocks a cyclic hb1 (hand-crafted
+    weak-sync trace) over its SCC condensation, builds no closure, and
+    reports the races Definition 2.4 gives with closure queries."""
     trace = _cyclic_trace()
-    with pytest.raises(CyclicHB1Error):
-        VectorClockHB1(trace)
     report = PostMortemDetector().analyze(trace)
-    hb = HappensBefore1(trace)
-    assert report.races == find_races(trace, hb)
-    # the fallback eagerly built the closure (honest span attribution:
-    # hb1.closure must not lazily fire inside races.find)
-    assert report.hb._closure is not None
+    assert report.ordering.cyclic
+    assert report.races == _assert_same_races(trace)
+    assert report.hb._closure is None
 
 
 def test_detector_uses_vector_clocks_on_acyclic_traces():
@@ -110,4 +100,4 @@ def test_detector_uses_vector_clocks_on_acyclic_traces():
     # G'/partition work and to_dot), but analysis must not have forced
     # its closure
     assert report.hb._closure is None
-    assert report.races == find_races(trace, HappensBefore1(trace))
+    assert report.races == definition_2_4_races(trace)

@@ -5,7 +5,7 @@ O(P·V) state and no materialized trace must be *byte-identical* to the
 post-mortem hb1 sweep on the same execution — across the workload
 corpus, propagation policies, seeds, hypothesis-generated traces, all
 three source kinds (operation stream, object trace, columnar mmap),
-cyclic sync chains (fallback), and both column forms of a columnar
+cyclic sync chains (held to the closure oracle), and both column forms of a columnar
 trace (memoryview casts, and the big-endian hosts' decoded tuples).
 """
 
@@ -33,10 +33,12 @@ from repro.programs import (
     racy_counter_program,
     single_race_program,
 )
+from repro.trace.bitvector import BitVector
 from repro.trace.build import build_trace
 from repro.trace.columnar import open_columnar, to_columnar
+from repro.trace.events import ComputationEvent, EventId
 
-from tests.core.test_hb1_cycles import _cyclic_trace
+from tests.core.test_hb1_cycles import _cyclic_trace, definition_2_4_races
 from tests.properties.test_prop_traces import traces
 
 CORPUS = [
@@ -80,8 +82,6 @@ def test_streaming_equals_postmortem_race_set(build, model, seed):
         assert isinstance(online, StreamingReport)
         assert _race_keys(online.races) == _race_keys(base.races)
         assert _race_keys(merged.races) == _race_keys(base.races)
-        assert not online.used_fallback
-        assert not merged.used_fallback
 
 
 @pytest.mark.parametrize("build,model", CORPUS)
@@ -147,15 +147,18 @@ def test_streaming_on_both_column_paths(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# cyclic chains: the fallback keeps the guarantee
+# cyclic chains: the condensation clocks keep the guarantee
 # ----------------------------------------------------------------------
 
-def test_streaming_cyclic_trace_falls_back_exactly():
+def test_streaming_cyclic_trace_matches_the_closure():
     trace = _cyclic_trace()
-    base = find_races(trace, HappensBefore1(trace))
+    trace.events.append([ComputationEvent(EventId(2, 0),
+                                          writes=BitVector([2]))])
+    trace.processor_count = 3
     report = StreamingDetector().analyze(trace)
-    assert report.used_fallback
-    assert _race_keys(report.races) == _race_keys(base)
+    assert len(report.data_races) == 2
+    assert _race_keys(report.races) == \
+        _race_keys(definition_2_4_races(trace))
 
 
 # ----------------------------------------------------------------------

@@ -93,3 +93,18 @@ def test_large_cycle():
     comps = strongly_connected_components(g)
     assert len(comps) == 1
     assert len(comps[0]) == n
+
+
+def test_nodes_and_successor_function_match_the_graph():
+    """Integer rows with a successor function, as the vector-clock
+    sweep passes them, give the graph form's components in its order."""
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3), (5, 4)]
+    g = DiGraph()
+    g.add_nodes(range(6))
+    g.add_edges(edges)
+    succ = {}
+    for src, dst in edges:
+        succ.setdefault(src, []).append(dst)
+    assert strongly_connected_components(
+        range(6), lambda node: succ.get(node, ())
+    ) == strongly_connected_components(g)

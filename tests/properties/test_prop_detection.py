@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.detector import PostMortemDetector
 from repro.core.ophb import OpHappensBefore, find_op_races
 from repro.core.scp import check_condition_34, extract_scp
-from repro.machine.models import make_model
+from repro.machine.models import ALL_MODEL_NAMES, make_model
 from repro.machine.propagation import (
     EagerPropagation,
     HomeDirectoryPropagation,
@@ -20,7 +20,7 @@ from repro.trace.build import build_trace
 
 DET = PostMortemDetector()
 
-models = st.sampled_from(["WO", "RCsc", "DRF0", "DRF1"])
+models = st.sampled_from(ALL_MODEL_NAMES)
 seeds = st.integers(min_value=0, max_value=10_000)
 # Factories, not instances: HomeDirectoryPropagation is stateful
 # (arrival schedules), so each example needs a fresh policy.

@@ -10,7 +10,10 @@ full pointwise comparison and the transitive-closure backend on traces
 engineered to maximize multi-predecessor merges and long so1 chains:
 every sync value is 0, so every release -> acquire pair on a lock forms
 an so1 edge, and acquires that also have a program-order predecessor
-merge two clocks.
+merge two clocks.  No property skips a cyclic relation: the sweep
+clocks one over its SCC condensation, and the hand-built and shuffled
+cyclic traces of :mod:`tests.core.test_hb1_cycles` meet the same
+checks.
 
 The generic-trace generator is reused from
 :mod:`tests.properties.test_prop_traces`.
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import CyclicHB1Error, VectorClockHB1
+from repro.core.hb1_vc import VectorClockHB1
 from repro.trace.bitvector import BitVector
 from repro.trace.build import Trace
 from repro.trace.events import ComputationEvent, EventId, SyncEvent
@@ -104,10 +107,7 @@ def _pointwise_hb(vc, a, b):
 @given(sync_chain_traces())
 @settings(max_examples=200, deadline=None)
 def test_epoch_test_equals_pointwise_comparison(trace):
-    try:
-        vc = VectorClockHB1(trace)
-    except CyclicHB1Error:
-        return
+    vc = VectorClockHB1(trace)
     events = [e.eid for e in trace.all_events()]
     for a in events:
         for b in events:
@@ -119,11 +119,8 @@ def test_epoch_test_equals_pointwise_comparison(trace):
 @settings(max_examples=200, deadline=None)
 def test_epoch_test_matches_closure_on_sync_chains(trace):
     closure = HappensBefore1(trace)
-    try:
-        vc = VectorClockHB1(trace)
-    except CyclicHB1Error:
-        assert not closure.is_partial_order()
-        return
+    vc = VectorClockHB1(trace)
+    assert vc.cyclic == (not closure.is_partial_order())
     events = [e.eid for e in trace.all_events()]
     for a in events:
         for b in events:
@@ -137,13 +134,13 @@ def test_epoch_test_matches_closure_on_sync_chains(trace):
 @settings(max_examples=150, deadline=None)
 def test_merge_is_componentwise_max_over_predecessors(trace):
     """Each clock is the pointwise max of its predecessors' clocks,
-    with the event's own component set to its position + 1 — checked
-    directly on events with multiple predecessors (the merges)."""
+    with the event's own component raised to at least its position + 1
+    — checked directly on events with multiple predecessors (the
+    merges).  On an acyclic relation the own component is exactly
+    position + 1; inside a cycle's SCC every member shares one clock,
+    which its predecessors in the SCC carry too."""
     hb = HappensBefore1(trace)
-    try:
-        vc = VectorClockHB1(trace, base=hb)
-    except CyclicHB1Error:
-        return
+    vc = VectorClockHB1(trace, base=hb)
     nproc = trace.processor_count
     for event in trace.all_events():
         eid = event.eid
@@ -154,8 +151,10 @@ def test_merge_is_componentwise_max_over_predecessors(trace):
                 (vc.clock_of(p)[i] for p in preds), default=0
             )
             if i == eid.proc:
-                expected = eid.pos + 1
+                expected = max(expected, eid.pos + 1)
             assert clock[i] == expected, (eid, i, preds)
+        if not vc.cyclic:
+            assert clock[eid.proc] == eid.pos + 1
 
 
 @given(traces())
@@ -163,10 +162,7 @@ def test_merge_is_componentwise_max_over_predecessors(trace):
 def test_epoch_test_equals_pointwise_on_generic_traces(trace):
     """Same epoch-vs-pointwise equivalence on the unbiased generator
     (arbitrary sync values, so sparser so1 edges)."""
-    try:
-        vc = VectorClockHB1(trace)
-    except CyclicHB1Error:
-        return
+    vc = VectorClockHB1(trace)
     events = [e.eid for e in trace.all_events()]
     for a in events:
         for b in events:
