@@ -14,7 +14,6 @@ __all__ = lazy_exports(globals(), {
     "provenance": "NonOrderingWitness ProvenanceError ProvenanceReport "
                   "RaceProvenance explain_races",
     "hb1": "HappensBefore1",
-    "hb1_vc": "VectorClockHB1",
     "onthefly": "OnTheFlyDetector OnTheFlyRace OnTheFlyReport "
                 "detect_on_the_fly",
     "onthefly_first": "FirstRaceOnTheFlyDetector",

@@ -5,7 +5,7 @@ Given a trace (from a file or straight from a simulated execution):
 1. build the happens-before-1 relation from per-processor event order
    and per-location sync order (section 4.1) and clock its events, over
    its SCC condensation where weak sync ordering made it cyclic
-   (section 3.1; :mod:`repro.core.hb1_vc`),
+   (section 3.1; :mod:`repro.core.hb1`),
 2. find every conflicting, hb1-unordered event pair on a data
    location -- every data race lies there, so this decides the
    verdict; the races on the other (sync-only) locations are swept
@@ -29,7 +29,6 @@ from .. import obs
 from ..machine.simulator import ExecutionResult
 from ..trace.build import Trace, build_trace
 from .hb1 import HappensBefore1
-from .hb1_vc import VectorClockHB1
 from .races import find_races
 from .report import RaceReport
 
@@ -46,12 +45,10 @@ class PostMortemDetector:
         """
         with obs.span("detect.postmortem"):
             hb = HappensBefore1(trace)
-            ordering = VectorClockHB1(trace, base=hb)
             # The data half decides the verdict; a racy report sweeps
             # the sync half here too, when it builds G' (RaceReport).
-            data_half = find_races(trace, ordering, half="data")
-            return RaceReport(trace=trace, hb=hb, data_half=data_half,
-                              ordering=ordering)
+            data_half = find_races(trace, hb, half="data")
+            return RaceReport(trace=trace, hb=hb, data_half=data_half)
 
     def analyze_execution(self, result: ExecutionResult) -> RaceReport:
         """Instrument a simulated execution and analyze it."""

@@ -33,15 +33,17 @@ onto this repo's event/vector-clock machinery:
   WCP's soundness guarantee covers the *first* race it reports; later
   predicted races are candidates, and the report labels them so.
 
-Both backends run their modified edge sets through the *same*
-:class:`~repro.core.hb1_vc.VectorClockHB1` sweep (the relation object
-is passed as ``base``), so the clocks, cyclic relations included, and
+Both relations subclass :class:`~repro.core.hb1.HappensBefore1` and
+change only its edges, so the clocks, cyclic relations included, and
 the frontier race sweep are shared, not duplicated.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
 from typing import Dict, List, Set, Tuple
 
 from .. import obs
@@ -49,7 +51,6 @@ from ..trace.build import Trace
 from ..machine.operations import SyncRole
 from ..trace.events import EventId, SyncEvent
 from .hb1 import HappensBefore1
-from .hb1_vc import VectorClockHB1
 from .races import EventRace, find_races
 from .report import RaceReport
 
@@ -116,9 +117,10 @@ class WeakCausallyPrecedes(HappensBefore1):
         super().__init__(trace)
         self.dropped_so1_edges: List[Tuple[EventId, EventId]] = []
         with obs.span("wcp.filter") as sp:
+            sections = _CriticalSections(trace)
             kept: List[Tuple[EventId, EventId]] = []
             for rel, acq in self.so1_edges:
-                if self._sections_conflict(rel, acq):
+                if sections.conflict(rel, acq):
                     kept.append((rel, acq))
                 else:
                     self.dropped_so1_edges.append((rel, acq))
@@ -127,47 +129,130 @@ class WeakCausallyPrecedes(HappensBefore1):
                 sp.add("so1_kept", len(kept))
                 sp.add("so1_dropped", len(self.dropped_so1_edges))
 
-    # ------------------------------------------------------------------
-    def _sections_conflict(self, rel: EventId, acq: EventId) -> bool:
-        lock_addr = self.trace.event(rel).addr
-        rel_lo = 0
-        for pos in range(rel.pos - 1, -1, -1):
-            event = self.trace.events[rel.proc][pos]
-            if (
-                isinstance(event, SyncEvent)
-                and event.addr == lock_addr
-                and event.role is SyncRole.ACQUIRE
-            ):
-                rel_lo = pos
-                break
-        acq_hi = len(self.trace.events[acq.proc]) - 1
-        for pos in range(acq.pos + 1, acq_hi + 1):
-            event = self.trace.events[acq.proc][pos]
-            if (
-                isinstance(event, SyncEvent)
-                and event.addr == lock_addr
-                and event.role is SyncRole.RELEASE
-            ):
-                acq_hi = pos
-                break
-        r1, w1 = self._window_accesses(rel.proc, rel_lo, rel.pos, lock_addr)
-        r2, w2 = self._window_accesses(acq.proc, acq.pos, acq_hi, lock_addr)
+
+#: an access window's (computation reads, computation writes, sync
+#: reads, sync writes) as location bitsets
+_Masks = Tuple[int, int, int, int]
+
+
+def _or(a: _Masks, b: _Masks) -> _Masks:
+    return a[0] | b[0], a[1] | b[1], a[2] | b[2], a[3] | b[3]
+
+
+def _bits(locations) -> int:
+    mask = 0
+    for addr in locations:
+        mask |= 1 << addr
+    return mask
+
+
+class _CriticalSections:
+    """The access windows :class:`WeakCausallyPrecedes` compares, found
+    in O(log n) per so1 edge, so the filter is linear in the trace.
+
+    A lock's bracketing acquire or release is found by bisecting the
+    processor's positions of that lock's acquires or releases.  A window
+    that reaches the processor's first or last event is read off running
+    prefix or suffix masks; a bracketed one, a critical section, is
+    scanned.  The lock's own sync accesses leave a window, and a
+    computation access to the lock's location stays, so the sync masks
+    are kept apart from the computation masks and only they lose the
+    lock's bit.
+    """
+
+    def __init__(self, trace: Trace) -> None:
+        self.trace = trace
+        #: (proc, addr) -> positions of the acquires / releases of addr
+        self.acquires: Dict[Tuple[int, int], List[int]] = {}
+        self.releases: Dict[Tuple[int, int], List[int]] = {}
+        #: per processor, each event's masks
+        self.masks: List[List[_Masks]] = []
+        for proc, proc_events in enumerate(trace.events):
+            masks = []
+            for pos, event in enumerate(proc_events):
+                if isinstance(event, SyncEvent):
+                    bit = 1 << event.addr
+                    masks.append((0, 0, 0, bit) if event.writes_addr
+                                 else (0, 0, bit, 0))
+                    if event.role is SyncRole.ACQUIRE:
+                        self.acquires.setdefault(
+                            (proc, event.addr), []).append(pos)
+                    elif event.role is SyncRole.RELEASE:
+                        self.releases.setdefault(
+                            (proc, event.addr), []).append(pos)
+                else:
+                    masks.append((_bits(event.reads), _bits(event.writes),
+                                  0, 0))
+            self.masks.append(masks)
+        self.prefix = [list(accumulate(masks, _or)) for masks in self.masks]
+        self.suffix = [list(accumulate(masks[::-1], _or))[::-1]
+                       for masks in self.masks]
+
+    def _window(self, proc: int, lo: int, hi: int) -> _Masks:
+        """The masks of events ``lo..hi`` of *proc*, inclusive."""
+        if lo == 0:
+            return self.prefix[proc][hi]
+        if hi == len(self.masks[proc]) - 1:
+            return self.suffix[proc][lo]
+        return reduce(_or, self.masks[proc][lo:hi + 1])
+
+    def conflict(self, rel: EventId, acq: EventId) -> bool:
+        """True when the releaser's section, from its opening acquire of
+        the lock (or its first event) through *rel*, and the acquirer's,
+        from *acq* through its closing release (or its last event),
+        conflict on some location other than the lock's sync accesses."""
+        lock = self.trace.event(rel).addr
+        opening = self.acquires.get((rel.proc, lock), ())
+        i = bisect_left(opening, rel.pos)
+        lo = opening[i - 1] if i else 0
+        closing = self.releases.get((acq.proc, lock), ())
+        j = bisect_right(closing, acq.pos)
+        hi = closing[j] if j < len(closing) else len(
+            self.masks[acq.proc]) - 1
+        keep = ~(1 << lock)
+        cr1, cw1, sr1, sw1 = self._window(rel.proc, lo, rel.pos)
+        cr2, cw2, sr2, sw2 = self._window(acq.proc, acq.pos, hi)
+        r1, w1 = cr1 | sr1 & keep, cw1 | sw1 & keep
+        r2, w2 = cr2 | sr2 & keep, cw2 | sw2 & keep
         return bool(w1 & (r2 | w2)) or bool((r1 | w1) & w2)
 
-    def _window_accesses(
-        self, proc: int, lo: int, hi: int, lock_addr: int
-    ) -> Tuple[Set[int], Set[int]]:
-        reads: Set[int] = set()
-        writes: Set[int] = set()
-        for event in self.trace.events[proc][lo:hi + 1]:
-            if isinstance(event, SyncEvent):
-                if event.addr == lock_addr:
-                    continue
-                (writes if event.writes_addr else reads).add(event.addr)
-            else:
-                reads.update(event.reads)
-                writes.update(event.writes)
-        return reads, writes
+
+def adjacent_conflicts(trace: Trace,
+                       order: List[EventId]) -> Set[Tuple[EventId, EventId]]:
+    """Per-variable last-write/last-read epoch tracking over *order*.
+
+    For each location, remember the latest write and the reads issued
+    since it, and collect every *adjacent* cross-processor conflict: an
+    access paired with the latest conflicting accesses it supersedes,
+    canonical ``(a, b)`` with ``a < b``.  Same-processor pairs are
+    po-ordered and skipped.  Run over a linearization of SHB, this is
+    the candidate set Mathur et al. 2018 prove predictable.
+    """
+    last_write: Dict[int, EventId] = {}
+    readers_since: Dict[int, List[EventId]] = {}
+    pairs: Set[Tuple[EventId, EventId]] = set()
+
+    def note(x: EventId, y: EventId) -> None:
+        if x.proc != y.proc:
+            pairs.add((x, y) if x < y else (y, x))
+
+    for eid in order:
+        _, reads, writes = trace.accesses(eid)
+        for addr in reads:
+            w = last_write.get(addr)
+            if w is not None:
+                note(w, eid)
+            readers_since.setdefault(addr, []).append(eid)
+        for addr in writes:
+            w = last_write.get(addr)
+            if w is not None:
+                note(w, eid)
+            for r in readers_since.get(addr, ()):
+                if r != eid:
+                    note(r, eid)
+            last_write[addr] = eid
+            readers_since[addr] = []
+    return pairs
 
 
 # ----------------------------------------------------------------------
@@ -367,20 +452,21 @@ class SHBDetector:
             hb, races = _baseline(trace)
             shb = ScheduleHappensBefore(trace)
             sound: List[EventRace] = []
-            shb_vc = VectorClockHB1(trace, base=shb, track_variables=True)
+            adjacent: Set[Tuple[EventId, EventId]] = set()
             # The soundness argument needs a linearization of SHB, and
             # a cyclic relation has none: then nothing is certified
             # individually and the baseline stands alone.
-            if not shb_vc.cyclic:
-                adjacent = shb_vc.adjacent_conflicts
+            if not shb.cyclic:
+                adjacent = adjacent_conflicts(trace, shb.order)
                 sound = [
                     race for race in races
                     if race.is_data_race
                     and (race.a, race.b) in adjacent
-                    and shb_vc.unordered(race.a, race.b)
+                    and shb.unordered(race.a, race.b)
                 ]
             if sp.enabled:
                 sp.add("rf_edges", len(shb.rf_edges))
+                sp.add("adjacent_pairs", len(adjacent))
                 sp.add("sound_races", len(sound))
             return SHBReport(
                 trace=trace,

@@ -10,7 +10,7 @@ race:
   universal claim ("no path exists"), so the witness is checked two
   independent ways — a breadth-first search over the raw hb1 edge
   list (one per distinct endpoint, shared by its races), and the
-  detector's own transitive-closure backend — and
+  vector clocks the detector swept with (``report.hb``) — and
   recorded only when both agree (``verified``);
 
 * its **SCC / partition** in the augmented graph G′ (hb1 plus doubly
@@ -52,8 +52,8 @@ class ProvenanceError(RuntimeError):
 def _bfs_reachable(edges: Dict[EventId, List[EventId]],
                    src: EventId) -> Set[EventId]:
     """*src* and every node a plain BFS over an adjacency map reaches
-    from it — deliberately independent of the TransitiveClosure bitsets
-    it is used to cross-check."""
+    from it — deliberately independent of the vector clocks it is used
+    to cross-check."""
     seen = {src}
     queue = deque((src,))
     while queue:
@@ -70,7 +70,7 @@ class NonOrderingWitness:
 
     ``a_reaches_b``/``b_reaches_a`` are the BFS answers over the raw
     hb1 edges (both must be False for a race); ``verified`` records
-    that the closure backend returned the same answers.
+    that the detector's vector clocks gave the same answers.
     """
 
     a: EventId
@@ -84,8 +84,8 @@ class NonOrderingWitness:
         return not self.a_reaches_b and not self.b_reaches_a
 
     def describe(self) -> str:
-        check = "verified against closure" if self.verified \
-            else "CLOSURE DISAGREES"
+        check = "verified against vector clocks" if self.verified \
+            else "VECTOR CLOCKS DISAGREE"
         return (
             f"no hb1 path {self.a} -> {self.b}, "
             f"no hb1 path {self.b} -> {self.a} ({check})"
@@ -294,14 +294,13 @@ def explain_races(report: RaceReport,
 
     Raises:
         ProvenanceError: a race's non-ordering witness failed — the BFS
-            found an hb1 path between the endpoints, or the closure
-            backend disagreed with the BFS.
+            found an hb1 path between the endpoints, or the report's
+            vector clocks disagreed with the BFS.
     """
     hb = report.hb
     edges: Dict[EventId, List[EventId]] = {
         node: list(hb.graph.successors(node)) for node in hb.graph.nodes()
     }
-    closure = hb.closure
     analysis = report.analysis
     # One BFS per distinct endpoint: a trace has far fewer endpoints
     # than races.
@@ -321,10 +320,8 @@ def explain_races(report: RaceReport,
         a, b = race.a, race.b
         a_reaches_b = reaches(a, b)
         b_reaches_a = reaches(b, a)
-        verified = (
-            a_reaches_b == closure.ordered(a, b)
-            and b_reaches_a == closure.ordered(b, a)
-        )
+        clocks_say = (hb.ordered(a, b), hb.ordered(b, a))
+        verified = (a_reaches_b, b_reaches_a) == clocks_say
         witness = NonOrderingWitness(
             a=a, b=b,
             a_reaches_b=a_reaches_b,
@@ -334,8 +331,8 @@ def explain_races(report: RaceReport,
         if not verified:
             raise ProvenanceError(
                 f"witness check failed for {race.describe(report.trace)}: "
-                f"BFS says ({a_reaches_b}, {b_reaches_a}), closure says "
-                f"({closure.ordered(a, b)}, {closure.ordered(b, a)})"
+                f"BFS says ({a_reaches_b}, {b_reaches_a}), vector clocks "
+                f"say {clocks_say}"
             )
         if not witness.holds:
             raise ProvenanceError(

@@ -5,12 +5,12 @@ ordered by hb1.  It is a *data* race when at least one side is a
 computation (data) event; a race between two synchronization events is
 detected but flagged, since Definition 2.4 excludes it from data races.
 
-The race set comes from one :class:`FrontierSweep` over the order the
-vector-clock backend clocked its events in, a topological order of
-hb1's SCC condensation (on an acyclic hb1, of hb1 itself): each access
-is tested only against the per-location accesses some other processor
-has not yet seen, not against every earlier conflicting access.  It
-walks integer rows (:meth:`~repro.core.hb1_vc.VectorClockHB1.walk`),
+The race set comes from one :class:`FrontierSweep` over the order hb1
+clocked its events in, a topological order of hb1's SCC condensation
+(on an acyclic hb1, of hb1 itself): each access is tested only against
+the per-location accesses some other processor has not yet seen, not
+against every earlier conflicting access.  It walks integer rows
+(:meth:`~repro.core.hb1.HappensBefore1.walk`),
 reading access sets by row (:meth:`Trace.accesses_by_row`), and builds
 event ids only for race endpoints.  The streaming detector drives the
 same kernel.
@@ -29,13 +29,12 @@ A half's sweep visits only its own rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import obs
 from ..trace.build import Trace
 from ..trace.events import EventId
-from .hb1 import HappensBefore1
-from .hb1_vc import HALVES, VectorClockHB1
+from .hb1 import HALVES, HappensBefore1
 
 
 @dataclass(frozen=True)
@@ -203,15 +202,15 @@ class FrontierSweep:
                                    is_data))
         return races
 
-    def run(self, trace: Trace, vc: VectorClockHB1,
+    def run(self, trace: Trace, hb: HappensBefore1,
             half: Optional[str] = None) -> int:
         """Feed the rows of one location half (every row for ``None``)
-        in the order *vc* clocked them; returns the rows visited."""
+        in the order *hb* clocked them; returns the rows visited."""
         accesses = trace.accesses_by_row()
-        access, proc_of, pos_of = self.access, vc.proc_of, vc.pos_of
-        clocks = vc.row_clocks
+        access, proc_of, pos_of = self.access, hb.proc_of, hb.pos_of
+        clocks = hb.row_clocks
         visited = 0
-        for latest, rows in vc.walk(half):
+        for latest, rows in hb.walk(half):
             if latest is not None:
                 # The frontier bound is settled only where a scan reads
                 # it; its value there, and so every pruning and test, is
@@ -226,21 +225,20 @@ class FrontierSweep:
         return visited
 
 
-def find_races(trace: Trace,
-               hb: Optional[Union[HappensBefore1, VectorClockHB1]] = None,
+def find_races(trace: Trace, hb: Optional[HappensBefore1] = None,
                half: Optional[str] = None) -> List[EventRace]:
     """All races of *trace*: conflicting, hb1-unordered event pairs.
 
-    Returns races sorted by (a, b) for determinism.  Pass the
-    :class:`~repro.core.hb1_vc.VectorClockHB1` the sweep should read,
-    or a prebuilt :class:`HappensBefore1` (or subclass) to clock, to
-    avoid rebuilding the relation.  With *half* (``"data"`` or
-    ``"sync"``) only the races on that half's locations are swept.
+    Returns races sorted by (a, b) for determinism.  Pass a prebuilt
+    :class:`HappensBefore1` (or subclass) to reuse its clocks.  With
+    *half* (``"data"`` or ``"sync"``) only the races on that half's
+    locations are swept.
     """
     if half is not None and half not in HALVES:
         raise ValueError(f"unknown location half {half!r}")
-    if not isinstance(hb, VectorClockHB1):
-        hb = VectorClockHB1(trace, base=hb)
+    if hb is None:
+        hb = HappensBefore1(trace)
+    hb.row_clocks  # clock first: hb1.vc_sweep is not race-sweep time
     with obs.span("races.find") as _sp:
         sweep = FrontierSweep(trace.processor_count)
         visited = sweep.run(trace, hb, half)

@@ -18,7 +18,6 @@ from ..graph import to_dot
 from ..trace.build import Trace
 from ..trace.events import ComputationEvent, EventId, SyncEvent
 from .hb1 import HappensBefore1
-from .hb1_vc import VectorClockHB1
 from .lazy import LazyField
 from .partitions import PartitionAnalysis, RacePartition, partition_races
 from .races import EventRace, find_races
@@ -52,7 +51,7 @@ class RaceReport:
     passes only ``data_half``, the races on data locations (the data
     half of :func:`~repro.core.races.find_races`), which hold every
     data race and so decide the verdict; ``races`` then adds the sync
-    half, swept with ``ordering`` on first read.
+    half, swept with ``hb``'s clocks on first read.
 
     ``analysis`` (G' and its race partitions, section 4.2) is built from
     ``(trace, hb, observed_races)`` on first read unless passed in.  A
@@ -74,10 +73,6 @@ class RaceReport:
     #: the data half's races when ``races`` is not passed
     data_half: Optional[List[EventRace]] = field(
         default=None, repr=False, compare=False)
-    #: the clocks the sync half is swept with (``hb``'s when not
-    #: passed)
-    ordering: Optional[VectorClockHB1] = field(
-        default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.race_free:
@@ -86,10 +81,9 @@ class RaceReport:
             self.analysis
 
     def _all_races(self) -> List[EventRace]:
-        ordering = self.hb if self.ordering is None else self.ordering
         if self.data_half is None:
-            return find_races(self.trace, ordering)
-        sync = find_races(self.trace, ordering, half="sync")
+            return find_races(self.trace, self.hb)
+        sync = find_races(self.trace, self.hb, half="sync")
         return list(heapq.merge(self.data_half, sync,
                                 key=lambda race: (race.a, race.b)))
 

@@ -34,8 +34,8 @@ time, when their READ/WRITE sets are complete; their clock is the open
 clock, which cannot change in between (only data operations intervene).
 
 When the detector is handed a finished :class:`Trace` instead of a
-live stream, it clocks the trace with
-:class:`~repro.core.hb1_vc.VectorClockHB1`, as post-mortem detection
+live stream, it clocks the trace's
+:class:`~repro.core.hb1.HappensBefore1`, as post-mortem detection
 does, and feeds the rows in the order they were clocked, every
 location at once, to the same frontier kernel; it then holds one clock
 per event, not O(P·V) state.  A cyclic hb1 (possible on weak
@@ -51,7 +51,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .. import obs
 from ..machine.operations import MemoryOperation, OperationKind, SyncRole
 from ..trace.build import Trace
-from .hb1_vc import VectorClockHB1
+from .hb1 import HappensBefore1
 from .races import EventRace, FrontierSweep
 from .report import REPORT_FORMAT, _race_from_record, _race_record
 
@@ -296,12 +296,12 @@ class StreamingDetector:
 
     # ------------------------------------------------------------------
     def analyze(self, trace: Trace) -> StreamingReport:
-        """Stream a finished trace: its events in the order
-        :class:`VectorClockHB1` clocked them, through the frontier
+        """Stream a finished trace: its events in the order its
+        :class:`HappensBefore1` clocked them, through the frontier
         kernel."""
         with obs.span("detect.streaming") as sp:
             sweep = FrontierSweep(trace.processor_count)
-            sweep.run(trace, VectorClockHB1(trace))
+            sweep.run(trace, HappensBefore1(trace))
             races = sweep.finish()
             if sp.enabled:
                 sp.add("events", trace.event_count)

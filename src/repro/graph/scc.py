@@ -6,7 +6,7 @@ G'; this module supplies that primitive.  The implementation is the
 classic Tarjan algorithm rewritten with an explicit stack so that large
 traces (tens of thousands of events) do not overflow CPython's recursion
 limit.  The vector-clock sweep runs the same algorithm over integer
-event rows when hb1 is cyclic (:mod:`repro.core.hb1_vc`), passing the
+event rows when hb1 is cyclic (:mod:`repro.core.hb1`), passing the
 rows and a successor function instead of a graph.
 """
 

@@ -18,14 +18,6 @@ get-or-create (:meth:`MetricsRegistry.counter` etc. return the existing
 instrument when the name is already registered, and raise on a
 type/label mismatch), so call sites never coordinate creation.
 
-Cross-process merge: another process (or a repeated run) serializes
-a registry with :meth:`MetricsRegistry.to_records` — plain dicts,
-cheap to pickle or JSON — and any registry folds them back in with
-:meth:`MetricsRegistry.merge_records`.  Counters and histograms sum,
-gauges keep the last value applied, time series interleave by
-timestamp and keep the newest ``capacity`` points; merging is
-commutative for everything except gauges.
-
 Like the profiler, collection is opt-in: the hunt engine folds
 per-outcome metrics into a registry only when one is active (one
 module-attribute check per *hunt*, not per job), so the disabled-mode
@@ -43,7 +35,7 @@ whatever the executor — so totals cannot depend on the worker count;
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -128,11 +120,6 @@ class Counter(_Instrument):
             for key, value in sorted(self._values.items())
         ]
 
-    def _merge(self, series: List[dict]) -> None:
-        for entry in series:
-            key = self._key(entry["labels"])
-            self._values[key] = self._values.get(key, 0) + entry["value"]
-
 
 class Gauge(_Instrument):
     """A value that goes up and down, per label set."""
@@ -160,18 +147,12 @@ class Gauge(_Instrument):
             for key, value in sorted(self._values.items())
         ]
 
-    def _merge(self, series: List[dict]) -> None:
-        # Last applied wins: gauges describe current state, not totals.
-        for entry in series:
-            self._values[self._key(entry["labels"])] = entry["value"]
-
 
 class Histogram(_Instrument):
     """Observations bucketed by fixed upper bounds, with count and sum.
 
-    Bucket counts are non-cumulative per bucket (the record format sums
-    cleanly across workers); quantile estimates interpolate within the
-    bucket containing the target rank.
+    Bucket counts are non-cumulative per bucket; quantile estimates
+    interpolate within the bucket containing the target rank.
     """
 
     kind = "histogram"
@@ -271,22 +252,6 @@ class Histogram(_Instrument):
             for key, (counts, count, total) in sorted(self._data.items())
         ]
 
-    def _merge(self, series: List[dict]) -> None:
-        for entry in series:
-            key = self._key(entry["labels"])
-            counts, count, total = self._cell(key)
-            incoming = entry["buckets"]
-            if len(incoming) != len(counts):
-                raise MetricError(
-                    f"histogram {self.name!r}: bucket count mismatch "
-                    f"({len(incoming)} != {len(counts)})"
-                )
-            for i, n in enumerate(incoming):
-                counts[i] += n
-            self._data[key] = (
-                counts, count + entry["count"], total + entry["sum"]
-            )
-
 
 class TimeSeries(_Instrument):
     """A bounded ring buffer of ``(t, value)`` samples, per label set.
@@ -327,23 +292,10 @@ class TimeSeries(_Instrument):
             for key, points in sorted(self._points.items())
         ]
 
-    def _merge(self, series: List[dict]) -> None:
-        for entry in series:
-            key = self._key(entry["labels"])
-            points = self._points.setdefault(key, [])
-            points.extend((t, v) for t, v in entry["points"])
-            points.sort(key=lambda point: point[0])
-            if len(points) > self.capacity:
-                del points[: len(points) - self.capacity]
-
-
-_TYPES = {
-    cls.kind: cls for cls in (Counter, Gauge, Histogram, TimeSeries)
-}
 
 
 class MetricsRegistry:
-    """Instruments by name, with get-or-create accessors and merge.
+    """Instruments by name, with get-or-create accessors.
 
     Instruments themselves are not thread-safe; single-threaded folds
     (the hunt's parent-side ``observe`` callback) need no locking.  When
@@ -411,10 +363,10 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         return sorted(self._instruments)
 
-    # -- export / merge ------------------------------------------------
+    # -- export --------------------------------------------------------
     def to_records(self) -> List[dict]:
-        """One plain dict per instrument — picklable, JSONable, and the
-        unit of cross-process merge."""
+        """One plain dict per instrument — picklable, JSONable; what
+        Prometheus rendering reads."""
         records = []
         for name in sorted(self._instruments):
             instrument = self._instruments[name]
@@ -432,34 +384,6 @@ class MetricsRegistry:
                 record["capacity"] = instrument.capacity
             records.append(record)
         return records
-
-    def merge_records(self, records: Iterable[dict]) -> None:
-        """Fold serialized instruments (from :meth:`to_records`) into
-        this registry, creating missing instruments on the fly."""
-        for record in records:
-            if record.get("t") != "metric":
-                continue
-            cls = _TYPES.get(record["kind"])
-            if cls is None:
-                raise MetricError(f"unknown metric kind {record['kind']!r}")
-            extra = {}
-            if cls is Histogram:
-                extra["buckets"] = tuple(record.get("bounds", DEFAULT_BUCKETS))
-            if cls is TimeSeries:
-                extra["capacity"] = record.get("capacity", 256)
-            instrument = self._get(
-                cls, record["name"], record.get("help", ""),
-                tuple(record.get("labels", ())), **extra,
-            )
-            instrument._merge(record["series"])
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (via its records)."""
-        self.merge_records(other.to_records())
-
-    def snapshot(self) -> Dict[str, dict]:
-        """``{name: record}`` view of :meth:`to_records`."""
-        return {record["name"]: record for record in self.to_records()}
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,8 @@ array per field (tag/proc/pos/kind/role/addr/value/...), plus a
 length-prefixed bit-vector pool for computation READ/WRITE sets — so a
 reader can ``mmap`` the file and expose each column as a ``memoryview``
 without copying or materializing a single event object.  The so1
-pairing (:mod:`..core.hb1`), the positional clock sweep
-(:mod:`..core.hb1_vc`) and the frontier race sweep (:mod:`..core.races`)
-read these columns, and the sync order as the file's integer
+pairing and the positional clock sweep (:mod:`..core.hb1`) and the
+frontier race sweep (:mod:`..core.races`) read these columns, and the sync order as the file's integer
 ``(proc, pos)`` pairs, directly; everything else sees a lazy
 :class:`EventView` that materializes (and caches) ordinary
 :class:`SyncEvent` / :class:`ComputationEvent` objects, and a

@@ -9,6 +9,12 @@ layer bit-identical to the baseline.  Both must agree with the
 baseline on the first reported race, survive cyclic hb1 and read both
 column forms of a columnar trace exactly like the postmortem pipeline,
 and round-trip through the shared report protocol.
+
+WCP's critical-section filter bisects for each lock's bracketing
+acquire/release and reads windows off running masks; the per-edge
+rescan it replaced stays here as its oracle (:func:`_scan_conflict`),
+and the kept and dropped so1 edges must equal the oracle's on the
+program corpus, on generated traces and on reordered ones.
 """
 
 from unittest import mock
@@ -18,7 +24,7 @@ from hypothesis import given, settings
 
 import repro
 from repro import obs
-from repro.core.hb1_vc import VectorClockHB1
+from repro.core.hb1 import HappensBefore1
 from repro.core.predictive import (
     SHBDetector,
     SHBReport,
@@ -26,7 +32,8 @@ from repro.core.predictive import (
     WCPReport,
     WeakCausallyPrecedes,
 )
-from repro.machine.models import make_model
+from repro.machine.models import ALL_MODEL_NAMES, make_model
+from repro.machine.operations import SyncRole
 from repro.machine.propagation import RandomPropagation, StubbornPropagation
 from repro.machine.simulator import run_program
 from repro.programs import (
@@ -41,8 +48,14 @@ from repro.programs import (
     single_race_program,
 )
 from repro.trace.build import build_trace
+from repro.trace.columnar import open_columnar, to_columnar
+from repro.trace.events import SyncEvent
 
-from tests.core.test_hb1_cycles import _cyclic_trace, definition_2_4_races
+from tests.core.test_hb1_cycles import (
+    _cyclic_trace,
+    definition_2_4_races,
+    reordered_traces,
+)
 from tests.properties.test_prop_traces import traces
 
 CORPUS = [
@@ -189,7 +202,99 @@ def test_wcp_drops_only_nonconflicting_edges():
     wcp = WeakCausallyPrecedes(trace)
     assert wcp.dropped_so1_edges
     for rel_eid, acq_eid in wcp.dropped_so1_edges:
-        assert not wcp._sections_conflict(rel_eid, acq_eid)
+        assert not _scan_conflict(trace, rel_eid, acq_eid)
+
+
+# ----------------------------------------------------------------------
+# the WCP filter against the per-edge rescan
+# ----------------------------------------------------------------------
+
+def _scan_window(trace, proc, lo, hi, lock):
+    reads, writes = set(), set()
+    for event in trace.events[proc][lo:hi + 1]:
+        if isinstance(event, SyncEvent):
+            if event.addr == lock:
+                continue
+            (writes if event.writes_addr else reads).add(event.addr)
+        else:
+            reads.update(event.reads)
+            writes.update(event.writes)
+    return reads, writes
+
+
+def _scan_conflict(trace, rel, acq):
+    """The oracle: rescan the releaser's events back to an opening
+    acquire of the lock (else to its first event) and the acquirer's
+    forward to a closing release (else to its last), then compare the
+    two windows' accesses, the lock's own sync accesses left out."""
+    lock = trace.event(rel).addr
+    rel_lo = 0
+    for pos in range(rel.pos - 1, -1, -1):
+        event = trace.events[rel.proc][pos]
+        if (isinstance(event, SyncEvent) and event.addr == lock
+                and event.role is SyncRole.ACQUIRE):
+            rel_lo = pos
+            break
+    acq_hi = len(trace.events[acq.proc]) - 1
+    for pos in range(acq.pos + 1, acq_hi + 1):
+        event = trace.events[acq.proc][pos]
+        if (isinstance(event, SyncEvent) and event.addr == lock
+                and event.role is SyncRole.RELEASE):
+            acq_hi = pos
+            break
+    r1, w1 = _scan_window(trace, rel.proc, rel_lo, rel.pos, lock)
+    r2, w2 = _scan_window(trace, acq.proc, acq.pos, acq_hi, lock)
+    return bool(w1 & (r2 | w2)) or bool((r1 | w1) & w2)
+
+
+def _assert_filter_matches_the_scan(trace):
+    kept, dropped = [], []
+    for edge in HappensBefore1(trace).so1_edges:
+        (kept if _scan_conflict(trace, *edge) else dropped).append(edge)
+    wcp = WeakCausallyPrecedes(trace)
+    assert wcp.so1_edges == kept
+    assert wcp.dropped_so1_edges == dropped
+
+
+#: every program builder that takes no argument
+BUILDERS = [getattr(repro.programs, name) for name in (
+    "figure1a_program", "figure1b_program", "cas_counter_program",
+    "cas_slot_allocator_program", "fanin_barrier_program",
+    "independent_work_program", "lock_shadow_program",
+    "locked_counter_program", "producer_consumer_program",
+    "racy_counter_program", "region_then_lock_program",
+    "single_race_program", "iriw_program",
+    "locked_mutual_exclusion_program", "peterson_program",
+    "store_buffering_program", "bounded_queue_program",
+    "buggy_workqueue_program", "fixed_workqueue_program",
+)]
+
+
+@pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__)
+def test_wcp_filter_matches_the_scan_on_the_corpus(build, tmp_path):
+    """Every model, seeds 0-3, and the seed-0 trace read back from its
+    columnar file."""
+    for model in ALL_MODEL_NAMES:
+        for seed in range(4):
+            trace = _trace_for(build(), model, seed)
+            _assert_filter_matches_the_scan(trace)
+            if seed == 0:
+                path = tmp_path / f"{model}.wrct"
+                to_columnar(trace, path)
+                with open_columnar(path) as lazy:
+                    _assert_filter_matches_the_scan(lazy)
+
+
+@given(trace=traces(mixed=True))
+@settings(max_examples=150, deadline=None)
+def test_wcp_filter_matches_the_scan_on_generated_traces(trace):
+    _assert_filter_matches_the_scan(trace)
+
+
+@given(trace=reordered_traces())
+@settings(max_examples=150, deadline=None)
+def test_wcp_filter_matches_the_scan_on_reordered_traces(trace):
+    _assert_filter_matches_the_scan(trace)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +353,7 @@ def test_predictive_backends_survive_cyclic_hb1():
     SHB, whose soundness theorem needs a linearizable order, must
     certify nothing instead of certifying from a cycle."""
     trace = _cyclic_trace()
-    assert VectorClockHB1(trace).cyclic
+    assert HappensBefore1(trace).cyclic
     base_races = definition_2_4_races(trace)
     shb = SHBDetector().analyze(trace)
     assert _race_keys(shb.races) == _race_keys(base_races)

@@ -5,6 +5,7 @@ from repro.machine.program import ProgramBuilder
 from repro.machine.scheduler import ScriptedScheduler
 from repro.machine.simulator import Simulator, run_program
 from repro.core.hb1 import HappensBefore1
+from repro.graph import is_acyclic
 from repro.trace.build import build_trace
 from repro.trace.events import SyncEvent
 
@@ -127,7 +128,8 @@ def test_sc_execution_hb1_is_partial_order():
             t.read(x)
     trace = _trace(build, script=[0, 0, 1, 1, 1])
     hb = HappensBefore1(trace)
-    assert hb.is_partial_order()
+    assert not hb.cyclic
+    assert is_acyclic(hb.graph)
 
 
 def test_unordered_is_symmetric_and_irreflexive_for_distinct():

@@ -14,8 +14,9 @@ every pipeline stage survives and still produces a sane report.
 
 The vector clocks of a cyclic hb1 are computed over its SCC
 condensation.  :func:`definition_2_4_races` is the oracle they are held
-to: Definition 2.4 applied directly, one transitive-closure query per
-conflicting cross-processor pair.
+to: Definition 2.4 applied directly, one query per conflicting
+cross-processor pair to a transitive closure of the relation's event
+graph.
 """
 
 from typing import List, Optional
@@ -25,8 +26,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.detector import PostMortemDetector
-from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import HALVES, VectorClockHB1
+from repro.core.hb1 import HALVES, HappensBefore1
 from repro.core.partitions import partition_races
 from repro.core.predictive import (
     SHBDetector,
@@ -36,7 +36,7 @@ from repro.core.predictive import (
 )
 from repro.core.races import EventRace, find_races
 from repro.core.streaming import StreamingDetector
-from repro.graph import find_cycle
+from repro.graph import TransitiveClosure, find_cycle, is_acyclic
 from repro.machine.operations import OperationKind, SyncRole
 from repro.trace.bitvector import BitVector
 from repro.trace.build import Trace
@@ -54,8 +54,9 @@ def definition_2_4_races(trace: Trace, hb: Optional[HappensBefore1] = None,
                          half: Optional[str] = None) -> List[EventRace]:
     """Every conflicting cross-processor event pair that *hb* (the
     trace's hb1 when not passed) leaves unordered, sorted; with *half*,
-    only its conflicts on that half's locations."""
-    hb = hb or HappensBefore1(trace)
+    only its conflicts on that half's locations.  Orderings come from a
+    transitive closure of the relation's event graph, not its clocks."""
+    closure = TransitiveClosure((hb or HappensBefore1(trace)).graph)
     data = trace.data_locations()
     events = trace.all_events()
     races = []
@@ -65,7 +66,7 @@ def definition_2_4_races(trace: Trace, hb: Optional[HappensBefore1] = None,
                 continue
             shared = [addr for addr in conflicting_locations(a, b)
                       if half is None or (addr in data) == (half == "data")]
-            if shared and hb.unordered(a.eid, b.eid):
+            if shared and not closure.comparable(a.eid, b.eid):
                 races.append(EventRace(
                     *sorted((a.eid, b.eid)), tuple(shared),
                     isinstance(a, ComputationEvent)
@@ -144,7 +145,7 @@ def reordered_traces(draw):
 
 def test_hb1_is_cyclic():
     hb = HappensBefore1(_cyclic_trace())
-    assert not hb.is_partial_order()
+    assert hb.cyclic
     assert find_cycle(hb.graph) is not None
     assert len(hb.so1_edges) == 2
 
@@ -206,32 +207,32 @@ def test_cyclic_trace_with_extra_race():
 
 def _assert_matches_the_oracle(trace):
     hb = HappensBefore1(trace)
-    vc = VectorClockHB1(trace, base=hb)
-    assert vc.cyclic == (not hb.is_partial_order())
+    closure = TransitiveClosure(hb.graph)
+    assert hb.cyclic == (not is_acyclic(hb.graph))
     events = [event.eid for event in trace.all_events()]
     for a in events:
         for b in events:
             if a != b:
                 # the epoch test, the pointwise comparison, the closure
                 pointwise = all(x <= y for x, y in
-                                zip(vc.clock_of(a), vc.clock_of(b)))
-                assert vc.ordered(a, b) == pointwise == hb.ordered(a, b), \
-                    (a, b)
+                                zip(hb.clock_of(a), hb.clock_of(b)))
+                assert hb.ordered(a, b) == pointwise == \
+                    closure.ordered(a, b), (a, b)
     full = definition_2_4_races(trace, hb)
-    assert find_races(trace, vc) == full
+    assert find_races(trace, hb) == full
     for half in HALVES:
-        assert find_races(trace, vc, half) == \
+        assert find_races(trace, hb, half) == \
             definition_2_4_races(trace, hb, half), half
     assert repro.detect(trace).races == full
     assert StreamingDetector().analyze(trace).races == full
     shb = SHBDetector().analyze(trace)
     assert shb.races == full
-    if not ScheduleHappensBefore(trace).is_partial_order():
+    if not is_acyclic(ScheduleHappensBefore(trace).graph):
         assert shb.sound_races == []
     predicted = definition_2_4_races(trace, WeakCausallyPrecedes(trace))
     assert WCPDetector().analyze(trace).races == \
         sorted(set(full) | set(predicted), key=lambda race: race.events)
-    return vc.cyclic
+    return hb.cyclic
 
 
 def test_cyclic_trace_matches_the_oracle():
@@ -266,7 +267,7 @@ def test_reordered_corpus_is_often_cyclic():
     @settings(max_examples=200, deadline=None, database=None,
               derandomize=True)
     def sample(trace):
-        cyclic.append(VectorClockHB1(trace).cyclic)
+        cyclic.append(HappensBefore1(trace).cyclic)
 
     sample()
     assert sum(cyclic) >= 5, sum(cyclic)

@@ -1,9 +1,9 @@
-"""Vector-clock hb1 backend tests, including differential equivalence
-with the transitive-closure backend."""
+"""Tests of hb1's vector clocks, including differential equivalence
+with a transitive closure of the relation's event graph."""
 
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import VectorClockHB1
 from repro.core.races import find_races
+from repro.graph import TransitiveClosure
 from repro.machine.models import make_model
 from repro.machine.simulator import run_program
 from repro.programs.figure1 import figure1b_program
@@ -15,8 +15,8 @@ from tests.core.test_hb1_cycles import _cyclic_trace, definition_2_4_races
 
 
 def _assert_backends_agree(trace):
-    closure = HappensBefore1(trace)
-    vc = VectorClockHB1(trace)
+    vc = HappensBefore1(trace)
+    closure = TransitiveClosure(vc.graph)
     events = [e.eid for e in trace.all_events()]
     for a in events:
         for b in events:
@@ -42,7 +42,7 @@ def test_agrees_on_random_programs():
 
 
 def test_clock_components_monotone_per_processor(figure2_trace):
-    vc = VectorClockHB1(figure2_trace)
+    vc = HappensBefore1(figure2_trace)
     for proc_events in figure2_trace.events:
         last = None
         for event in proc_events:
@@ -53,7 +53,7 @@ def test_clock_components_monotone_per_processor(figure2_trace):
 
 
 def test_own_component_is_position(figure2_trace):
-    vc = VectorClockHB1(figure2_trace)
+    vc = HappensBefore1(figure2_trace)
     for proc_events in figure2_trace.events:
         for event in proc_events:
             assert vc.clock_of(event.eid)[event.eid.proc] == event.eid.pos + 1
@@ -63,7 +63,7 @@ def test_cyclic_trace_clocked_like_the_closure():
     """A cyclic hb1 is clocked over its SCC condensation: every
     ordering query and the race set equal the closure's."""
     trace = _cyclic_trace()
-    vc = VectorClockHB1(trace)
+    vc = HappensBefore1(trace)
     assert vc.cyclic
     _assert_backends_agree(trace)
     # the 6-event cycle is one SCC: every event has seen all of it
@@ -72,9 +72,9 @@ def test_cyclic_trace_clocked_like_the_closure():
 
 
 def test_race_detection_same_with_either_backend(figure2_trace):
-    """find_races clocks a HappensBefore1 it is handed, so passing the
-    relation or its clocks gives the Definition 2.4 race set."""
+    """find_races gives the Definition 2.4 race set, closure queries
+    and all, whether it builds the relation or is handed one."""
     hb = HappensBefore1(figure2_trace)
-    baseline = find_races(figure2_trace, VectorClockHB1(figure2_trace))
+    baseline = find_races(figure2_trace)
     assert find_races(figure2_trace, hb) == baseline
     assert baseline == definition_2_4_races(figure2_trace, hb)

@@ -11,8 +11,8 @@ only the data half of the locations (those some computation event
 touches), which holds every data race and so decides the verdict; the
 sync half is swept when ``report.races`` (or G') is first read.  The
 halves must be disjoint, merge into exactly one full sweep, add up to
-its work counters whether ``find_races`` is handed clocks or a relation
-to clock, and leave every report output equal to that of a report
+its work counters whether ``find_races`` is handed the relation or
+builds its own, and leave every report output equal to that of a report
 swept eagerly, cyclic hb1 relations included.
 """
 
@@ -28,7 +28,6 @@ import repro
 from repro import obs
 from repro.core.explain import explain_report
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import VectorClockHB1
 from repro.core.partitions import partition_races
 from repro.core.provenance import ProvenanceError, explain_races
 from repro.core.races import HALVES, FrontierSweep, find_races
@@ -197,25 +196,25 @@ def test_racy_report_partitions_inside_its_detector_span(detector):
 # the race sweep's two location halves
 # ----------------------------------------------------------------------
 
-def _sweep(trace, ordering, half=None):
+def _sweep(trace, hb, half=None):
     """``find_races`` with the counters of its ``races.find`` spans."""
     profiler = obs.Profiler()
     with profiler.activate():
-        races = find_races(trace, ordering, half=half)
+        races = find_races(trace, hb, half=half)
     counters = {}
     for rec in profiler.to_records():
         if rec["name"] != "races.find":
-            continue  # the clock sweep of a relation passed unclocked
+            continue  # the pairing and clock sweep of a relation
         for name, value in rec["counters"].items():
             counters[name] = counters.get(name, 0) + value
     return races, counters
 
 
-def _reference_sweep(trace, vc):
+def _reference_sweep(trace, hb):
     """The full frontier sweep as it ran before the split: the frontier
     bound recomputed at every join.  Returns (races, pairs tested)."""
     sweep = FrontierSweep(trace.processor_count)
-    for eid, clock in vc.clocks():
+    for eid, clock in hb.clocks():
         prev = sweep.clock[eid.proc]
         sweep.clock[eid.proc] = clock
         if any(prev[q] != clock[q] for q in range(len(clock))
@@ -228,13 +227,12 @@ def _reference_sweep(trace, vc):
 
 def _assert_halves_partition_the_sweep(trace):
     hb = HappensBefore1(trace)
-    vc = VectorClockHB1(trace, base=hb)
-    reference = _reference_sweep(trace, vc)
-    for ordering in (vc, hb):
-        full, counters = _sweep(trace, ordering)
+    reference = _reference_sweep(trace, hb)
+    for relation in (hb, None):
+        full, counters = _sweep(trace, relation)
         assert (full, counters["pairs_tested"]) == reference
-        data, data_counters = _sweep(trace, ordering, "data")
-        sync, sync_counters = _sweep(trace, ordering, "sync")
+        data, data_counters = _sweep(trace, relation, "data")
+        sync, sync_counters = _sweep(trace, relation, "sync")
         assert not {r.events for r in data} & {r.events for r in sync}
         assert list(heapq.merge(data, sync, key=lambda r: r.events)) == full
         assert not any(race.is_data_race for race in sync)
@@ -248,13 +246,12 @@ def _assert_halves_partition_the_sweep(trace):
 def _eagerly_swept(report):
     """The same report with every race swept in one full sweep and
     passed in, as the detectors built reports before the split."""
-    ordering = report.hb if report.ordering is None else report.ordering
-    races = find_races(report.trace, ordering)
+    races = find_races(report.trace, report.hb)
     if report.kind == "wcp":
         races = sorted(races + report.predicted_races,
                        key=lambda r: r.events)
     return dataclasses.replace(report, races=races, data_half=None,
-                               ordering=None, analysis=None)
+                               analysis=None)
 
 
 def _assert_split_equals_eager(execution):
@@ -305,11 +302,12 @@ def test_synthetic_halves_partition_the_sweep(trace):
 
 def test_cyclic_trace_splits_on_the_closure_backend():
     """A cyclic hb1 is clocked over its SCC condensation; its halves
-    and report are checked against the closure backend's races."""
+    and report are checked against Definition 2.4 with closure
+    queries."""
     trace = _cyclic_trace()
     _assert_halves_partition_the_sweep(trace)
     report = repro.detect(trace)
-    assert report.ordering.cyclic
+    assert report.hb.cyclic
     assert report.races == definition_2_4_races(trace, report.hb)
     assert _outputs(report) == _outputs(_eagerly_swept(report))
 
@@ -325,14 +323,14 @@ def test_reordered_halves_partition_the_sweep(trace):
 
 @pytest.mark.parametrize("build", CORPUS, ids=lambda p: p.__name__)
 def test_closure_fallback_report_equals_eager(build):
-    """A post-mortem report built eagerly from the closure backend's
-    races (Definition 2.4, one closure query per conflicting pair)
-    gives every output of the split report."""
+    """A post-mortem report built eagerly from Definition 2.4's races
+    (one closure query per conflicting pair) gives every output of the
+    split report."""
     execution = run_program(build(), make_model("TSO"), seed=3)
     report = repro.detect(execution)
     oracle = dataclasses.replace(
         report, races=definition_2_4_races(report.trace, report.hb),
-        data_half=None, ordering=None, analysis=None)
+        data_half=None, analysis=None)
     assert _outputs(report) == _outputs(oracle)
 
 
@@ -345,8 +343,8 @@ def test_columnar_trace_splits_like_its_object_trace(model, tmp_path):
     columnar = repro.load_trace(str(path))
     assert columnar.data_locations() == trace.data_locations()
     for half in (None,) + HALVES:
-        assert find_races(columnar, VectorClockHB1(columnar), half) == \
-            find_races(trace, VectorClockHB1(trace), half)
+        assert find_races(columnar, HappensBefore1(columnar), half) == \
+            find_races(trace, HappensBefore1(trace), half)
     report = repro.detect(str(path))
     assert _outputs(report) == _outputs(_eagerly_swept(report))
 
@@ -388,3 +386,19 @@ def test_racy_report_sweeps_both_halves_inside_its_detector_span():
     report.format(), report.races, report.to_json()
     assert _sweep_paths(profiler) == [
         "detect/detect.postmortem/races.find"] * 2
+
+
+@pytest.mark.parametrize("detector", DETECTORS + ("naive",))
+def test_clock_sweep_is_never_race_sweep_time(detector):
+    """Each relation is clocked once, under its own ``hb1.vc_sweep``,
+    which closes before any ``races.find`` opens, so the two spans'
+    times never overlap."""
+    execution = run_program(lock_shadow_program(), make_model("WO"), seed=0)
+    profiler = obs.Profiler()
+    report = repro.detect(execution, detector=detector, profile=profiler)
+    report.races, report.to_json()
+    paths = [rec["path"] for rec in profiler.to_records()
+             if rec["name"] == "hb1.vc_sweep"]
+    relations = {"shb": 2, "wcp": 2}.get(detector, 1)
+    assert len(paths) == relations, paths
+    assert not any("races.find" in path for path in paths), paths

@@ -1,6 +1,6 @@
 """The positional vector-clock sweep against a graph reference.
 
-:class:`~repro.core.hb1_vc.VectorClockHB1` linearizes po ∪ the
+:class:`~repro.core.hb1.HappensBefore1` linearizes po ∪ the
 relation's cross-processor edges with a Kahn merge over ``(proc, pos)``
 rows, building no event graph.  The reference here builds that graph,
 sorts it with :func:`~repro.graph.topological_sort` and joins each
@@ -19,9 +19,13 @@ from hypothesis import given, settings
 import repro
 from repro import obs
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import VectorClockHB1
 from repro.core.predictive import ScheduleHappensBefore, WeakCausallyPrecedes
-from repro.graph import CycleError, DiGraph, topological_sort
+from repro.graph import (
+    CycleError,
+    DiGraph,
+    TransitiveClosure,
+    topological_sort,
+)
 from repro.machine.models import ALL_MODEL_NAMES, make_model
 from repro.machine.simulator import run_program
 from repro.programs import (
@@ -81,25 +85,27 @@ def _assert_matches_reference(relation) -> bool:
     try:
         graph, order, clocks, joins = _reference(relation)
     except CycleError:
-        vc = VectorClockHB1(trace, base=relation)
-        assert vc.cyclic
+        assert relation.cyclic
+        closure = TransitiveClosure(relation.graph)
         events = list(relation.graph.nodes())
         for a in events:
             for b in events:
                 if a != b:
-                    assert vc.ordered(a, b) == relation.ordered(a, b), (a, b)
+                    assert relation.ordered(a, b) == closure.ordered(a, b), \
+                        (a, b)
         # the sweep order linearizes the condensation: an edge runs
         # backwards only inside an SCC
-        index = {eid: i for i, eid in enumerate(vc.order)}
-        assert all(index[u] < index[v] or relation.ordered(v, u)
+        index = {eid: i for i, eid in enumerate(relation.order)}
+        assert all(index[u] < index[v] or closure.ordered(v, u)
                    for u, v in relation.graph.edges())
         return False
     profiler = obs.Profiler()
     with profiler.activate():
-        vc = VectorClockHB1(trace, base=relation)
-    assert vc.order == order
-    assert [clock for _, clock in vc.clocks()] == [clocks[e] for e in order]
-    assert all(vc.clock_of(e) == clocks[e] for e in order)
+        assert not relation.cyclic  # the first read clocks the events
+    assert relation.order == order
+    assert [clock for _, clock in relation.clocks()] == \
+        [clocks[e] for e in order]
+    assert all(relation.clock_of(e) == clocks[e] for e in order)
     assert _clock_joins(profiler) == joins
     # the lazily built event graph is the reference's
     assert list(relation.graph.nodes()) == list(graph.nodes())

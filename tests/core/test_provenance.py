@@ -1,5 +1,5 @@
 """Race-provenance tests (§4.1–4.2 evidence): the non-ordering
-witness, its double-check against the closure backend, partition and
+witness, its double-check against the detector's vector clocks, partition and
 Definition 4.1 ordering evidence, and the report/DOT views.
 
 The acceptance workload is workqueue-buggy under WO: every
@@ -101,7 +101,7 @@ def test_describe_explains_both_directions(figure2_report):
     reported_text = prov.reported[0].describe(figure2_report.trace)
     assert "FIRST partition" in reported_text
     assert "Theorem 4.2" in reported_text
-    assert "verified against closure" in reported_text
+    assert "verified against vector clocks" in reported_text
     suppressed_text = prov.suppressed[0].describe(figure2_report.trace)
     assert "suppressed" in suppressed_text
     assert "artifact" in suppressed_text
@@ -246,8 +246,27 @@ def test_witness_describe_flags_disagreement():
         a=EventId(0, 0), b=EventId(1, 0),
         a_reaches_b=False, b_reaches_a=False, verified=False,
     )
-    assert "CLOSURE DISAGREES" in witness.describe()
+    assert "VECTOR CLOCKS DISAGREE" in witness.describe()
     assert witness.holds
+
+
+def test_corrupt_clock_raises_provenance_error():
+    """The witness is checked against the clocks the detector swept
+    with: a clock that orders a reported race must fail the check."""
+    result = run_program(buggy_workqueue_program(), make_model("WO"), seed=0)
+    report = detect(result)
+    race = report.reported_races[0]
+    assert explain_races(report).all_verified
+    # b's clock now claims to have seen a: "a hb1 b"
+    report.hb.clock_of(race.b)[race.a.proc] = race.a.pos + 1
+    assert report.hb.ordered(race.a, race.b)
+    with pytest.raises(ProvenanceError, match="vector clocks say"):
+        explain_races(report)
+
+
+def test_explain_builds_no_closure(workqueue_report, event_closures):
+    explain_races(workqueue_report)
+    assert event_closures == []
 
 
 # ----------------------------------------------------------------------

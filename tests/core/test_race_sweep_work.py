@@ -1,6 +1,6 @@
 """Exact work-count guards for the post-mortem frontier race sweep.
 
-``find_races`` on a :class:`VectorClockHB1` tests each access only
+``find_races`` on hb1's vector clocks tests each access only
 against the per-location accesses some other processor has not yet
 seen, so its ``races.find`` ``pairs_tested`` counter grows with the
 trace, not with the number of conflicting pairs.  On the release/acquire
@@ -20,7 +20,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import VectorClockHB1
 from repro.core.races import HALVES, FrontierSweep, find_races
 from repro.machine import ProgramBuilder
 from repro.machine.models import make_model
@@ -56,7 +55,7 @@ def _sweep(rounds: int):
     """(trace, races, races.find counters) of one profiled sweep."""
     result = run_program(_pingpong_program(rounds), make_model("WO"), seed=0)
     trace = build_trace(result)
-    vc = VectorClockHB1(trace)
+    vc = HappensBefore1(trace)
     profiler = Profiler()
     with profiler.activate():
         races = find_races(trace, vc)
@@ -147,14 +146,14 @@ def test_halves_visit_each_row_once(build, model, seed, tmp_path):
     to_columnar(trace, path)
     with open_columnar(path) as lazy:
         for source in (trace, lazy):
-            vc = VectorClockHB1(source)
+            vc = HappensBefore1(source)
             full, full_counters = _find_counters(source, vc, None)
             assert full_counters["rows_visited"] == trace.event_count
             visited = 0
             for half in HALVES:
                 races, counters = _find_counters(source, vc, half)
                 assert (races, counters["pairs_tested"]) == \
-                    _reference_half(trace, VectorClockHB1(trace), half)
+                    _reference_half(trace, HappensBefore1(trace), half)
                 visited += counters["rows_visited"]
             assert visited == trace.event_count
             assert full

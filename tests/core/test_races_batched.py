@@ -1,10 +1,10 @@
 """Differential tests: vector-clock frontier race sweep vs. closure.
 
-`find_races` runs the frontier sweep over a `VectorClockHB1`'s clocks,
-clocking a relation it is handed first.  The acceptance bar is that it
-reports *identical* races to Definition 2.4 applied with closure
-queries — same pairs, same conflict locations, same data-race flags —
-on every trace, cyclic hb1 relations (§3.1) included.
+`find_races` runs the frontier sweep over a `HappensBefore1`'s clocks.
+The acceptance bar is that it reports *identical* races to Definition
+2.4 applied with queries to a transitive closure of the event graph —
+same pairs, same conflict locations, same data-race flags — on every
+trace, cyclic hb1 relations (§3.1) included.
 """
 
 import pytest
@@ -12,8 +12,8 @@ from hypothesis import given, settings
 
 from repro.core.detector import PostMortemDetector
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import VectorClockHB1
 from repro.core.races import find_races
+from repro.core.streaming import StreamingDetector
 from repro.machine.models import make_model
 from repro.machine.propagation import RandomPropagation, StubbornPropagation
 from repro.machine.simulator import run_program
@@ -41,8 +41,7 @@ def _trace_for(program, model="WO", seed=0, propagation=None):
 def _assert_same_races(trace):
     hb = HappensBefore1(trace)
     closure_races = definition_2_4_races(trace, hb)
-    vc = VectorClockHB1(trace, base=hb)
-    batched_races = find_races(trace, vc)
+    batched_races = find_races(trace, hb)
     assert batched_races == closure_races
     return closure_races
 
@@ -79,25 +78,25 @@ def test_batched_sweep_matches_closure_on_generated_traces(trace):
     _assert_same_races(trace)
 
 
-def test_detector_clocks_a_cyclic_trace():
+def test_detector_clocks_a_cyclic_trace(event_closures):
     """The end-to-end pipeline clocks a cyclic hb1 (hand-crafted
     weak-sync trace) over its SCC condensation, builds no closure, and
     reports the races Definition 2.4 gives with closure queries."""
     trace = _cyclic_trace()
     report = PostMortemDetector().analyze(trace)
-    assert report.ordering.cyclic
-    assert report.races == _assert_same_races(trace)
-    assert report.hb._closure is None
+    assert report.hb.cyclic
+    races = report.races
+    assert event_closures == []
+    assert races == _assert_same_races(trace)
 
 
-def test_detector_uses_vector_clocks_on_acyclic_traces():
-    """On acyclic traces the pipeline never builds the closure: the
-    frontier sweep answers every ordering query from the clocks."""
+def test_detector_uses_vector_clocks_on_acyclic_traces(event_closures):
+    """On acyclic traces neither the pipeline nor streaming from the
+    trace builds a closure: the frontier sweep answers every ordering
+    query from the clocks."""
     trace = _trace_for(racy_counter_program(2, 2))
-    detector = PostMortemDetector()
-    report = detector.analyze(trace)
-    # the report's hb handle is the closure-capable relation (kept for
-    # G'/partition work and to_dot), but analysis must not have forced
-    # its closure
-    assert report.hb._closure is None
-    assert report.races == definition_2_4_races(trace)
+    report = PostMortemDetector().analyze(trace)
+    races = report.races
+    assert StreamingDetector().analyze(trace).races == races
+    assert event_closures == []
+    assert races == definition_2_4_races(trace)

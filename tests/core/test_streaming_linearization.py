@@ -1,10 +1,10 @@
 """A streamed trace is one frontier sweep over the post-mortem
 linearization.
 
-``StreamingDetector.analyze(trace)`` clocks the trace with
-:class:`~repro.core.hb1_vc.VectorClockHB1` and feeds its rows to the
+``StreamingDetector.analyze(trace)`` clocks the trace's
+:class:`~repro.core.hb1.HappensBefore1` and feeds its rows to the
 frontier kernel.  The reference here is the kernel fed event by event
-from :meth:`VectorClockHB1.positions`, recomputing the frontier bound
+from :meth:`HappensBefore1.positions`, recomputing the frontier bound
 wherever an event's foreign clock components moved.  Races, retained
 peak and pruned entries must be equal on the streaming equivalence
 corpus, for object and columnar traces.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.core.hb1_vc import VectorClockHB1
+from repro.core.hb1 import HappensBefore1
 from repro.core.races import FrontierSweep
 from repro.core.streaming import StreamingDetector
 from repro.trace.build import build_trace
@@ -29,7 +29,7 @@ from tests.core.test_streaming_equiv import CORPUS, _execute
 def _reference_stream(trace):
     """(races, retained peak, pruned entries) of the kernel fed every
     event of the vector-clock linearization in turn."""
-    vc = VectorClockHB1(trace)
+    vc = HappensBefore1(trace)
     sweep = FrontierSweep(trace.processor_count)
     latest = sweep.clock
     for _, proc, pos, clock in vc.positions():

@@ -216,7 +216,7 @@ def test_explain_racy_workload(capsys):
     out = capsys.readouterr().out
     assert "Race provenance" in out
     assert "[REPORTED]" in out
-    assert "verified against closure" in out
+    assert "verified against vector clocks" in out
     assert "FIRST partition" in out
 
 

@@ -97,7 +97,7 @@ def test_submodules_read_as_attributes_in_a_fresh_process():
     code = (
         "import repro\n"
         "assert repro.analysis.hunting.HuntConfig is not None\n"
-        "assert repro.core.hb1_vc.VectorClockHB1 is not None\n"
+        "assert repro.core.hb1.HappensBefore1 is not None\n"
         "assert repro.graph.condensation.__module__ == "
         "'repro.graph.condensation'\n"
         "assert repro.obs.server.__name__ == 'repro.obs.server'\n"

@@ -1,5 +1,5 @@
 """Metrics registry tests: instrument behavior, label discipline,
-get-or-create semantics, cross-process merge, and the module-level
+get-or-create semantics, the serialized records, and the module-level
 activation slot."""
 
 import pickle
@@ -173,10 +173,10 @@ def test_registry_rejects_label_conflict():
 
 
 # ----------------------------------------------------------------------
-# merge: the cross-worker contract
+# records: what Prometheus rendering reads
 # ----------------------------------------------------------------------
 
-def _worker_registry(factor):
+def _sample_registry(factor):
     reg = MetricsRegistry()
     reg.counter("tries", labels=("status",)).inc(2 * factor, status="racy")
     reg.gauge("done").set(10 * factor)
@@ -186,127 +186,12 @@ def _worker_registry(factor):
     return reg
 
 
-def test_merge_records_sums_counters_and_histograms():
-    parent = _worker_registry(1)
-    parent.merge_records(_worker_registry(2).to_records())
-    assert parent.get("tries").value(status="racy") == 6
-    h = parent.get("dur")
-    assert h.count() == 2
-    assert h.sum() == pytest.approx(0.15)
-
-
-def test_merge_gauge_is_last_applied_wins():
-    parent = _worker_registry(1)
-    parent.merge(_worker_registry(3))
-    assert parent.get("done").value() == 30
-    # merging the other direction gives the other answer: documented
-    # non-commutativity, which is why the hunt only sets gauges
-    # parent-side
-    other = _worker_registry(3)
-    other.merge(_worker_registry(1))
-    assert other.get("done").value() == 10
-
-
-def test_merge_timeseries_interleaves_and_respects_capacity():
-    parent = MetricsRegistry()
-    ts = parent.timeseries("rate", capacity=3)
-    ts.record(1.0, 10.0)
-    ts.record(3.0, 30.0)
-    other = MetricsRegistry()
-    other.timeseries("rate", capacity=3).record(2.0, 20.0)
-    other.timeseries("rate", capacity=3).record(4.0, 40.0)
-    parent.merge(other)
-    # sorted by timestamp, newest 3 kept
-    assert parent.get("rate").points() == [
-        (2.0, 20.0), (3.0, 30.0), (4.0, 40.0),
-    ]
-
-
-def test_merge_records_interleaves_labeled_coverage_series():
-    # the hunt_coverage family is a labeled timeseries; cross-worker
-    # record merges must interleave per label cell, by timestamp
-    parent = MetricsRegistry()
-    ts = parent.timeseries("hunt_coverage", labels=("kind",), capacity=8)
-    ts.record(1.0, 1.0, kind="fingerprints")
-    ts.record(3.0, 2.0, kind="fingerprints")
-    ts.record(2.0, 1.0, kind="partitions")
-    worker = MetricsRegistry()
-    other = worker.timeseries("hunt_coverage", labels=("kind",), capacity=8)
-    other.record(2.0, 10.0, kind="fingerprints")
-    other.record(4.0, 11.0, kind="fingerprints")
-    other.record(1.0, 20.0, kind="partitions")
-    parent.merge_records(worker.to_records())
-    merged = parent.get("hunt_coverage")
-    assert merged.points(kind="fingerprints") == [
-        (1.0, 1.0), (2.0, 10.0), (3.0, 2.0), (4.0, 11.0),
-    ]
-    assert merged.points(kind="partitions") == [(1.0, 20.0), (2.0, 1.0)]
-
-
-def test_merge_records_coverage_ring_cap_keeps_newest():
-    parent = MetricsRegistry()
-    ts = parent.timeseries("hunt_coverage", labels=("kind",), capacity=3)
-    for i in range(3):
-        ts.record(float(i), float(i), kind="fingerprints")
-    worker = MetricsRegistry()
-    other = worker.timeseries("hunt_coverage", labels=("kind",), capacity=3)
-    for i in range(3, 6):
-        other.record(float(i), float(i), kind="fingerprints")
-    parent.merge_records(worker.to_records())
-    merged = parent.get("hunt_coverage")
-    # capacity survives the merge: oldest samples fall off, per cell
-    assert merged.points(kind="fingerprints") == [
-        (3.0, 3.0), (4.0, 4.0), (5.0, 5.0),
-    ]
-    assert merged.latest(kind="fingerprints") == (5.0, 5.0)
-
-
-def test_merge_creates_missing_instruments():
-    parent = MetricsRegistry()
-    parent.merge_records(_worker_registry(2).to_records())
-    assert set(parent.names()) == {"tries", "done", "dur", "rate"}
-    assert parent.get("dur").bounds == (0.1, 1.0)
-    assert parent.get("rate").capacity == 4
-
-
-def test_merge_rejects_bucket_mismatch():
-    parent = MetricsRegistry()
-    parent.histogram("dur", buckets=(0.1, 1.0)).observe(0.5)
-    records = parent.to_records()
-    records[0]["series"][0]["buckets"] = [1]  # wrong arity
-    bad = MetricsRegistry()
-    bad.histogram("dur", buckets=(0.1, 1.0))
-    with pytest.raises(MetricError):
-        bad.merge_records(records)
-
-
-def test_merge_rejects_unknown_kind():
-    reg = MetricsRegistry()
-    with pytest.raises(MetricError):
-        reg.merge_records(
-            [{"t": "metric", "kind": "sparkline", "name": "x",
-              "labels": [], "series": []}]
-        )
-
-
-def test_merge_ignores_foreign_records():
-    reg = MetricsRegistry()
-    reg.merge_records([{"t": "span", "name": "not-a-metric"}])
-    assert reg.names() == []
-
-
 def test_records_are_picklable_and_jsonable():
     import json
 
-    records = _worker_registry(1).to_records()
+    records = _sample_registry(1).to_records()
     assert pickle.loads(pickle.dumps(records)) == records
     assert json.loads(json.dumps(records)) == records
-
-
-def test_snapshot_keyed_by_name():
-    snap = _worker_registry(1).snapshot()
-    assert snap["tries"]["kind"] == "counter"
-    assert snap["rate"]["kind"] == "timeseries"
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Property tests of ``VectorClockHB1.ordered``'s O(1) epoch test.
+"""Property tests of ``HappensBefore1.ordered``'s O(1) epoch test.
 
 The epoch test answers ``a hb1 b`` by checking a single component —
 ``clock(b)[a.proc] >= clock(a)[a.proc]`` — instead of the full
@@ -6,7 +6,8 @@ pointwise comparison.  That shortcut is only sound if an event's own
 component flows to exactly its hb1 successors, which is where clock
 *merges* (events with several predecessors) and cross-processor so1
 chains can go wrong.  These tests pit the epoch test against both the
-full pointwise comparison and the transitive-closure backend on traces
+full pointwise comparison and a transitive closure of the relation's
+event graph on traces
 engineered to maximize multi-predecessor merges and long so1 chains:
 every sync value is 0, so every release -> acquire pair on a lock forms
 an so1 edge, and acquires that also have a program-order predecessor
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import VectorClockHB1
+from repro.graph import TransitiveClosure, is_acyclic
 from repro.trace.bitvector import BitVector
 from repro.trace.build import Trace
 from repro.trace.events import ComputationEvent, EventId, SyncEvent
@@ -107,7 +108,7 @@ def _pointwise_hb(vc, a, b):
 @given(sync_chain_traces())
 @settings(max_examples=200, deadline=None)
 def test_epoch_test_equals_pointwise_comparison(trace):
-    vc = VectorClockHB1(trace)
+    vc = HappensBefore1(trace)
     events = [e.eid for e in trace.all_events()]
     for a in events:
         for b in events:
@@ -118,16 +119,17 @@ def test_epoch_test_equals_pointwise_comparison(trace):
 @given(sync_chain_traces())
 @settings(max_examples=200, deadline=None)
 def test_epoch_test_matches_closure_on_sync_chains(trace):
-    closure = HappensBefore1(trace)
-    vc = VectorClockHB1(trace)
-    assert vc.cyclic == (not closure.is_partial_order())
+    vc = HappensBefore1(trace)
+    closure = TransitiveClosure(vc.graph)
+    assert vc.cyclic == (not is_acyclic(vc.graph))
     events = [e.eid for e in trace.all_events()]
     for a in events:
         for b in events:
             if a == b:
                 continue
             assert closure.ordered(a, b) == vc.ordered(a, b), (a, b)
-            assert closure.unordered(a, b) == vc.unordered(a, b), (a, b)
+            assert (not closure.comparable(a, b)) == vc.unordered(a, b), \
+                (a, b)
 
 
 @given(sync_chain_traces())
@@ -140,20 +142,19 @@ def test_merge_is_componentwise_max_over_predecessors(trace):
     position + 1; inside a cycle's SCC every member shares one clock,
     which its predecessors in the SCC carry too."""
     hb = HappensBefore1(trace)
-    vc = VectorClockHB1(trace, base=hb)
     nproc = trace.processor_count
     for event in trace.all_events():
         eid = event.eid
-        clock = vc.clock_of(eid)
+        clock = hb.clock_of(eid)
         preds = list(hb.graph.predecessors(eid))
         for i in range(nproc):
             expected = max(
-                (vc.clock_of(p)[i] for p in preds), default=0
+                (hb.clock_of(p)[i] for p in preds), default=0
             )
             if i == eid.proc:
                 expected = max(expected, eid.pos + 1)
             assert clock[i] == expected, (eid, i, preds)
-        if not vc.cyclic:
+        if not hb.cyclic:
             assert clock[eid.proc] == eid.pos + 1
 
 
@@ -162,7 +163,7 @@ def test_merge_is_componentwise_max_over_predecessors(trace):
 def test_epoch_test_equals_pointwise_on_generic_traces(trace):
     """Same epoch-vs-pointwise equivalence on the unbiased generator
     (arbitrary sync values, so sparser so1 edges)."""
-    vc = VectorClockHB1(trace)
+    vc = HappensBefore1(trace)
     events = [e.eid for e in trace.all_events()]
     for a in events:
         for b in events:
@@ -205,8 +206,8 @@ def test_cross_processor_so1_chain_is_totally_ordered(nproc, rounds):
         processor_count=nproc, memory_size=1, events=events,
         sync_order=sync_order, model_name="so1-chain",
     )
-    closure = HappensBefore1(trace)
-    vc = VectorClockHB1(trace)
+    vc = HappensBefore1(trace)
+    closure = TransitiveClosure(vc.graph)
     for i, a in enumerate(chain):
         for b in chain[i + 1:]:
             if a.proc == b.proc:
