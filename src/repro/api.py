@@ -378,9 +378,10 @@ def explain(source, *, include_sync: bool = False):
     *source* is anything :func:`detect` accepts, or an existing
     post-mortem :class:`~repro.core.report.RaceReport`.  Returns a
     :class:`~repro.core.provenance.ProvenanceReport`: per data race,
-    the hb1 non-ordering witness (BFS cross-checked against the
-    closure backend), its SCC/partition in G', and the Definition 4.1
-    ordering evidence that makes its partition first (or not).
+    the hb1 non-ordering witness (a BFS cross-checked against the
+    detector's vector clocks), its SCC/partition in G', and the
+    Definition 4.1 ordering evidence that makes its partition first (or
+    not).
     """
     from .core.provenance import explain_races
     from .core.report import RaceReport

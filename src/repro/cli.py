@@ -237,10 +237,11 @@ def _run(args: argparse.Namespace) -> int:
     from .analysis.naive import NaiveDetector
     with _profiling(args):
         report = detect(_simulate(args), detector=args.detector)
-        # --dot and --explain draw/walk the augmented graph G'; --naive
-        # re-analyzes report.trace.  All three need a graph-carrying
-        # post-mortem style report (postmortem/shb/wcp), not the
-        # streaming or strawman ones.
+        # --dot draws the augmented graph G', --explain walks its edges
+        # over the report's event rows and races; --naive re-analyzes
+        # report.trace.  All three need a post-mortem style report with
+        # hb1 and partitions (postmortem/shb/wcp), not the streaming or
+        # strawman ones.
         graphless = [
             flag for flag, wanted in (
                 ("--dot", args.dot), ("--explain", args.explain),

@@ -1,14 +1,11 @@
 """The paper's contribution: happens-before-1 construction, race
-detection, the affects relation, augmented-graph race partitioning with
-first-partition reporting, SCP machinery with the Condition 3.4
-checker, and the on-the-fly baseline."""
+detection, race partitioning by the SCCs of the augmented graph G' with
+first-partition reporting, affects chains, SCP machinery with the
+Condition 3.4 checker, and the on-the-fly baseline."""
 
 from .._lazy import lazy_exports
 
 __all__ = lazy_exports(globals(), {
-    "affects": "AffectsIndex affected_events race_affects_event "
-               "race_affects_race",
-    "augmented": "build_augmented_graph race_edge_list",
     "detector": "PostMortemDetector",
     "explain": "RaceExplanation explain_race explain_report",
     "provenance": "NonOrderingWitness ProvenanceError ProvenanceReport "

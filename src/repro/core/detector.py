@@ -9,11 +9,13 @@ Given a trace (from a file or straight from a simulated execution):
 2. find every conflicting, hb1-unordered event pair on a data
    location -- every data race lies there, so this decides the
    verdict; the races on the other (sync-only) locations are swept
-   when G' or ``report.races`` is first read,
-3. build the augmented graph G', partition races by SCC, order
+   when the partitions or ``report.races`` are first read,
+3. partition races by the SCCs of the augmented graph G', order
    partitions by reachability, and mark the first partitions
-   (section 4.2) -- only when some race is a data race, or when the
-   report's partitions are read (:class:`~repro.core.report.RaceReport`),
+   (section 4.2; :mod:`repro.core.partitions` reads them off a skeleton
+   over the race endpoints, not G' itself) -- only when some race is a
+   data race, or when the report's partitions are read
+   (:class:`~repro.core.report.RaceReport`),
 4. report only the first partitions containing data races.
 
 On hardware obeying Condition 3.4 the report is meaningful even when
@@ -46,7 +48,7 @@ class PostMortemDetector:
         with obs.span("detect.postmortem"):
             hb = HappensBefore1(trace)
             # The data half decides the verdict; a racy report sweeps
-            # the sync half here too, when it builds G' (RaceReport).
+            # the sync half here too, when it partitions (RaceReport).
             data_half = find_races(trace, hb, half="data")
             return RaceReport(trace=trace, hb=hb, data_half=data_half)
 

@@ -5,17 +5,18 @@ module answers the follow-up question — "why was this other race
 hidden?" — by extracting the G' path that witnesses the affects
 relation (Definition 3.3): a chain of program-order steps, paired
 synchronization, and earlier races leading from a first-partition event
-to the suppressed race.  Each hop is labelled with its justification,
-turning the formalism into a readable causal story.
+to the suppressed race.  G' is not built: the path is a breadth-first
+search over event rows along its edges.  Each hop is labelled with its
+justification, turning the formalism into a readable causal story.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..graph import shortest_path
 from ..trace.events import EventId
+from .provenance import _bfs_reachable, _hb1_successors
 from .races import EventRace
 from .report import RaceReport
 
@@ -84,41 +85,42 @@ def _classify_edge(so1: Set[Tuple[EventId, EventId]], src: EventId,
 
 
 def explain_race(report: RaceReport, race: EventRace) -> RaceExplanation:
-    """Build the affects chain for *race* from the report's G'."""
-    reported = {(r.a, r.b) for r in report.reported_races}
-    if (race.a, race.b) in reported:
+    """Build the affects chain for data race *race* of *report*: a
+    shortest G' path to it from a reported race, found by one BFS over
+    rows along po, hb1's cross rows and the race edges."""
+    reported = report.reported_races
+    if race in reported:
         return RaceExplanation(
             race=race, is_first=True, root_race=None, steps=[]
         )
-
-    gprime = report.analysis.gprime
-    best: Optional[Tuple[EventRace, List[EventId]]] = None
-    for root in report.reported_races:
-        for src in (root.a, root.b):
-            for dst in (race.a, race.b):
-                path = (
-                    [src, dst] if src == dst
-                    else shortest_path(gprime, src, dst)
-                )
-                if path is None:
-                    continue
-                if best is None or len(path) < len(best[1]):
-                    best = (root, path)
-    if best is None:
-        # Not reachable from any reported race (e.g. an independent
-        # non-first classification anomaly); report it as unexplained
-        # first-like.
-        return RaceExplanation(
-            race=race, is_first=False, root_race=None, steps=[]
-        )
-    root, path = best
-    so1 = set(report.hb.so1_edges)
+    hb = report.hb
+    roots: Dict[int, EventRace] = {}
+    for root in reported:
+        for eid in root.events:
+            roots.setdefault(hb.row_of(eid), root)
+    partners: Dict[int, List[int]] = {}
+    for other in report.observed_races:
+        a, b = hb.row_of(other.a), hb.row_of(other.b)
+        partners.setdefault(a, []).append(b)
+        partners.setdefault(b, []).append(a)
+    hb1 = _hb1_successors(hb)
+    parents = _bfs_reachable(
+        lambda row: hb1(row) + partners.get(row, []), roots)
+    # A non-first partition is preceded by a first data partition
+    # (Definition 4.1), so some reported race reaches the race.
+    targets = {hb.row_of(race.a), hb.row_of(race.b)}
+    path = [next(row for row in parents if row in targets)]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    proc_of, pos_of = hb.proc_of, hb.pos_of
+    events = [EventId(proc_of[row], pos_of[row]) for row in reversed(path)]
+    so1 = set(hb.so1_edges)
     steps = [
         ExplanationStep(a, b, _classify_edge(so1, a, b))
-        for a, b in zip(path, path[1:])
+        for a, b in zip(events, events[1:])
     ]
     return RaceExplanation(
-        race=race, is_first=False, root_race=root, steps=steps
+        race=race, is_first=False, root_race=roots[path[-1]], steps=steps
     )
 
 

@@ -44,11 +44,10 @@ or not, so the same test decides every query; and in the sweep order a
 later event is hb1-before an earlier one only inside one SCC, whose
 events are ordered both ways and never race.
 
-The event graph (:attr:`HappensBefore1.graph`) is built only when G',
-a DOT export or ``explain`` reads it, and no query needs its
-transitive closure.  Subclasses change the edges (the predictive SHB
-and WCP relations of :mod:`repro.core.predictive`) and inherit the
-clocks.
+The event graph (:attr:`HappensBefore1.graph`) is built only when a
+DOT export reads it, and no query needs its transitive closure.
+Subclasses change the edges (the predictive SHB and WCP relations of
+:mod:`repro.core.predictive`) and inherit the clocks.
 """
 
 from __future__ import annotations
@@ -410,6 +409,11 @@ class HappensBefore1:
         mutate the clocks)."""
         return ((EventId(proc, pos), clock)
                 for _, proc, pos, clock in self.positions())
+
+    def row_of(self, eid: EventId) -> int:
+        """The event's processor-major row."""
+        self._clock()
+        return self._offsets[eid.proc] + eid.pos
 
     def clock_of(self, eid: EventId) -> List[int]:
         """The event's vector clock (do not mutate)."""

@@ -1,8 +1,8 @@
 """Report fields computed only when something reads them.
 
-A race-free report's verdict never reads G' (Theorem 4.1: no data race
-means no first data partition), and a stale-free execution's robustness
-verdict never needs its order graph.  :class:`LazyField` lets a report
+A race-free report's verdict never reads its partitions (Theorem 4.1:
+no data race means no first data partition), and a stale-free
+execution's robustness verdict never needs its order graph.  :class:`LazyField` lets a report
 dataclass keep such a field in its constructor while paying for it only
 on first read.
 """

@@ -8,18 +8,19 @@ race:
 * the **non-ordering witness** (Definition 2.4): the pair conflicts,
   and hb1 orders it in *neither* direction.  Non-ordering is a
   universal claim ("no path exists"), so the witness is checked two
-  independent ways — a breadth-first search over the raw hb1 edge
-  list (one per distinct endpoint, shared by its races), and the
-  vector clocks the detector swept with (``report.hb``) — and
-  recorded only when both agree (``verified``);
+  independent ways — a breadth-first search over the relation's own
+  edges, po plus its cross rows (one per distinct endpoint, shared by
+  its races), and the vector clocks the detector swept with
+  (``report.hb``) — and recorded only when both agree (``verified``);
 
 * its **SCC / partition** in the augmented graph G′ (hb1 plus doubly
-  directed race edges): which component the pair fell into, how many
+  directed race edges): which partition the pair fell into, how many
   events and races share it;
 
 * the **Definition 4.1 ordering evidence**: the data-race partitions
   that G′-reach this partition (none ⇔ the partition is first,
-  Theorem 4.1) and the ones it reaches.  For a reported race the
+  Theorem 4.1) and the ones it reaches, read off the partition
+  skeleton (:mod:`repro.core.partitions`).  For a reported race the
   preceding list is empty; for a suppressed race it names the earlier
   partitions whose races may have caused this one.
 
@@ -37,7 +38,8 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..trace.events import EventId
 from .races import EventRace
@@ -49,27 +51,45 @@ class ProvenanceError(RuntimeError):
     relation disagree (one of them is wrong)."""
 
 
-def _bfs_reachable(edges: Dict[EventId, List[EventId]],
-                   src: EventId) -> Set[EventId]:
-    """*src* and every node a plain BFS over an adjacency map reaches
-    from it — deliberately independent of the vector clocks it is used
-    to cross-check."""
-    seen = {src}
-    queue = deque((src,))
+def _bfs_reachable(successors: Callable[[int], Iterable[int]],
+                   sources: Iterable[int]) -> Dict[int, Optional[int]]:
+    """Every node a plain BFS reaches from *sources*, in the order it
+    reached them, each mapped to the node it was reached from (a source
+    to None)."""
+    parents: Dict[int, Optional[int]] = dict.fromkeys(sources)
+    queue = deque(parents)
     while queue:
-        for succ in edges.get(queue.popleft(), ()):
-            if succ not in seen:
-                seen.add(succ)
+        node = queue.popleft()
+        for succ in successors(node):
+            if succ not in parents:
+                parents[succ] = node
                 queue.append(succ)
-    return seen
+    return parents
+
+
+def _hb1_successors(hb) -> Callable[[int], List[int]]:
+    """Each row's successors under *hb*'s own edges, po and
+    :meth:`~repro.core.hb1.HappensBefore1.cross_rows` — deliberately
+    independent of the vector clocks they are used to cross-check."""
+    counts = [len(events) for events in hb.trace.events]
+    last = {end - 1 for end, count in zip(accumulate(counts), counts)
+            if count}
+    cross: Dict[int, List[int]] = {}
+    for src, dst in hb.cross_rows():
+        cross.setdefault(src, []).append(dst)
+
+    def successors(row: int) -> List[int]:
+        out = cross.get(row, [])
+        return out if row in last else [row + 1, *out]
+    return successors
 
 
 @dataclass(frozen=True)
 class NonOrderingWitness:
     """Evidence that hb1 orders a conflicting pair in neither direction.
 
-    ``a_reaches_b``/``b_reaches_a`` are the BFS answers over the raw
-    hb1 edges (both must be False for a race); ``verified`` records
+    ``a_reaches_b``/``b_reaches_a`` are the BFS answers over the
+    relation's own edges (both must be False for a race); ``verified`` records
     that the detector's vector clocks gave the same answers.
     """
 
@@ -98,7 +118,7 @@ class RaceProvenance:
 
     race: EventRace
     witness: NonOrderingWitness
-    component_index: int  # the SCC of G' holding both endpoints
+    component_index: int  # the partition (SCC of G') of both endpoints
     component_size: int  # events in that SCC
     partition_races: int  # races sharing the partition
     is_first: bool
@@ -261,9 +281,11 @@ def partition_coverage_keys(report) -> Tuple[str, ...]:
     are content-derived (no component indices, which renumber across
     traces) and sorted, so they are insensitive to partition order.
 
-    Reports without a partition analysis (naive, streaming — no G′)
-    degrade to one key per data race: the per-race coverage the
-    detector can actually distinguish.
+    Reports without a partition analysis (naive, streaming) degrade to
+    one key per data race: the per-race coverage the detector can
+    actually distinguish.  A partition analysis reads its partitions
+    off a skeleton over the race endpoints, not G′ itself
+    (:mod:`repro.core.partitions`), so the keys cost no event graph.
     """
     partitions = getattr(report, "first_partitions", None)
     if partitions:
@@ -298,18 +320,17 @@ def explain_races(report: RaceReport,
             vector clocks disagreed with the BFS.
     """
     hb = report.hb
-    edges: Dict[EventId, List[EventId]] = {
-        node: list(hb.graph.successors(node)) for node in hb.graph.nodes()
-    }
+    successors = _hb1_successors(hb)
     analysis = report.analysis
     # One BFS per distinct endpoint: a trace has far fewer endpoints
     # than races.
-    reachable: Dict[EventId, Set[EventId]] = {}
+    reachable: Dict[int, Dict[int, Optional[int]]] = {}
 
     def reaches(src: EventId, dst: EventId) -> bool:
-        if src not in reachable:
-            reachable[src] = _bfs_reachable(edges, src)
-        return dst in reachable[src]
+        row = hb.row_of(src)
+        if row not in reachable:
+            reachable[row] = _bfs_reachable(successors, (row,))
+        return hb.row_of(dst) in reachable[row]
 
     # Definition 4.1 neighbours by component: one partition may hold
     # thousands of races, and its neighbours are the same for each

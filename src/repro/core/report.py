@@ -53,7 +53,7 @@ class RaceReport:
     data race and so decide the verdict; ``races`` then adds the sync
     half, swept with ``hb``'s clocks on first read.
 
-    ``analysis`` (G' and its race partitions, section 4.2) is built from
+    ``analysis`` (the race partitions of G', section 4.2) is built from
     ``(trace, hb, observed_races)`` on first read unless passed in.  A
     racy report builds it, and so sweeps ``races``, at construction,
     since everything that reads a racy report reads its first
@@ -76,8 +76,8 @@ class RaceReport:
 
     def __post_init__(self) -> None:
         if not self.race_free:
-            # Every reader of a racy report reads G'; build it now, in
-            # the detector's span.
+            # Every reader of a racy report reads its partitions; build
+            # them now, in the detector's span.
             self.analysis
 
     def _all_races(self) -> List[EventRace]:
@@ -93,7 +93,7 @@ class RaceReport:
     # ------------------------------------------------------------------
     @property
     def observed_races(self) -> List[EventRace]:
-        """The races G' partitions: every race of the execution (the
+        """The races partitioned: every race of the execution (the
         WCP report leaves out the races it predicts)."""
         return self.races
 
@@ -121,7 +121,7 @@ class RaceReport:
     def first_partitions(self) -> List[RacePartition]:
         """The partitions to report to the programmer (section 4.2) —
         only those containing data races are actionable.  A race-free
-        report has none (Theorem 4.1), so this reads G' only when racy."""
+        report has none (Theorem 4.1), so this partitions only when racy."""
         if self.race_free:
             return []
         return [p for p in self.analysis.data_partitions if p.is_first]

@@ -3,7 +3,10 @@
 The race partition order ``P`` of Definition 4.1 is reachability between
 strongly connected components of the augmented graph G'.  The condensation
 — one node per SCC, an edge whenever any member-to-member edge crosses
-components — turns that into ordinary DAG reachability.
+components — turns that into ordinary DAG reachability.  The detector
+condenses a skeleton over the race endpoints instead of G' itself
+(:mod:`repro.core.partitions`); this general form condenses the full G'
+in the tests' oracle.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Reachability queries and transitive closure.
 
-Two uses in the reproduction: deciding whether two events are ordered by
-the happens-before-1 relation (race detection needs *unordered* pairs),
-and ordering race partitions by paths in the augmented graph G'
-(Definition 4.1).  For repeated queries over the same graph the bitset
+The reproduction's own queries read vector clocks and the partition
+skeleton instead; these general forms serve the operation-level hb1 of
+:mod:`repro.core.ophb`, the robustness checker and the tests' oracles
+(an hb1 closure for race detection, the full augmented graph G' for
+Definition 4.1).  For repeated queries over the same graph the bitset
 transitive closure is the right tool; single queries use plain BFS.
 """
 

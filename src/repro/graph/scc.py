@@ -5,9 +5,11 @@ the strongly connected components of the augmented happens-before-1 graph
 G'; this module supplies that primitive.  The implementation is the
 classic Tarjan algorithm rewritten with an explicit stack so that large
 traces (tens of thousands of events) do not overflow CPython's recursion
-limit.  The vector-clock sweep runs the same algorithm over integer
-event rows when hb1 is cyclic (:mod:`repro.core.hb1`), passing the
-rows and a successor function instead of a graph.
+limit.  Both callers pass nodes and a successor function instead of a
+graph: the vector-clock sweep runs it over integer event rows when hb1
+is cyclic (:mod:`repro.core.hb1`), and the partitioner over the
+skeleton it builds on the race endpoints, whose SCCs hold the races of
+those of G' (:mod:`repro.core.partitions`).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.detector import PostMortemDetector
-from repro.graph import TransitiveClosure
+from repro.graph import DiGraph, TransitiveClosure
 from repro.machine.models import make_model
 from repro.machine.propagation import StubbornPropagation
 from repro.machine.simulator import run_program
@@ -57,8 +57,8 @@ def figure2_report(figure2_result, detector):
 @pytest.fixture
 def event_closures(monkeypatch):
     """A list that grows by one per TransitiveClosure built over a graph
-    of events.  The affects index builds one over G' by design;
-    detection, streaming and ``explain_races`` build none."""
+    of events.  The tests' G' oracle builds one by design; detection,
+    streaming and ``explain_races`` build none."""
     built = []
     init = TransitiveClosure.__init__
 
@@ -69,3 +69,20 @@ def event_closures(monkeypatch):
 
     monkeypatch.setattr(TransitiveClosure, "__init__", recording_init)
     return built
+
+
+@pytest.fixture
+def event_graphs(monkeypatch, event_closures):
+    """:func:`event_closures`, plus every DiGraph, once, when it gets
+    its first event node (a condensation of events needs one too).
+    Only a DOT export builds an event graph in ``src/``."""
+    add_node = DiGraph.add_node
+
+    def recording_add_node(self, node):
+        if isinstance(node, EventId) and not any(
+                graph is self for graph in event_closures):
+            event_closures.append(self)
+        add_node(self, node)
+
+    monkeypatch.setattr(DiGraph, "add_node", recording_add_node)
+    return event_closures

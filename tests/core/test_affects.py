@@ -2,13 +2,6 @@
 
 import pytest
 
-from repro.core.affects import (
-    AffectsIndex,
-    affected_events,
-    race_affects_event,
-    race_affects_race,
-)
-from repro.core.augmented import build_augmented_graph
 from repro.core.hb1 import HappensBefore1
 from repro.core.races import find_races
 from repro.machine.models import make_model
@@ -16,6 +9,13 @@ from repro.machine.program import ProgramBuilder
 from repro.machine.simulator import run_program
 from repro.programs.workqueue import run_figure2
 from repro.trace.build import build_trace
+from tests.gprime_oracle import (
+    AffectsIndex,
+    affected_events,
+    build_augmented_graph,
+    race_affects_event,
+    race_affects_race,
+)
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,18 @@
 """Race-explanation tests."""
 
+import pytest
+
 from repro.core.detector import PostMortemDetector
 from repro.core.explain import explain_race, explain_report
-from repro.machine.models import make_model
+from repro.graph import shortest_path
+from repro.machine.models import ALL_MODEL_NAMES, make_model
 from repro.machine.simulator import run_program
 from repro.programs.figure1 import figure1a_program
 from repro.programs.kernels import locked_counter_program
+from repro.programs.random_programs import random_racy_program
+from repro.programs.workqueue import run_figure2
+from tests.core.test_lazy_partitions import CORPUS
+from tests.gprime_oracle import build_augmented_graph
 
 DET = PostMortemDetector()
 
@@ -35,7 +42,7 @@ def test_suppressed_race_gets_a_chain(figure2_report):
 def test_chain_edges_exist_in_gprime(figure2_report):
     suppressed = figure2_report.suppressed_races[0]
     explanation = explain_race(figure2_report, suppressed)
-    gprime = figure2_report.analysis.gprime
+    gprime = build_augmented_graph(figure2_report.hb, figure2_report.races)
     for step in explanation.steps:
         assert gprime.has_edge(step.src, step.dst)
 
@@ -73,3 +80,45 @@ def test_labels_truncate_large_sets(figure2_report):
     text = explain_report(figure2_report)
     assert "more" in text  # the 100-location region sets are truncated
     assert len(text) < 4000
+
+
+def _assert_chains_are_gprime_paths(report):
+    """Every suppressed data race gets a chain rooted at a reported
+    race: a shortest path of the full G', each hop a G' edge labelled
+    with its kind."""
+    gprime = build_augmented_graph(report.hb, report.observed_races)
+    so1 = set(report.hb.so1_edges)
+    races = {frozenset(race.events) for race in report.observed_races}
+    roots = {e for root in report.reported_races for e in root.events}
+    for race in report.suppressed_races:
+        explanation = explain_race(report, race)
+        assert explanation.root_race in report.reported_races
+        steps = explanation.steps
+        assert steps[0].src in explanation.root_race.events
+        assert steps[-1].dst in race.events
+        for step in steps:
+            assert gprime.has_edge(step.src, step.dst)
+            assert (step.kind == "po") == (step.src.proc == step.dst.proc)
+            assert (step.kind == "so1") == ((step.src, step.dst) in so1)
+            if step.kind == "race":
+                assert frozenset((step.src, step.dst)) in races
+        assert len(steps) == min(
+            len(path) - 1 for src in roots for dst in race.events
+            for path in [shortest_path(gprime, src, dst)] if path)
+
+
+@pytest.mark.parametrize("model", ALL_MODEL_NAMES)
+@pytest.mark.parametrize("build", CORPUS, ids=lambda p: p.__name__)
+def test_corpus_chains_are_gprime_paths(build, model):
+    _assert_chains_are_gprime_paths(
+        DET.analyze_execution(run_program(build(), make_model(model), seed=3)))
+
+
+@pytest.mark.parametrize("model", ALL_MODEL_NAMES)
+def test_generated_chains_are_gprime_paths(model):
+    _assert_chains_are_gprime_paths(
+        DET.analyze_execution(run_figure2(make_model(model))))
+    for seed in range(16):
+        _assert_chains_are_gprime_paths(DET.analyze_execution(run_program(
+            random_racy_program(seed, processors=4, race_prob=0.5),
+            make_model(model), seed=seed)))

@@ -176,8 +176,9 @@ def test_partitioning_survives_cycle():
     races = find_races(trace, hb)
     analysis = partition_races(trace, hb, races)
     assert analysis.partitions == []
-    # The whole 6-event cycle condenses to few components.
-    assert len(analysis.cond.components) < 6
+    # The whole 6-event cycle is clocked as few components.
+    assert hb.cyclic
+    assert len({tuple(clock) for clock in hb.row_clocks}) < 6
 
 
 def test_full_detector_on_cyclic_trace():

@@ -2,13 +2,22 @@
 
 import pytest
 
+import repro
 from repro.core.detector import PostMortemDetector
+from repro.core.explain import explain_report
 from repro.core.hb1 import HappensBefore1
 from repro.core.partitions import partition_races
+from repro.core.provenance import ProvenanceError, explain_races
 from repro.core.races import find_races
 from repro.machine.models import make_model
 from repro.machine.program import ProgramBuilder
 from repro.machine.simulator import run_program
+from repro.programs import (
+    buggy_workqueue_program,
+    locked_counter_program,
+    run_figure2,
+)
+from repro.programs.random_programs import random_racy_program
 from repro.trace.build import build_trace
 
 
@@ -72,7 +81,7 @@ def test_race_endpoints_share_scc():
         t.read(x)
     _, races, analysis = _analyze(b.build())
     race = races[0]
-    assert analysis.cond.index_of[race.a] == analysis.cond.index_of[race.b]
+    assert {race.a, race.b} <= analysis.partition_of(race).events
 
 
 def test_figure2_two_partitions_ordered(figure2_report):
@@ -136,3 +145,29 @@ def test_describe_mentions_tag(figure2_report):
     text = figure2_report.analysis.partitions[0].describe(figure2_report.trace)
     assert "Partition #" in text
     assert ("first" in text) or ("non-first" in text)
+
+
+@pytest.mark.parametrize("detector", ("postmortem", "shb", "wcp"))
+def test_only_dot_builds_an_event_graph(detector, event_graphs):
+    """Detection, the partitions, the affects chains and the provenance
+    witnesses read the clocks and rows; none builds a DiGraph,
+    condensation or transitive closure over events, cyclic hb1
+    included.  Only the DOT export draws G'."""
+    from tests.properties.test_prop_skeleton import _cycle_then_race_trace
+
+    sources = [run_program(program, make_model("WO"), seed=seed)
+               for program, seed in ((buggy_workqueue_program(), 0),
+                                     (random_racy_program(4), 4),
+                                     (locked_counter_program(), 1))]
+    sources += [run_figure2(make_model("WO")), _cycle_then_race_trace()]
+    for source in sources:
+        report = repro.detect(source, detector=detector)
+        report.analysis.first_partitions
+        explain_report(report)
+        try:
+            explain_races(report, include_sync=True)
+        except ProvenanceError:  # WCP reports predicted races
+            assert detector == "wcp"
+        assert event_graphs == []
+    report.to_dot()
+    assert len(event_graphs) == 2  # hb1's graph and the drawn copy

@@ -4,6 +4,7 @@ and randomized executions."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.metrics import op_races_in_scp
 from repro.core.detector import PostMortemDetector
 from repro.core.ophb import OpHappensBefore, find_op_races
 from repro.core.scp import check_condition_34, extract_scp
@@ -15,8 +16,12 @@ from repro.machine.propagation import (
     StubbornPropagation,
 )
 from repro.machine.simulator import run_program
-from repro.programs.random_programs import random_drf_program, random_racy_program
-from repro.trace.build import build_trace
+from repro.programs.random_programs import (
+    random_drf_program,
+    random_flagsync_program,
+    random_racy_program,
+)
+from repro.trace.build import build_trace, event_of_op
 
 DET = PostMortemDetector()
 
@@ -67,6 +72,30 @@ def test_theorem_41_equivalence(seed, model):
     first_with_data = [p for p in report.analysis.first_partitions
                        if p.has_data_race]
     assert bool(first_with_data) == bool(report.data_races)
+
+
+@given(seed=seeds, model=models, prop=propagations,
+       generate=st.sampled_from([
+           lambda seed: random_racy_program(seed, race_prob=0.5),
+           random_flagsync_program,
+       ]))
+@settings(max_examples=60, deadline=None)
+def test_theorem_42_first_partitions_hold_an_scp_race(seed, model, prop,
+                                                      generate):
+    """Every first partition of a racy post-mortem report holds a data
+    race whose two operations race in the sequentially consistent
+    prefix, on every model and propagation policy."""
+    result = run_program(generate(seed % 500), make_model(model), seed=seed,
+                         propagation=prop())
+    trace = build_trace(result)
+    report = DET.analyze(trace)
+    sc_races, _ = op_races_in_scp(result)
+    sc_pairs = {frozenset((event_of_op(trace, race.a),
+                           event_of_op(trace, race.b)))
+                for race in sc_races}
+    for partition in report.first_partitions:
+        assert {frozenset(race.events) for race in partition.data_races} \
+            & sc_pairs, partition.describe(trace)
 
 
 @given(seed=seeds, model=models, prop=propagations)
